@@ -100,8 +100,8 @@ class CanonicalizeStats:
     alternations: int = 0
 
 
-def greedy_maximal_stable_set(g: Graph) -> CanonicalState:
-    """Deterministic seed set: take nodes in ascending id when possible."""
+def greedy_members(g: Graph) -> list[int]:
+    """Ascending greedy maximal stable set: take each node no member sees."""
     blocked = bytearray(g.n)
     members = []
     for v in range(g.n):
@@ -109,7 +109,12 @@ def greedy_maximal_stable_set(g: Graph) -> CanonicalState:
             members.append(v)
             for u in g.neighbors(v):
                 blocked[u] = 1
-    return CanonicalState(g, members)
+    return members
+
+
+def greedy_maximal_stable_set(g: Graph) -> CanonicalState:
+    """Deterministic seed set: take nodes in ascending id when possible."""
+    return CanonicalState(g, greedy_members(g))
 
 
 def find_augmenting_p3(st: CanonicalState, s: int) -> tuple[int, int] | None:

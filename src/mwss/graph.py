@@ -17,7 +17,7 @@ NodeSet = tuple  # sorted tuple of node ids; the package-wide carrier for node s
 
 
 class Graph:
-    """Simple undirected graph with 64-bit signed integer node weights.
+    """Simple undirected graph with exact, unbounded integer node weights.
 
     Adjacency is held both as sorted tuples (deterministic iteration) and
     as frozensets (constant-time membership).  No self-loops, no parallel

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .canonical import CanonicalState, canonicalize
+from .canonical import CanonicalState, canonicalize, greedy_members
 from .decomposition import Decomposition, decompose
-from .errors import MWSSError
+from .errors import MWSSError, StructuralError
 from .graph import (
     Graph,
     closed_neighborhood,
@@ -55,65 +55,83 @@ class PipelineDetail:
     dp_passes: int
 
 
-def _greedy_members(g: Graph) -> list[int]:
-    blocked = bytearray(g.n)
-    members = []
-    for v in range(g.n):
-        if not blocked[v]:
-            members.append(v)
-            for u in g.neighbors(v):
-                blocked[u] = 1
-    return members
+def _non_neighbour_bits(g: Graph, order) -> list[int]:
+    """Per node v, the nodes not adjacent to v (v excluded) as an int whose
+    bit i stands for ``order[i]``."""
+    bit = [0] * g.n
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    full = (1 << g.n) - 1
+    return [
+        full ^ bit[v] ^ sum(bit[u] for u in g.neighbors(v)) for v in range(g.n)
+    ]
 
 
 def find_stable4(g: Graph) -> tuple[int, ...] | None:
     """A stable set of size four, or None exactly when alpha(G) <= 3.
 
-    Fast path: an ascending greedy maximal stable set.  If that stays
-    below four, decide exactly: for every non-edge, look for a second
-    non-adjacent pair among the nodes seeing neither endpoint.
+    Fast path: the first four nodes of an ascending greedy maximal stable
+    set.  If that stays below four, return the lexicographically smallest
+    stable 4-set (see ``smallest_stable4``).
     """
-    greedy = _greedy_members(g)
+    greedy = greedy_members(g)
     if len(greedy) >= 4:
         return tuple(greedy[:4])
-    full = set(range(g.n))
+    return smallest_stable4(g)
+
+
+def smallest_stable4(g: Graph) -> tuple[int, ...] | None:
+    """The lexicographically smallest stable 4-set, or None if alpha(G) <= 3.
+
+    Scans non-edges (u, v) ascending and looks for a non-edge (x, y) with
+    v < x < y among the nodes seeing neither u nor v, so each stable
+    triple is tried once.
+    """
+    nn = _non_neighbour_bits(g, range(g.n))
     for u in range(g.n):
-        au = g.adj(u)
-        for v in range(u + 1, g.n):
-            if v in au:
-                continue
-            rest = sorted(full - au - g.adj(v) - {u, v})
-            rest_set = set(rest)
-            for x in rest:
-                others = rest_set - g.adj(x)
-                others.discard(x)
-                if others:
-                    return tuple(sorted((u, v, x, min(others))))
+        later_v = nn[u] >> (u + 1) << (u + 1)
+        while later_v:
+            low = later_v & -later_v
+            later_v ^= low
+            v = low.bit_length() - 1
+            rest = (nn[u] & nn[v]) >> (v + 1) << (v + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                hit = rest & nn[x]
+                if hit:
+                    return (u, v, x, (hit & -hit).bit_length() - 1)
     return None
 
 
 def alpha3_fallback(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact optimum when alpha(G) <= 3: scan sets of size 0, 1, 2, 3."""
+    """Exact optimum when alpha(G) <= 3: scan sets of size 0, 1, 2, 3.
+
+    Non-neighbourhood bits are ranked by descending weight, lower id first
+    on ties, so the best third node for a non-edge (u, v) is the lowest
+    set bit of the two non-neighbourhoods' intersection.
+    """
     best = 0
     best_set: tuple[int, ...] = ()
     w = g.weights
     for v in range(g.n):
         if w[v] > best:
             best, best_set = w[v], (v,)
-    full = set(range(g.n))
+    order = sorted(range(g.n), key=lambda t: (-w[t], t))
+    nn = _non_neighbour_bits(g, order)
     for u in range(g.n):
         au = g.adj(u)
+        nn_u = nn[u]
         for v in range(u + 1, g.n):
             if v in au:
                 continue
             pair = w[u] + w[v]
             if pair > best:
                 best, best_set = pair, (u, v)
-            rest = full - au - g.adj(v)
-            rest.discard(u)
-            rest.discard(v)
-            if rest:
-                z = max(rest, key=lambda t: (w[t], -t))
+            common = nn_u & nn[v]
+            if common:
+                z = order[(common & -common).bit_length() - 1]
                 if pair + w[z] > best:
                     best, best_set = pair + w[z], tuple(sorted((u, v, z)))
     return best, best_set
@@ -166,7 +184,10 @@ def solve_component(
     best_value, best_nodes = base_value, base_nodes
     per_vertex = []
     removal = dec.removal
-    assert len(removal) <= math.isqrt(2 * g.m) + 1
+    if len(removal) > math.isqrt(2 * g.m) + 1:
+        raise StructuralError(
+            "removal_size", removal, "removal clique exceeds isqrt(2m) + 1 nodes"
+        )
     for v in removal:
         closed = frozenset(closed_neighborhood(g, (v,)))
         value, nodes = strip_optimum(closed)

@@ -11,3 +11,92 @@ def cycle_graph(n, weights=None):
 
 def complete_graph(n, weights=None):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], weights)
+
+
+def random_graph(n, p, rng, weights=None):
+    """Erdos-Renyi G(n, p), claws and nets included."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges, weights)
+
+
+def nested_cliques(k, rng, weight_hi=1000):
+    """Three nested cliques A, B, C of size k under shuffled ids.
+
+    B[i] sees A[0..i] and C[0..k-1-i]; the opposite nesting keeps it
+    {claw, net}-free with stability number 2 for k = 2 and 3 for k >= 3.
+    Returns the graph and the chain (A, B, C).
+    """
+    ids = list(range(3 * k))
+    rng.shuffle(ids)
+    a, b, c = ids[:k], ids[k : 2 * k], ids[2 * k :]
+    edges = []
+    for clique in (a, b, c):
+        edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+    for i in range(k):
+        edges += [(b[i], a[j]) for j in range(i + 1)]
+        edges += [(b[i], c[j]) for j in range(k - i)]
+    weights = [rng.randint(1, weight_hi) for _ in range(3 * k)]
+    return Graph(3 * k, edges, weights), (a, b, c)
+
+
+def clique_chain_value(chain, edges, weights):
+    """Best weight of a stable set in a chain of cliques where only
+    consecutive cliques touch: at most one node per clique, and the state
+    is the node taken from the previous clique (None for none)."""
+    adjacent = {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
+    best = {None: 0}
+    for clique in chain:
+        step = {None: max(best.values())}
+        for x in clique:
+            step[x] = weights[x] + max(
+                val for p, val in best.items() if p is None or (p, x) not in adjacent
+            )
+        best = step
+    return max(best.values())
+
+
+def reference_stable4_exact(g):
+    """Set-arithmetic search for the lexicographically smallest stable
+    4-set; the reference for ``mwss.solver.smallest_stable4``."""
+    full = set(range(g.n))
+    for u in range(g.n):
+        au = g.adj(u)
+        for v in range(u + 1, g.n):
+            if v in au:
+                continue
+            rest = sorted(full - au - g.adj(v) - {u, v})
+            rest_set = set(rest)
+            for x in rest:
+                others = rest_set - g.adj(x)
+                others.discard(x)
+                if others:
+                    return tuple(sorted((u, v, x, min(others))))
+    return None
+
+
+def reference_alpha3(g):
+    """Set-arithmetic scan of stable sets of size 0..3 with strict
+    improvements in id order; the reference for ``alpha3_fallback``."""
+    best = 0
+    best_set = ()
+    w = g.weights
+    for v in range(g.n):
+        if w[v] > best:
+            best, best_set = w[v], (v,)
+    full = set(range(g.n))
+    for u in range(g.n):
+        au = g.adj(u)
+        for v in range(u + 1, g.n):
+            if v in au:
+                continue
+            pair = w[u] + w[v]
+            if pair > best:
+                best, best_set = pair, (u, v)
+            rest = full - au - g.adj(v)
+            rest.discard(u)
+            rest.discard(v)
+            if rest:
+                z = max(rest, key=lambda t: (w[t], -t))
+                if pair + w[z] > best:
+                    best, best_set = pair + w[z], tuple(sorted((u, v, z)))
+    return best, best_set

@@ -1,17 +1,36 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 
+import mwss.solver
 from mwss import (
     GenSpec,
     Graph,
+    StructuralError,
     alpha3_fallback,
+    find_claw,
+    find_net,
     find_stable4,
     gen_rejection,
     gen_strip_instance,
     oracle_mwss,
     solve,
 )
+from mwss.canonical import greedy_members
+from mwss.solver import smallest_stable4
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import (
+    clique_chain_value,
+    complete_graph,
+    cycle_graph,
+    nested_cliques,
+    path_graph,
+    random_graph,
+    reference_alpha3,
+    reference_stable4_exact,
+)
 
 
 class TestFindStable4:
@@ -28,13 +47,61 @@ class TestFindStable4:
         assert find_stable4(net) is None
 
     def test_enumeration_fallback_when_greedy_misses(self):
-        # greedy from 0 takes {0, 3}; a 4-stable set exists elsewhere:
-        # hub 0 adjacent to everything except the stable quad 4, 5, 6, 7
-        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 7), (1, 2), (2, 3), (1, 3)]
-        g = Graph(8, edges)
-        greedy_first = find_stable4(g)
-        assert greedy_first is not None
-        assert g.is_stable(greedy_first)
+        # hub 0 sees every other node, so the ascending greedy stops at [0];
+        # the first case is the star K1,4
+        cases = [
+            ((), (1, 2, 3, 4)),
+            (((1, 2), (3, 4)), (1, 3, 5, 6)),
+            (((1, 3), (2, 5), (5, 6)), (1, 2, 4, 6)),
+        ]
+        for extra_edges, expected in cases:
+            n = 5 if not extra_edges else 9
+            g = Graph(n, [(0, i) for i in range(1, n)] + list(extra_edges))
+            assert greedy_members(g) == [0]
+            smallest = min(q for q in itertools.combinations(range(n), 4) if g.is_stable(q))
+            assert smallest == expected
+            assert find_stable4(g) == expected
+
+
+class TestBitsetMatchesReference:
+    """The bitset routines return the same tuples as the set-arithmetic ones."""
+
+    @staticmethod
+    def _graphs():
+        for seed in range(240):
+            yield gen_rejection(
+                GenSpec(seed=6000 + seed, mode="rejection", nodes=5 + seed % 16,
+                        weights=("unit", "random", "ties")[seed % 3])
+            )
+        for seed in range(400):
+            rng = random.Random(6500 + seed)
+            n = 5 + seed % 16
+            weights = [rng.randint(-2, 4) for _ in range(n)]
+            yield random_graph(n, (0.2, 0.5, 0.7, 0.85, 0.95)[seed % 5], rng, weights)
+        for k in range(2, 41):
+            yield nested_cliques(k, random.Random(k), weight_hi=(5, 1000)[k % 2])[0]
+
+    def test_same_witness_and_best_set(self):
+        claws = 0
+        for g in self._graphs():
+            claws += find_claw(g) is not None
+            assert smallest_stable4(g) == reference_stable4_exact(g)
+            assert alpha3_fallback(g) == reference_alpha3(g)
+        assert claws > 50  # the sweep reaches graphs outside the class too
+
+
+class TestNestedCliques:
+    @pytest.mark.parametrize("k", list(range(2, 41)) + [200])
+    def test_value_matches_chain_dp(self, k):
+        g, chain = nested_cliques(k, random.Random(900 + k))
+        s = solve(g)
+        assert s.route == "alpha3_fallback"
+        assert s.value == clique_chain_value(chain, list(g.edges()), g.weights)
+        assert g.is_stable(s.nodes) and g.weight_of(s.nodes) == s.value
+        if g.n <= 63:
+            assert s.value == oracle_mwss(g)[0]
+        if k <= 8:
+            assert find_claw(g) is None and find_net(g) is None
 
 
 class TestAlpha3Fallback:
@@ -144,9 +211,20 @@ class TestPipelineContracts:
         co = detail.orders[1]
         assert tuple(second.to_orig[v] for v in co.order) == (4, 5, 6)
 
-    def test_structural_violation_bubbles_with_witness(self):
-        from mwss import StructuralError
+    def test_oversized_removal_raises_with_witness(self, monkeypatch):
+        real = mwss.solver.decompose
+        oversized = tuple(range(6))  # a 9-node path allows isqrt(2 * 8) + 1 = 5
 
+        def decompose(g, state):
+            return dataclasses.replace(real(g, state), removal=oversized)
+
+        monkeypatch.setattr(mwss.solver, "decompose", decompose)
+        with pytest.raises(StructuralError) as err:
+            mwss.solver.solve_component(path_graph(9))
+        assert err.value.kind == "removal_size"
+        assert err.value.witness == oversized
+
+    def test_structural_violation_bubbles_with_witness(self):
         # four-legged spider: alpha = 4 but the hub is a claw center
         edges = []
         for leg in range(4):
