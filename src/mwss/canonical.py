@@ -100,10 +100,15 @@ class CanonicalizeStats:
     alternations: int = 0
 
 
-def greedy_members(g: Graph) -> list[int]:
-    """Ascending greedy maximal stable set: take each node no member sees."""
+def greedy_members(g: Graph, seed: tuple[int, ...] = ()) -> list[int]:
+    """Ascending greedy maximal stable set extending the stable set
+    ``seed``: after the seed, take each node no member sees."""
     blocked = bytearray(g.n)
-    members = []
+    members = list(seed)
+    for s in members:
+        blocked[s] = 1
+        for u in g.neighbors(s):
+            blocked[u] = 1
     for v in range(g.n):
         if not blocked[v]:
             members.append(v)

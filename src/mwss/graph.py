@@ -7,8 +7,10 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections import deque
+import random
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphInputError
@@ -67,6 +69,21 @@ class Graph:
         self.weights = weights
         self._nbrs = tuple(tuple(sorted(row)) for row in lists)
         self._sets = tuple(frozenset(row) for row in self._nbrs)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[tuple[int, ...]], weights: Iterable[int]) -> Graph:
+        """Graph whose node v has the open neighborhood ``rows[v]``.
+
+        The rows must already be sorted, symmetric and free of self-loops;
+        nothing is checked or re-sorted.
+        """
+        g = cls.__new__(cls)
+        g._nbrs = tuple(rows)
+        g.n = len(g._nbrs)
+        g.m = sum(map(len, g._nbrs)) // 2
+        g.weights = tuple(weights)
+        g._sets = tuple(map(frozenset, g._nbrs))
+        return g
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted open neighborhood of ``v``."""
@@ -162,6 +179,18 @@ class SubgraphMap:
         return tuple(sorted(self.to_orig[v] for v in sub_nodes))
 
 
+def induced_rows(g: Graph, keep: Sequence[int]) -> list[tuple[int, ...]]:
+    """Rows of the subgraph induced by ``keep`` (ascending, no repeats),
+    with ids renumbered densely in that order; each row stays sorted."""
+    inside = bytearray(g.n)
+    new_id = [0] * g.n
+    for i, v in enumerate(keep):
+        inside[v] = 1
+        new_id[v] = i
+    marked, renumber = inside.__getitem__, new_id.__getitem__
+    return [tuple(map(renumber, filter(marked, g._nbrs[v]))) for v in keep]
+
+
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by ``keep``, with weights carried over.
 
@@ -169,17 +198,8 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, SubgraphMap]
     """
     keep_sorted = sorted(set(_check_subset(g, keep)))
     to_sub = {v: i for i, v in enumerate(keep_sorted)}
-    edges = []
-    for u in keep_sorted:
-        su = to_sub[u]
-        for v in g._nbrs[u]:
-            if v > u and v in to_sub:
-                edges.append((su, to_sub[v]))
-    sub = Graph(
-        len(keep_sorted),
-        edges,
-        [g.weights[v] for v in keep_sorted],
-        _trusted=True,
+    sub = Graph._from_rows(
+        induced_rows(g, keep_sorted), [g.weights[v] for v in keep_sorted]
     )
     return sub, SubgraphMap(to_sub, tuple(keep_sorted))
 
@@ -230,74 +250,123 @@ class TwinReduction:
         return tuple(sorted(chosen))
 
 
+_TWIN_LABEL_SEED = 0x7E1A  # fixes the neighborhood keys; results never depend on it
+
+
 def remove_twins(g: Graph) -> TwinReduction:
     """Collapse all twins; preserves the optimal stable set weight.
 
     Two nodes are twins when N(u)∖{v} = N(v)∖{u}.  Non-adjacent twins are
     merged (weights added); of adjacent twins only a maximum-weight one
-    survives.  Detection groups nodes by neighborhood signature and
-    iterates to a fixpoint, so the output graph is twin-free.
+    survives.  A round is one pass for each kind, non-adjacent first;
+    passes repeat until two in a row remove nothing, so the output graph
+    is twin-free.
+
+    Each node keeps a key, the sum of fixed pseudo-random labels over its
+    open neighborhood, which a removal updates in O(deg).  A pass groups
+    the remaining nodes by key (plus their own label for closed
+    neighborhoods) and splits each group exactly by comparing neighbor
+    sets, so a key collision never merges two non-twins.  A round costs
+    O(n + m), and the graph is never copied: removed nodes are marked in
+    a bytearray.  Without twins the input graph itself is returned, with
+    the identity map.
     """
-    adj: dict[int, set[int]] = {v: set(g._sets[v]) for v in range(g.n)}
+    n = g.n
+    nbrs = g._nbrs
+    rng = random.Random(_TWIN_LABEL_SEED)
+    # 40-bit labels keep each key within a machine word, where sum() is fast.
+    label = [rng.getrandbits(40) for _ in range(n)]
+    label_of = label.__getitem__
+    key = [sum(map(label_of, row)) for row in nbrs]
+    alive = bytearray(b"\x01") * n
     weight = list(g.weights)
     steps: list[tuple] = []
-    alive = sorted(adj)
-    while True:
-        changed = False
-        # Non-adjacent twins: identical open neighborhoods.  Only positive
-        # weights are worth merging; a non-positive twin is deleted outright
-        # (no optimum ever needs it next to its surviving twin).
-        groups: dict[frozenset, list[int]] = {}
-        for v in alive:
-            groups.setdefault(frozenset(adj[v]), []).append(v)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            positives = [u for u in members if weight[u] > 0]
+    live: Sequence[int] = range(n)
+    closed = False
+    # After two passes in a row that removed nothing, the next pass would
+    # see the same graph as the last pass of its kind.
+    idle = 0
+    while idle < 2:
+        if closed:
+            keys = [key[v] + label[v] for v in live]
+        else:
+            keys = [key[v] for v in live]
+        classes = _twin_classes(g, alive, live, keys, closed)
+        for members in classes:
+            # Only positive weights are worth merging into a non-adjacent
+            # twin; any other twin is deleted outright (no optimum ever
+            # needs it next to its surviving twin).  Of adjacent twins only
+            # a maximum-weight one survives.
+            positives = [] if closed else [u for u in members if weight[u] > 0]
             if positives:
-                survivor = positives[0]
+                kept = positives[0]
             else:
-                survivor = max(members, key=lambda u: (weight[u], -u))
-            for u in members:
-                if u == survivor:
-                    continue
-                if weight[u] > 0:
-                    weight[survivor] += weight[u]
-                    steps.append(("merge", survivor, u))
-                else:
-                    steps.append(("drop", survivor, u))
-                for x in adj[u]:
-                    adj[x].discard(u)
-                del adj[u]
-            changed = True
-        if changed:
-            alive = sorted(adj)
-        # Adjacent twins: identical closed neighborhoods.
-        groups = {}
-        for v in alive:
-            groups.setdefault(frozenset(adj[v]) | {v}, []).append(v)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            kept = max(members, key=lambda v: (weight[v], -v))
+                kept = max(members, key=lambda u: (weight[u], -u))
             for u in members:
                 if u == kept:
                     continue
-                for x in adj[u]:
-                    adj[x].discard(u)
-                del adj[u]
-                steps.append(("drop", kept, u))
-            changed = True
-        if not changed:
-            break
-        alive = sorted(adj)
-    to_orig = tuple(alive)
+                if not closed and weight[u] > 0:
+                    weight[kept] += weight[u]
+                    steps.append(("merge", kept, u))
+                else:
+                    steps.append(("drop", kept, u))
+                alive[u] = 0
+                lu = label[u]
+                for x in nbrs[u]:
+                    key[x] -= lu
+        if classes:
+            idle = 0
+            live = list(compress(range(n), alive))
+        else:
+            idle += 1
+        closed = not closed
+    if not steps:
+        return TwinReduction(g, tuple(range(n)), {v: v for v in range(n)}, ())
+    to_orig = tuple(live)
     to_sub = {v: i for i, v in enumerate(to_orig)}
-    edges = [
-        (to_sub[u], to_sub[v]) for u in to_orig for v in adj[u] if v > u
-    ]
-    reduced = Graph(len(to_orig), edges, [weight[v] for v in to_orig], _trusted=True)
+    reduced = Graph._from_rows(
+        induced_rows(g, to_orig), [weight[v] for v in to_orig]
+    )
     return TwinReduction(reduced, to_orig, to_sub, tuple(steps))
+
+
+def _twin_classes(g: Graph, alive, live, keys, closed: bool) -> list[list[int]]:
+    """Classes of twins among the ``live`` nodes, whose neighborhood keys
+    are ``keys``: nodes with equal open neighborhoods, or equal closed
+    ones when ``closed``.  Each class is ascending; classes are ordered by
+    their lowest member."""
+    counts = Counter(keys)
+    if len(counts) == len(keys):
+        return []
+    groups: dict[int, list[int]] = {}
+    for v, k in zip(live, keys):
+        if counts[k] > 1:
+            groups.setdefault(k, []).append(v)
+    sets = g._sets
+    is_alive = alive.__getitem__
+
+    def twins(u: int, v: int) -> bool:
+        # The neighborhoods may differ only in removed nodes.
+        differ = sets[u] ^ sets[v]
+        if closed:
+            if v not in sets[u]:
+                return False
+            differ -= {u, v}
+        return not any(map(is_alive, differ))
+
+    classes = []
+    for members in groups.values():
+        split: list[list[int]] = []
+        for v in members:
+            for c in split:
+                if twins(c[0], v):
+                    c.append(v)
+                    break
+            else:
+                split.append([v])
+        classes.extend(c for c in split if len(c) > 1)
+    classes.sort()
+    return classes
 
 
 @dataclass(frozen=True)

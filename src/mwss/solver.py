@@ -137,18 +137,6 @@ def alpha3_fallback(g: Graph) -> tuple[int, tuple[int, ...]]:
     return best, best_set
 
 
-def _extend_to_maximal(g: Graph, seed) -> CanonicalState:
-    members = set(seed)
-    blocked = set()
-    for v in members:
-        blocked.update(g.adj(v))
-    for v in range(g.n):
-        if v not in members and v not in blocked:
-            members.add(v)
-            blocked.update(g.adj(v))
-    return CanonicalState(g, members)
-
-
 def solve_component(
     g: Graph, collect: bool = False
 ) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
@@ -157,7 +145,7 @@ def solve_component(
     if seed4 is None:
         value, nodes = alpha3_fallback(g)
         return value, nodes, ROUTE_ALPHA3, None
-    state, stats = canonicalize(g, _extend_to_maximal(g, seed4))
+    state, stats = canonicalize(g, CanonicalState(g, greedy_members(g, seed4)))
     dec = decompose(g, state)
     interval = interval_transform(g, dec.strips)
     orders = tuple(

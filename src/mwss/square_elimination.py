@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructuralError
-from .graph import Graph
+from .graph import Graph, induced_rows
 from .patterns import find_square_in
 
 MAX_STAGE_SLACK = 8  # stages per pair are bounded by 3*|K_i|; guard a bit above
@@ -155,19 +155,6 @@ class IntervalResult:
     added_edges: tuple[tuple[int, int], ...]  # original ids
     stage_counts: tuple[tuple[int, ...], ...]  # per strip, per pair
 
-    def combined_graph(self, base: Graph):
-        """Union of the transformed strips as one graph (test support)."""
-        from .graph import SubgraphMap
-
-        keep = sorted(v for s in self.strips for v in s.to_orig)
-        to_sub = {v: i for i, v in enumerate(keep)}
-        edges = []
-        for s in self.strips:
-            for u, v in s.graph.edges():
-                edges.append((to_sub[s.to_orig[u]], to_sub[s.to_orig[v]]))
-        g = Graph(len(keep), edges, [base.weights[v] for v in keep], _trusted=True)
-        return g, SubgraphMap(to_sub, tuple(keep))
-
 
 def interval_transform(g: Graph, strips, certify: bool = False) -> IntervalResult:
     """Destroy every square inside each strip, preserving stable set weights.
@@ -188,6 +175,7 @@ def interval_transform(g: Graph, strips, certify: bool = False) -> IntervalResul
         node_set = set(nodes)
         adj = {v: set(g.adj(v)) & node_set for v in nodes}
         counts = []
+        added_before = len(all_added)
         for idx in range(len(family) - 1):
             ki, kj = family[idx], family[idx + 1]
             state = EliminationState(adj, g.weights, ki, kj, certify=certify)
@@ -196,15 +184,17 @@ def interval_transform(g: Graph, strips, certify: bool = False) -> IntervalResul
         stage_counts.append(tuple(counts))
         to_orig = tuple(nodes)
         to_local = {v: i for i, v in enumerate(nodes)}
-        edges = []
-        for u in nodes:
-            lu = to_local[u]
-            for v in adj[u]:
-                if v > u:
-                    edges.append((lu, to_local[v]))
-        local_graph = Graph(
-            len(nodes), edges, [g.weights[v] for v in nodes], _trusted=True
-        )
+        # The overlay only gains edges: the strip's induced rows plus the
+        # added diagonals, so only rows that gained one are re-sorted.
+        rows = induced_rows(g, nodes)
+        grown: dict[int, list[int]] = {}
+        for u, v in all_added[added_before:]:
+            lu, lv = to_local[u], to_local[v]
+            grown.setdefault(lu, []).append(lv)
+            grown.setdefault(lv, []).append(lu)
+        for lu, extra in grown.items():
+            rows[lu] = tuple(sorted(rows[lu] + tuple(extra)))
+        local_graph = Graph._from_rows(rows, [g.weights[v] for v in nodes])
         local_cliques = tuple(tuple(sorted(to_local[v] for v in k)) for k in family)
         result_strips.append(
             TransformedStrip(family, local_graph, to_local, to_orig, local_cliques)

@@ -38,9 +38,6 @@ class WingTable:
     wing_of: dict
     unassigned_free: tuple[int, ...]
 
-    def wing_ends(self, node: int) -> tuple[int, int]:
-        return self.wings[self.wing_of[node]].ends
-
     def wing_between(self, s: int, t: int) -> Wing | None:
         key = (s, t) if s < t else (t, s)
         for w in self.wings:
@@ -123,9 +120,6 @@ class WingGraph:
     order: tuple[int, ...]
     shape: str  # "path" | "cycle"
     edges: tuple[tuple[int, int], ...]
-
-    def successor(self, i: int) -> int:
-        return self.order[(i + 1) % len(self.order)]
 
 
 def build_wing_graph(wt: WingTable, st: CanonicalState) -> WingGraph:

@@ -1,4 +1,4 @@
-from mwss import Graph
+from mwss import Graph, TwinReduction
 
 
 def path_graph(n, weights=None):
@@ -100,3 +100,101 @@ def reference_alpha3(g):
                 if pair + w[z] > best:
                     best, best_set = pair + w[z], tuple(sorted((u, v, z)))
     return best, best_set
+
+
+def reference_remove_twins(g):
+    """Set-based twin reduction over a dict-of-sets copy, re-hashing every
+    neighborhood each round; the reference for ``mwss.remove_twins``."""
+    adj = {v: set(g.adj(v)) for v in range(g.n)}
+    weight = list(g.weights)
+    steps = []
+    alive = sorted(adj)
+    while True:
+        changed = False
+        groups = {}
+        for v in alive:
+            groups.setdefault(frozenset(adj[v]), []).append(v)
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            positives = [u for u in members if weight[u] > 0]
+            if positives:
+                survivor = positives[0]
+            else:
+                survivor = max(members, key=lambda u: (weight[u], -u))
+            for u in members:
+                if u == survivor:
+                    continue
+                if weight[u] > 0:
+                    weight[survivor] += weight[u]
+                    steps.append(("merge", survivor, u))
+                else:
+                    steps.append(("drop", survivor, u))
+                for x in adj[u]:
+                    adj[x].discard(u)
+                del adj[u]
+            changed = True
+        if changed:
+            alive = sorted(adj)
+        groups = {}
+        for v in alive:
+            groups.setdefault(frozenset(adj[v]) | {v}, []).append(v)
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            kept = max(members, key=lambda v: (weight[v], -v))
+            for u in members:
+                if u == kept:
+                    continue
+                for x in adj[u]:
+                    adj[x].discard(u)
+                del adj[u]
+                steps.append(("drop", kept, u))
+            changed = True
+        if not changed:
+            break
+        alive = sorted(adj)
+    to_orig = tuple(alive)
+    to_sub = {v: i for i, v in enumerate(to_orig)}
+    edges = [(to_sub[u], to_sub[v]) for u in to_orig for v in adj[u] if v > u]
+    reduced = Graph(len(to_orig), edges, [weight[v] for v in to_orig])
+    return TwinReduction(reduced, to_orig, to_sub, tuple(steps))
+
+
+def twin_augmented(g, rng, clones):
+    """``g`` plus ``clones`` new nodes under shuffled ids, weights -2..4.
+
+    Each new node copies the open neighbourhood of a random node v (a
+    non-adjacent twin), its closed one (an adjacent twin), or sees N[v]
+    together with N[u] for a neighbour u of v, which makes it a twin of
+    v only once other twins are gone.  Clones of clones occur.
+    """
+    adj = [set(g.adj(v)) for v in range(g.n)]
+    for _ in range(clones):
+        v = rng.randrange(len(adj))
+        op = rng.random()
+        if op < 0.4:
+            nb = set(adj[v])
+        elif op < 0.7:
+            nb = adj[v] | {v}
+        else:
+            u = rng.choice(sorted(adj[v]) or [v])
+            nb = adj[v] | adj[u] | {u, v}
+        c = len(adj)
+        adj.append(nb)
+        for x in nb:
+            adj[x].add(c)
+    n = len(adj)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[u], ids[v]) for u in range(n) for v in adj[u] if u < v]
+    return Graph(n, edges, [rng.randint(-2, 4) for _ in range(n)])
+
+
+def reference_induced_subgraph(g, keep):
+    """Induced subgraph built from a relabelled edge list through the
+    checked constructor; the reference for ``mwss.induced_subgraph``."""
+    keep = sorted(set(keep))
+    to_sub = {v: i for i, v in enumerate(keep)}
+    edges = [(to_sub[u], to_sub[v]) for u, v in g.edges() if u in to_sub and v in to_sub]
+    return Graph(len(keep), edges, [g.weights[v] for v in keep]), keep

@@ -13,6 +13,7 @@ from mwss import (
     greedy_maximal_stable_set,
     is_canonical,
 )
+from mwss.canonical import greedy_members
 
 from helpers import complete_graph, path_graph
 
@@ -57,6 +58,11 @@ class TestGreedy:
     def test_p4_trace(self):
         st = greedy_maximal_stable_set(path_graph(4))
         assert st.stable_set == (0, 2)
+
+    def test_seed_kept_then_ascending(self):
+        # seed {1, 5} of P7 blocks every node but 3
+        assert greedy_members(path_graph(7), (5, 1)) == [5, 1, 3]
+        assert greedy_members(path_graph(7), ()) == [0, 2, 4, 6]
 
 
 class TestAugmentingP3:

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwss import (
+    GenSpec,
     Graph,
     GraphInputError,
+    gen_strip_instance,
     closed_neighborhood,
     connected_components,
     induced_subgraph,
@@ -14,7 +18,15 @@ from mwss import (
 )
 from mwss.oracle import mwss_enumerate
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    reference_induced_subgraph,
+    reference_remove_twins,
+    twin_augmented,
+)
 
 
 @st.composite
@@ -77,6 +89,38 @@ class TestNeighborhood:
         assert not (open_n & set(w))
 
 
+class TestRowsConstructor:
+    def test_matches_edge_list_constructor(self):
+        rng = random.Random(41)
+        for trial in range(200):
+            n = rng.randint(0, 30)
+            weights = [rng.randint(-3, 9) for _ in range(n)]
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3
+            ]
+            rows = [[] for _ in range(n)]
+            for u, v in edges:
+                rows[u].append(v)
+                rows[v].append(u)
+            built = Graph._from_rows([tuple(sorted(r)) for r in rows], weights)
+            g = Graph(n, edges, weights)
+            assert built == g and hash(built) == hash(g)
+            assert built.m == g.m
+            assert all(built.adj(v) == g.adj(v) for v in range(n))
+
+    def test_induced_subgraph_matches_reference(self):
+        rng = random.Random(42)
+        for trial in range(200):
+            n = rng.randint(0, 30)
+            g = random_graph(n, rng.random(), rng, [rng.randint(-3, 9) for _ in range(n)])
+            keep = [v for v in range(n) if rng.random() < 0.6] + [0] * (n > 0)
+            sub, m = induced_subgraph(g, keep)
+            ref, ref_keep = reference_induced_subgraph(g, keep)
+            assert sub == ref and sub.m == ref.m and hash(sub) == hash(ref)
+            assert m.to_orig == tuple(ref_keep)
+            assert m.to_sub == {v: i for i, v in enumerate(ref_keep)}
+
+
 class TestInducedSubgraph:
     def test_path_pair_is_single_edge(self):
         sub, m = induced_subgraph(path_graph(4), [0, 1])
@@ -128,8 +172,19 @@ class TestTwins:
     def test_twin_free_graph_unchanged(self):
         g = path_graph(5)
         red = remove_twins(g)
-        assert red.graph == g
+        assert red.graph is g
         assert red.steps == ()
+        assert red.to_orig == tuple(range(5))
+        assert red.to_sub == {v: v for v in range(5)}
+
+    def test_p3_cascade(self):
+        # the leaves merge, then the merged leaf and the centre are
+        # adjacent twins found in a later pass
+        red = remove_twins(path_graph(3))
+        assert red.steps == (("merge", 0, 2), ("drop", 0, 1))
+        assert red.graph == Graph(1, [], [2])
+        assert red.to_orig == (0,)
+        assert red.lift([0]) == (0, 2)
 
     @given(small_graphs())
     @settings(max_examples=80, deadline=None)
@@ -174,3 +229,61 @@ class TestRegularNodes:
     def test_all_nodes_regular_on_paths(self):
         g = path_graph(6)
         assert all(is_regular_node(g, v).is_regular for v in range(6))
+
+
+class TestTwinsMatchReference:
+    """remove_twins gives the same reduction as the set-based reference."""
+
+    @staticmethod
+    def _check(g, rng):
+        red = remove_twins(g)
+        ref = reference_remove_twins(g)
+        assert red.graph == ref.graph and red.graph.m == ref.graph.m
+        assert red.to_orig == ref.to_orig
+        assert red.to_sub == ref.to_sub
+        assert red.steps == ref.steps
+        h = red.graph.n
+        for picked in ([], list(range(h)), [v for v in range(h) if rng.random() < 0.5]):
+            assert red.lift(picked) == ref.lift(picked)
+        return red
+
+    def test_random_graphs(self):
+        rng = random.Random(7)
+        for trial in range(600):
+            n = rng.randint(0, 14)
+            weights = [rng.randint(-2, 4) for _ in range(n)]
+            self._check(random_graph(n, rng.random(), rng, weights), rng)
+
+    def test_twin_augmented_strips(self):
+        rng = random.Random(8)
+        merges = late_merges = 0
+        for seed in range(60):
+            base = gen_strip_instance(
+                GenSpec(seed=300 + seed, nodes=rng.randint(20, 80), clique_min=2,
+                        clique_max=5, density=0.5, weights="unit")
+            )
+            g = twin_augmented(base, rng, rng.randint(3, 25))
+            red = self._check(g, rng)
+            merges += any(kind == "merge" for kind, _, _ in red.steps)
+            # a merged pair that were not twins in g became twins in a later round
+            late_merges += any(
+                kind == "merge" and g.adj(u) != g.adj(v) for kind, u, v in red.steps
+            )
+        assert merges > 0 and late_merges > 0
+
+    def test_strip_4k_under_pricing_weights(self):
+        base = gen_strip_instance(
+            GenSpec(seed=5, nodes=4000, clique_min=7, clique_max=11, density=0.6,
+                    weights="random")
+        )
+        edges = list(base.edges())
+        rng = random.Random(9)
+        for vector in range(3):
+            weights = [
+                rng.randint(-1000, 0) if rng.random() < 0.7 else rng.randint(1, 1000)
+                for _ in range(base.n)
+            ]
+            g = Graph(base.n, edges, weights)
+            self._check(g, rng)
+            positive, _ = induced_subgraph(g, [v for v in range(g.n) if weights[v] > 0])
+            self._check(positive, rng)

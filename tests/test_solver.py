@@ -63,6 +63,34 @@ class TestFindStable4:
             assert find_stable4(g) == expected
 
 
+class TestCanonicalSeed:
+    def test_seed_extension_matches_set_based_greedy(self):
+        graphs = [
+            gen_strip_instance(GenSpec(seed=700 + s, nodes=30 + 7 * s, clique_min=2,
+                                       clique_max=6, density=0.5, weights="random"))
+            for s in range(20)
+        ]
+        rng = random.Random(71)
+        graphs += [random_graph(12, rng.choice((0.2, 0.5, 0.8)), rng) for _ in range(200)]
+        seeded = 0
+        for g in graphs:
+            seed4 = find_stable4(g)
+            if seed4 is None:
+                continue
+            members, blocked = set(seed4), set()
+            for v in members:
+                blocked |= g.adj(v)
+            for v in range(g.n):
+                if v not in members and v not in blocked:
+                    members.add(v)
+                    blocked |= g.adj(v)
+            extended = greedy_members(g, seed4)
+            assert extended[:4] == list(seed4)
+            assert sorted(extended) == sorted(members)
+            seeded += 1
+        assert seeded > 20
+
+
 class TestBitsetMatchesReference:
     """The bitset routines return the same tuples as the set-arithmetic ones."""
 
