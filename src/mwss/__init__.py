@@ -6,13 +6,13 @@ every square inside the strips while preserving optimal weights, and
 finishes with a linear dynamic program along a consistent ordering.
 """
 
-from .canonical import (
-    CanonicalState,
-    canonicalize,
+from .canonical import CanonicalState, canonicalize, greedy_maximal_stable_set
+from .checks import (
     find_augmenting_p3,
     find_dominating_free,
-    greedy_maximal_stable_set,
     is_canonical,
+    semi_homog_pair_certificate,
+    verify_consistent,
 )
 from .decomposition import (
     Anchor,
@@ -43,7 +43,7 @@ from .graph import (
     remove_twins,
 )
 from .graphio import dump_graph, load_graph, parse_graph, serialize_graph
-from .interval_mwss import ConsistentOrder, consistent_order, mwss_on_order, verify_consistent
+from .interval_mwss import ConsistentOrder, consistent_order, mwss_on_order
 from .oracle import mwss_enumerate, oracle_mwss
 from .patterns import (
     PatternWitness,
@@ -55,21 +55,8 @@ from .patterns import (
     square_semi_homogeneous_check,
     validate_witness,
 )
-from .square_elimination import (
-    EliminationState,
-    IntervalResult,
-    interval_transform,
-    semi_homog_pair_certificate,
-)
+from .square_elimination import EliminationState, IntervalResult, interval_transform
 from .solver import Solution, alpha3_fallback, find_stable4, solve, solve_component
-from .wings import (
-    FreeComponent,
-    Wing,
-    WingGraph,
-    WingTable,
-    build_wing_graph,
-    build_wing_table,
-    free_components,
-)
+from .wings import Wing, WingGraph, WingTable, build_wing_graph, build_wing_table
 
 __version__ = "0.1.0"

@@ -122,49 +122,6 @@ def greedy_maximal_stable_set(g: Graph) -> CanonicalState:
     return CanonicalState(g, greedy_members(g))
 
 
-def find_augmenting_p3(st: CanonicalState, s: int) -> tuple[int, int] | None:
-    """Two non-adjacent free neighbors of the stable node ``s``."""
-    if not st.is_stable_node(s):
-        raise GraphInputError(f"node {s} is not in the stable set")
-    g = st.graph
-    free = [u for u in g.neighbors(s) if st.is_free(u)]
-    for i, x in enumerate(free):
-        ax = g.adj(x)
-        for y in free[i + 1 :]:
-            if y not in ax:
-                return (x, y)
-    return None
-
-
-def find_dominating_free(st: CanonicalState, s: int) -> int | None:
-    """A free neighbor x of s with N[x] strictly containing N[s].
-
-    Among candidates, returns the one of maximum closed degree, ties to
-    the lowest id.  Equality N[x] = N[s] would mean the two are twins; it
-    is excluded defensively so twin-laden inputs stay safe.
-    """
-    if not st.is_stable_node(s):
-        raise GraphInputError(f"node {s} is not in the stable set")
-    g = st.graph
-    nb_s = g.neighbors(s)
-    best = None
-    for x in nb_s:
-        if not st.is_free(x):
-            continue
-        ax = g.adj(x)
-        if all(t == x or t in ax for t in nb_s) and g.degree(x) > g.degree(s):
-            if best is None or g.degree(x) > g.degree(best):
-                best = x
-    return best
-
-
-def is_canonical(st: CanonicalState) -> bool:
-    return all(
-        find_augmenting_p3(st, s) is None and find_dominating_free(st, s) is None
-        for s in st.stable_set
-    )
-
-
 def canonicalize(
     g: Graph, seed: CanonicalState
 ) -> tuple[CanonicalState, CanonicalizeStats]:

@@ -1,0 +1,141 @@
+"""The pipeline's structural invariants, each defined once.
+
+Every check returns ``None`` when its invariant holds and otherwise a
+witness tuple that starts with the violation's name.  ``mwss selftest``,
+the acceptance suite and the unit tests call these; no solver module
+imports this one, so none of it runs on the solve path.
+"""
+
+from __future__ import annotations
+
+from .canonical import CanonicalState
+from .errors import GraphInputError
+from .graph import Graph
+from .interval_mwss import ConsistentOrder
+from .patterns import find_claw, find_square_in, square_semi_homogeneous_check
+
+
+def find_augmenting_p3(st: CanonicalState, s: int) -> tuple[int, int] | None:
+    """Two non-adjacent free neighbors of the stable node ``s``."""
+    if not st.is_stable_node(s):
+        raise GraphInputError(f"node {s} is not in the stable set")
+    g = st.graph
+    free = [u for u in g.neighbors(s) if st.is_free(u)]
+    for i, x in enumerate(free):
+        ax = g.adj(x)
+        for y in free[i + 1 :]:
+            if y not in ax:
+                return (x, y)
+    return None
+
+
+def find_dominating_free(st: CanonicalState, s: int) -> int | None:
+    """A free neighbor x of s with N[x] strictly containing N[s].
+
+    Among candidates, returns the one of maximum closed degree, ties to
+    the lowest id.  Equality N[x] = N[s] would mean the two are twins; it
+    is excluded defensively so twin-laden inputs stay safe.
+    """
+    if not st.is_stable_node(s):
+        raise GraphInputError(f"node {s} is not in the stable set")
+    g = st.graph
+    nb_s = g.neighbors(s)
+    best = None
+    for x in nb_s:
+        if not st.is_free(x):
+            continue
+        ax = g.adj(x)
+        if all(t == x or t in ax for t in nb_s) and g.degree(x) > g.degree(s):
+            if best is None or g.degree(x) > g.degree(best):
+                best = x
+    return best
+
+
+def canonical_violation(st: CanonicalState, steps: int | None = None) -> tuple | None:
+    """An augmenting P3 ``(s, x, y)``, a dominating free node ``(s, x)``, or
+    a ``canonicalize`` step count ``steps`` above 50 * (n + m)."""
+    for s in st.stable_set:
+        pair = find_augmenting_p3(st, s)
+        if pair is not None:
+            return ("augmenting_p3", (s, *pair))
+        x = find_dominating_free(st, s)
+        if x is not None:
+            return ("dominating_free", (s, x))
+    g = st.graph
+    if steps is not None and steps > 50 * (g.n + g.m):
+        return ("steps", (steps,))
+    return None
+
+
+def is_canonical(st: CanonicalState) -> bool:
+    return canonical_violation(st) is None
+
+
+def strip_violation(g: Graph, dec) -> tuple | None:
+    """The first consecutive clique pair of a decomposition's strips that
+    is not square-semi-homogeneous in ``g``: its square and the node
+    breaking semi-homogeneity."""
+    for strip in dec.strips:
+        for lo, hi in zip(strip.cliques, strip.cliques[1:]):
+            bad = square_semi_homogeneous_check(g, lo, hi)
+            if bad is not None:
+                sq, v = bad
+                return ("not_square_semi_homogeneous", (*sq.nodes, v))
+    return None
+
+
+def verify_consistent(gbar: Graph, co: ConsistentOrder) -> tuple[int, int, int] | None:
+    """Exhaustive consistency check; returns a violating triple or None."""
+    pos = co.pos
+    order = co.order
+    for v in range(gbar.n):
+        k = pos[v]
+        for u in gbar.neighbors(v):
+            i = pos[u]
+            if i >= k:
+                continue
+            for j in range(i + 1, k):
+                if not gbar.has_edge(order[j], v):
+                    return (u, order[j], v)
+    return None
+
+
+def interval_violation(strip, order: ConsistentOrder) -> tuple | None:
+    """A claw in a transformed strip's graph, a square across consecutive
+    local cliques, or a triple breaking the consistency of ``order``."""
+    g = strip.graph
+    claw = find_claw(g)
+    if claw is not None:
+        return ("claw", claw.nodes)
+    for lo, hi in zip(strip.local_cliques, strip.local_cliques[1:]):
+        sq = find_square_in(g, lo, hi)
+        if sq is not None:
+            return ("square", sq.nodes)
+    triple = verify_consistent(g, order)
+    if triple is not None:
+        return ("inconsistent", triple)
+    return None
+
+
+def semi_homog_pair_certificate(adj: dict, a1: int, bbar, universe) -> tuple | None:
+    """The kill-diags certificate: ({a1}, Bbar) is semi-homogeneous and
+    each pair (a1, b) with b in Bbar is the diagonal of a square.
+
+    Evaluated on the elimination overlay ``adj`` (node -> neighbor set)
+    before the stage adds its edges.
+    """
+    bbar = set(bbar)
+    for u in universe:
+        if u == a1 or u in bbar:
+            continue
+        au = adj[u]
+        if a1 in au:
+            continue
+        hits = au & bbar
+        if hits and hits != bbar:
+            return ("not_semi_homogeneous", u)
+    for b in bbar:
+        common = adj[a1] & adj[b]
+        if not any(common - adj[p] - {p} for p in common):
+            return ("not_a_diagonal", a1, b)
+    return None

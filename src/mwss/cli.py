@@ -203,18 +203,24 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+def strip_ladder(sizes, repeats: int, seed: int, clique_min: int,
+                 clique_max: int, density: float) -> list[dict]:
+    """Time ``solve`` on one seeded strip instance per size.
+
+    Each row holds n, m, the generation seconds, the median of ``repeats``
+    solve times, its ratio to the previous row's median and the optimum
+    value, all unrounded.
+    """
     rows = []
     prev_median = None
     for n in sizes:
         spec = GenSpec(
-            seed=args.seed,
+            seed=seed,
             mode="strip",
             nodes=n,
-            clique_min=args.clique_min,
-            clique_max=args.clique_max,
-            density=args.density,
+            clique_min=clique_min,
+            clique_max=clique_max,
+            density=density,
             weights="random",
         )
         t0 = time.perf_counter()
@@ -222,24 +228,41 @@ def cmd_bench(args) -> int:
         gen_s = time.perf_counter() - t0
         times = []
         value = None
-        for _ in range(args.repeats):
+        for _ in range(repeats):
             t0 = time.perf_counter()
-            solution = solve(g)
+            value = solve(g).value
             times.append(time.perf_counter() - t0)
-            value = solution.value
         median = statistics.median(times)
-        ratio = (median / prev_median) if prev_median else None
         rows.append(
             {
                 "n": n,
                 "m": g.m,
-                "gen_seconds": round(gen_s, 4),
-                "median_solve_seconds": round(median, 4),
-                "ratio_to_previous": round(ratio, 3) if ratio else None,
+                "gen_seconds": gen_s,
+                "median_solve_seconds": median,
+                "ratio_to_previous": (median / prev_median) if prev_median else None,
                 "value": value,
             }
         )
         prev_median = median
+    return rows
+
+
+def cmd_bench(args) -> int:
+    sizes = [int(s) for s in args.sizes.split(",") if s]
+    ladder = strip_ladder(
+        sizes, args.repeats, args.seed, args.clique_min, args.clique_max, args.density
+    )
+    rows = [
+        {
+            **r,
+            "gen_seconds": round(r["gen_seconds"], 4),
+            "median_solve_seconds": round(r["median_solve_seconds"], 4),
+            "ratio_to_previous": (
+                round(r["ratio_to_previous"], 3) if r["ratio_to_previous"] else None
+            ),
+        }
+        for r in ladder
+    ]
     if args.json:
         _emit_json({"rows": rows})
     else:
@@ -257,6 +280,13 @@ def cmd_selftest(args) -> int:
     return selftest_mod.run_selftest(
         instances=args.instances, seed=args.seed, out=sys.stdout
     )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="scaling benchmark on strip instances")
     p.add_argument("--sizes", default="1000,4000,16000,64000")
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clique-min", type=int, default=7)
     p.add_argument("--clique-max", type=int, default=11)
@@ -317,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the invariant suite on seeded instances")
-    p.add_argument("--instances", type=int, default=60)
+    p.add_argument("--instances", type=_positive_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
 

@@ -69,22 +69,6 @@ def consistent_order(gbar: Graph, cliques) -> ConsistentOrder:
     return ConsistentOrder(tuple(order), tuple(pos), tuple(prefix))
 
 
-def verify_consistent(gbar: Graph, co: ConsistentOrder) -> tuple[int, int, int] | None:
-    """Exhaustive consistency check; returns a violating triple or None."""
-    pos = co.pos
-    order = co.order
-    for v in range(gbar.n):
-        k = pos[v]
-        for u in gbar.neighbors(v):
-            i = pos[u]
-            if i >= k:
-                continue
-            for j in range(i + 1, k):
-                if not gbar.has_edge(order[j], v):
-                    return (u, order[j], v)
-    return None
-
-
 def mwss_on_order(
     co: ConsistentOrder, weights, excluded=frozenset()
 ) -> tuple[int, tuple[int, ...]]:

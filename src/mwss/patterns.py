@@ -1,8 +1,9 @@
 """Certified detectors for claws, nets, squares and the S3-minus graph.
 
-These run on the generator and test paths only, never inside the solver's
-hot loop.  All detectors return the lexicographically first witness under
-ascending node-id enumeration, so test expectations are stable.
+These run on the generator, test and check paths (``mwss.checks``, the
+``check`` and ``selftest`` subcommands), never on the solve path.  All
+detectors return the lexicographically first witness under ascending
+node-id enumeration, so test expectations are stable.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """In-process invariant sweep backing the ``selftest`` subcommand.
 
 A compact version of the acceptance suite: seeded instances are run
-through the detectors, the solver against the oracle, and the structural
-checks on every pipeline stage.  One line per check; exit code 1 on the
-first category that fails.
+through the claw and net detectors and the solver against the oracle,
+and every pipeline component that the solve produces is held to the
+invariants of ``mwss.checks``.  One line per check; exit code 1 when any
+check fails.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ from __future__ import annotations
 import json
 import sys
 
-from .canonical import find_augmenting_p3, find_dominating_free
+from .checks import canonical_violation, interval_violation, strip_violation
 from .generators import GenSpec, gen_rejection, gen_strip_instance
-from .graph import connected_components, induced_subgraph
-from .interval_mwss import verify_consistent
 from .oracle import oracle_mwss
-from .patterns import find_claw, find_net, find_square_in, square_semi_homogeneous_check
-from .solver import solve, solve_component
+from .patterns import find_claw, find_net
+from .solver import solve
 
 
 def _instances(instances: int, seed: int):
@@ -46,6 +45,7 @@ def _instances(instances: int, seed: int):
 
 
 def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
+    """Print one ok/FAIL line per check; ``instances`` must be at least 1."""
     graphs = _instances(instances, seed)
     failures = 0
 
@@ -64,46 +64,28 @@ def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
     report("detectors-clean", bad, f"{len(graphs)} instances")
 
     bad = 0
-    for g in graphs:
-        if solve(g).value != oracle_mwss(g)[0]:
-            bad += 1
-    report("solve-equals-oracle", bad)
-
-    bad = 0
     details = []
     for g in graphs:
-        _, _, _, detail = solve_component_or_none(g)
-        if detail is not None:
-            details.append(detail)
-    for detail in details:
-        st = detail.state
-        for s in st.stable_set:
-            if find_augmenting_p3(st, s) or find_dominating_free(st, s):
-                bad += 1
-        n, m = detail.graph.n, detail.graph.m
-        if detail.canonical_steps > 50 * (n + m):
+        solution = solve(g, collect_trace=True)
+        if solution.value != oracle_mwss(g)[0]:
             bad += 1
+        details.extend(d for d in solution.certificates["details"] if d is not None)
+    report("solve-equals-oracle", bad)
+
+    bad = sum(
+        1 for d in details if canonical_violation(d.state, d.canonical_steps) is not None
+    )
     report("canonical-fixpoint", bad, f"{len(details)} pipeline components")
 
-    bad = 0
-    for detail in details:
-        for strip, co in zip(detail.interval.strips, detail.orders):
-            if verify_consistent(strip.graph, co) is not None:
-                bad += 1
-            if find_claw(strip.graph) is not None:
-                bad += 1
-            for lo, hi in zip(strip.local_cliques, strip.local_cliques[1:]):
-                if find_square_in(strip.graph, lo, hi) is not None:
-                    bad += 1
+    bad = sum(
+        1
+        for d in details
+        for strip, co in zip(d.interval.strips, d.orders)
+        if interval_violation(strip, co) is not None
+    )
     report("post-transform-interval", bad)
 
-    bad = 0
-    for detail in details:
-        g = detail.graph
-        for strip in detail.decomposition.strips:
-            for lo, hi in zip(strip.cliques, strip.cliques[1:]):
-                if square_semi_homogeneous_check(g, lo, hi) is not None:
-                    bad += 1
+    bad = sum(1 for d in details if strip_violation(d.graph, d.decomposition) is not None)
     report("strips-square-semi-homogeneous", bad)
 
     sample = graphs[0]
@@ -115,17 +97,3 @@ def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
 
     print(("PASS" if failures == 0 else "FAIL") + f" selftest ({len(graphs)} instances)", file=out)
     return 0 if failures == 0 else 1
-
-
-def solve_component_or_none(g):
-    """Per-component pipeline detail for the largest component of g."""
-    comps = connected_components(g)
-    if not comps:
-        return 0, (), "empty", None
-    comp = max(comps, key=len)
-    if len(comp) == g.n:
-        sub = g
-    else:
-        sub, _ = induced_subgraph(g, comp)
-    value, nodes, route, detail = solve_component(sub, collect=True)
-    return value, nodes, route, detail

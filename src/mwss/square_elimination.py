@@ -16,41 +16,16 @@ from dataclasses import dataclass
 
 from .errors import StructuralError
 from .graph import Graph, induced_rows
-from .patterns import find_square_in
 
 MAX_STAGE_SLACK = 8  # stages per pair are bounded by 3*|K_i|; guard a bit above
-
-
-def semi_homog_pair_certificate(adj: dict, a1: int, bbar, universe) -> tuple | None:
-    """Verify ({a1}, Bbar) is semi-homogeneous and each pair is a diagonal.
-
-    Test support for the kill-diags cases, evaluated on the overlay state
-    before the stage adds its edges.  Returns None when sound, else a
-    witness tuple.
-    """
-    bbar = set(bbar)
-    for u in universe:
-        if u == a1 or u in bbar:
-            continue
-        au = adj[u]
-        if a1 in au:
-            continue
-        hits = au & bbar
-        if hits and hits != bbar:
-            return ("not_semi_homogeneous", u)
-    for b in bbar:
-        common = adj[a1] & adj[b]
-        if not any(common - adj[p] - {p} for p in common):
-            return ("not_a_diagonal", a1, b)
-    return None
 
 
 class EliminationState:
     """Stage machine for one consecutive clique pair over a mutable overlay."""
 
-    __slots__ = ("adj", "weights", "a", "b", "d", "added", "actions", "certify")
+    __slots__ = ("adj", "weights", "a", "b", "d", "added", "actions")
 
-    def __init__(self, adj: dict, weights, ki, kj, certify: bool = False):
+    def __init__(self, adj: dict, weights, ki, kj):
         self.adj = adj
         self.weights = weights
         self.a = {u for u in ki if adj[u] & set(kj)}
@@ -60,7 +35,6 @@ class EliminationState:
             self.d[v] = len(adj[v] & self.a)
         self.added: list[tuple[int, int]] = []
         self.actions: list[str] = []
-        self.certify = certify
 
     def _add_edge(self, u: int, v: int):
         self.adj[u].add(v)
@@ -109,11 +83,9 @@ class EliminationState:
         return "kill_diags"
 
     def _kill_diags(self, abar: int):
+        """Join abar to each node of B it misses except the heaviest; the
+        kill-diags certificate in ``mwss.checks`` is why this is safe."""
         missing = self.b - self.adj[abar]
-        if self.certify:
-            bad = semi_homog_pair_certificate(self.adj, abar, missing, self.adj.keys())
-            if bad is not None:
-                raise StructuralError("certificate", bad, "kill-diags certificate failed")
         w = self.weights
         spare = max(missing, key=lambda v: (w[v], -v))
         for v in sorted(missing):
@@ -156,15 +128,13 @@ class IntervalResult:
     stage_counts: tuple[tuple[int, ...], ...]  # per strip, per pair
 
 
-def interval_transform(g: Graph, strips, certify: bool = False) -> IntervalResult:
+def interval_transform(g: Graph, strips) -> IntervalResult:
     """Destroy every square inside each strip, preserving stable set weights.
 
     ``strips`` is a sequence of clique families (ordered cliques of
     original node ids), as produced by the decomposition.  Each strip is
     processed pair by pair on a shared overlay and then materialized as
-    an induced graph together with the log of added edges.  ``certify``
-    additionally re-checks the kill-diags certificate at every stage and
-    re-runs the square detector on every pair afterwards (test use only).
+    an induced graph together with the log of added edges.
     """
     families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
     result_strips = []
@@ -178,7 +148,7 @@ def interval_transform(g: Graph, strips, certify: bool = False) -> IntervalResul
         added_before = len(all_added)
         for idx in range(len(family) - 1):
             ki, kj = family[idx], family[idx + 1]
-            state = EliminationState(adj, g.weights, ki, kj, certify=certify)
+            state = EliminationState(adj, g.weights, ki, kj)
             counts.append(state.run(3 * len(ki) + MAX_STAGE_SLACK))
             all_added.extend(state.added)
         stage_counts.append(tuple(counts))
@@ -199,13 +169,4 @@ def interval_transform(g: Graph, strips, certify: bool = False) -> IntervalResul
         result_strips.append(
             TransformedStrip(family, local_graph, to_local, to_orig, local_cliques)
         )
-        if certify:
-            for idx in range(len(family) - 1):
-                lo = [to_local[v] for v in family[idx]]
-                hi = [to_local[v] for v in family[idx + 1]]
-                sq = find_square_in(local_graph, lo, hi)
-                if sq is not None:
-                    raise StructuralError(
-                        "square", sq.nodes, "square survived elimination"
-                    )
     return IntervalResult(tuple(result_strips), tuple(all_added), tuple(stage_counts))

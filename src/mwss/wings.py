@@ -1,4 +1,4 @@
-"""Wings, the wing graph, and free-component diagnostics.
+"""Wings and the wing graph.
 
 With respect to a maximal stable set, every bound node sees exactly two
 stable nodes and lands in the bound-wing of that pair.  A free node joins
@@ -181,36 +181,3 @@ def build_wing_graph(wt: WingTable, st: CanonicalState) -> WingGraph:
         raise StructuralError("wing_shape", tuple(order), "wing graph is not a single path or cycle")
     edges = tuple(w.ends for w in wt.wings)
     return WingGraph(tuple(order), shape, edges)
-
-
-@dataclass(frozen=True)
-class FreeComponent:
-    nodes: tuple[int, ...]
-    class_count: int
-    flagged: bool  # meets three or more similarity classes
-
-
-def free_components(g: Graph, st: CanonicalState) -> list[FreeComponent]:
-    """Connected components of the free dissimilarity graph (diagnostic)."""
-    anchor = {}
-    for u in range(g.n):
-        if st.is_free(u):
-            anchor[u] = st.stable_neighbor(u)
-    seen: set[int] = set()
-    out = []
-    for start in sorted(anchor):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if v in anchor and v not in seen and anchor[v] != anchor[u]:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        classes = {anchor[u] for u in comp}
-        out.append(FreeComponent(tuple(sorted(comp)), len(classes), len(classes) >= 3))
-    return out

@@ -1,3 +1,6 @@
+from collections import deque
+from dataclasses import dataclass
+
 from mwss import Graph, TwinReduction
 
 
@@ -198,3 +201,36 @@ def reference_induced_subgraph(g, keep):
     to_sub = {v: i for i, v in enumerate(keep)}
     edges = [(to_sub[u], to_sub[v]) for u, v in g.edges() if u in to_sub and v in to_sub]
     return Graph(len(keep), edges, [g.weights[v] for v in keep]), keep
+
+
+@dataclass(frozen=True)
+class FreeComponent:
+    nodes: tuple[int, ...]
+    class_count: int
+    flagged: bool  # meets three or more similarity classes
+
+
+def free_components(g, st):
+    """Connected components of the free dissimilarity graph (diagnostic)."""
+    anchor = {}
+    for u in range(g.n):
+        if st.is_free(u):
+            anchor[u] = st.stable_neighbor(u)
+    seen: set[int] = set()
+    out = []
+    for start in sorted(anchor):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors(u):
+                if v in anchor and v not in seen and anchor[v] != anchor[u]:
+                    seen.add(v)
+                    comp.append(v)
+                    queue.append(v)
+        classes = {anchor[u] for u in comp}
+        out.append(FreeComponent(tuple(sorted(comp)), len(classes), len(classes) >= 3))
+    return out

@@ -6,7 +6,6 @@ the oracle-equivalence and invariant sweeps, 1000 for weight
 preservation, the full four-point scaling ladder for the benchmark.
 """
 
-import statistics
 import time
 from pathlib import Path
 
@@ -20,22 +19,23 @@ from mwss import (
     canonicalize,
     closed_neighborhood,
     connected_components,
-    find_claw,
-    find_square_in,
     gen_rejection,
     gen_strip_instance,
     greedy_maximal_stable_set,
     induced_subgraph,
-    is_canonical,
     is_regular_node,
     mwss_on_order,
     oracle_mwss,
     solve,
     solve_component,
-    square_semi_homogeneous_check,
+)
+from mwss.checks import (
+    canonical_violation,
+    interval_violation,
+    strip_violation,
     verify_consistent,
 )
-from mwss.cli import run
+from mwss.cli import run, strip_ladder
 
 from helpers import cycle_graph, path_graph
 
@@ -228,10 +228,8 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
             )
         )
         _, _, _, detail = solve_component(g, collect=True)
-        for strip in detail.decomposition.strips:
-            for lo, hi in zip(strip.cliques, strip.cliques[1:]):
-                assert square_semi_homogeneous_check(g, lo, hi) is None
-                ssh_pairs += 1
+        assert strip_violation(g, detail.decomposition) is None
+        ssh_pairs += sum(len(strip) - 1 for strip in detail.decomposition.strips)
     print(
         f"PASS criterion 3: structural invariants on {wing_checked} pipeline "
         f"components ({kinds}), {ssh_pairs} square-semi-homogeneous pairs"
@@ -241,10 +239,8 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
 def test_criterion_4_post_transform(pipeline_details):
     strips_checked = 0
     for _g, detail in pipeline_details:
-        for strip in detail.interval.strips:
-            assert find_claw(strip.graph) is None
-            for lo, hi in zip(strip.local_cliques, strip.local_cliques[1:]):
-                assert find_square_in(strip.graph, lo, hi) is None
+        for strip, co in zip(detail.interval.strips, detail.orders):
+            assert interval_violation(strip, co) is None
             strips_checked += 1
     print(f"PASS criterion 4: post-transform claw/square freedom on {strips_checked} strips")
 
@@ -253,12 +249,10 @@ def test_criterion_5_canonicality(pool, extras, pipeline_details):
     checked = 0
     for g in pool + extras:
         st, stats = canonicalize(g, greedy_maximal_stable_set(g))
-        assert is_canonical(st)
-        assert stats.steps <= 50 * (g.n + g.m)
+        assert canonical_violation(st, stats.steps) is None
         checked += 1
-    for g, detail in pipeline_details:
-        assert is_canonical(detail.state)
-        assert detail.canonical_steps <= 50 * (g.n + g.m)
+    for _g, detail in pipeline_details:
+        assert canonical_violation(detail.state, detail.canonical_steps) is None
     print(f"PASS criterion 5: canonicality and step bound on {checked} instances")
 
 
@@ -278,36 +272,23 @@ def test_criterion_6_consistency(pipeline_details):
 
 
 def test_criterion_7_scaling_trend():
-    sizes = (1_000, 4_000, 16_000, 64_000)
-    medians = []
-    rows = []
-    for n in sizes:
-        g = gen_strip_instance(
-            GenSpec(
-                seed=123,
-                mode="strip",
-                nodes=n,
-                clique_min=7,
-                clique_max=11,
-                density=0.6,
-                weights="random",
-            )
-        )
-        times = []
-        value = None
-        for _ in range(5):
-            t0 = time.perf_counter()
-            value = solve(g).value
-            times.append(time.perf_counter() - t0)
-        med = statistics.median(times)
-        medians.append(med)
-        rows.append((n, g.m, med, value))
-    for prev, cur in zip(medians, medians[1:]):
-        assert cur / prev <= 10.0, f"scaling ratio {cur / prev:.2f} exceeds 10"
-    assert medians[-1] < 60.0, f"n=64000 solve took {medians[-1]:.1f}s"
-    table = ", ".join(f"n={n} m={m} t={t:.2f}s" for n, m, t, _ in rows)
-    ratios = [f"{b / a:.2f}" for a, b in zip(medians, medians[1:])]
-    print(f"PASS criterion 7: {table}; ratios {ratios}")
+    rows = strip_ladder(
+        (1_000, 4_000, 16_000, 64_000),
+        repeats=5,
+        seed=123,
+        clique_min=7,
+        clique_max=11,
+        density=0.6,
+    )
+    ratios = [r["ratio_to_previous"] for r in rows[1:]]
+    for ratio in ratios:
+        assert ratio <= 10.0, f"scaling ratio {ratio:.2f} exceeds 10"
+    largest = rows[-1]["median_solve_seconds"]
+    assert largest < 60.0, f"n=64000 solve took {largest:.1f}s"
+    table = ", ".join(
+        f"n={r['n']} m={r['m']} t={r['median_solve_seconds']:.2f}s" for r in rows
+    )
+    print(f"PASS criterion 7: {table}; ratios {[f'{x:.2f}' for x in ratios]}")
 
 
 def test_criterion_8_determinism(tmp_path, capsys):

@@ -7,13 +7,11 @@ from mwss import (
     GraphInputError,
     StructuralError,
     canonicalize,
-    find_augmenting_p3,
-    find_dominating_free,
     gen_rejection,
     greedy_maximal_stable_set,
-    is_canonical,
 )
 from mwss.canonical import greedy_members
+from mwss.checks import find_augmenting_p3, find_dominating_free, is_canonical
 
 from helpers import complete_graph, path_graph
 

@@ -172,6 +172,11 @@ class TestOtherCommands:
         assert code == 0
         assert payload["rows"][0]["n"] == 1000
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_rejects_repeats_below_one(self, capsys, repeats):
+        assert run(["bench", "--sizes", "100", "--repeats", repeats]) == 2
+        assert "--repeats" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_solve_json_byte_identical(self, capsys):
@@ -196,3 +201,9 @@ class TestSelftest:
         assert code == 0
         assert "PASS selftest" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_selftest_rejects_instances_below_one(self, capsys, instances):
+        assert run(["selftest", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert "--instances" in captured.err and captured.out == ""

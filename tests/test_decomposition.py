@@ -13,8 +13,8 @@ from mwss import (
     greedy_maximal_stable_set,
     canonicalize,
     select_q,
-    square_semi_homogeneous_check,
 )
+from mwss.checks import strip_violation
 
 from helpers import cycle_graph, path_graph
 
@@ -174,9 +174,7 @@ class TestStripInvariants:
             for u in s0:
                 assert not (g.adj(u) & s1)
         # consecutive-pair square-semi-homogeneity in the original graph
-        for strip in dec.strips:
-            for lo, hi in zip(strip.cliques, strip.cliques[1:]):
-                assert square_semi_homogeneous_check(g, lo, hi) is None
+        assert strip_violation(g, dec) is None
 
     def test_claim_ii_neighbor_locality(self):
         # nodes of N[s_i] only reach N[s_{i-1}] | N[s_i] | N[s_{i+1}]

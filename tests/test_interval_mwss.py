@@ -9,8 +9,8 @@ from mwss import (
     mwss_on_order,
     oracle_mwss,
     solve_component,
-    verify_consistent,
 )
+from mwss.checks import verify_consistent
 from mwss.graph import closed_neighborhood
 
 from helpers import complete_graph, path_graph

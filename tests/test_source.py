@@ -18,3 +18,41 @@ def test_no_assert_statements():
     ]
     assert len(SOURCES) > 10
     assert found == []
+
+
+SOLVER_MODULES = (
+    "graph",
+    "canonical",
+    "wings",
+    "decomposition",
+    "square_elimination",
+    "interval_mwss",
+    "solver",
+)
+CHECK_MODULES = {"patterns", "checks", "oracle", "selftest"}
+
+
+def _imported_modules(tree):
+    """Last dotted component of every module an import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rsplit(".", 1)[-1]
+            if node.module in (None, "mwss"):  # from . import selftest
+                yield from (alias.name for alias in node.names)
+
+
+def test_solver_modules_import_no_check_code():
+    # detectors, invariant checks and oracles run on test and check paths,
+    # never on the solve path
+    root = Path(mwss.__file__).parent
+    found = {
+        name: sorted(
+            set(_imported_modules(ast.parse((root / f"{name}.py").read_text())))
+            & CHECK_MODULES
+        )
+        for name in SOLVER_MODULES
+    }
+    assert found == {name: [] for name in SOLVER_MODULES}

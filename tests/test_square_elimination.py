@@ -4,14 +4,13 @@ from mwss import (
     EliminationState,
     GenSpec,
     Graph,
-    find_claw,
-    find_square_in,
     gen_strip_instance,
     interval_transform,
     oracle_mwss,
-    semi_homog_pair_certificate,
+    solve,
     solve_component,
 )
+from mwss.checks import interval_violation, semi_homog_pair_certificate
 
 
 def overlay(g, nodes):
@@ -62,7 +61,7 @@ class TestStage:
             [1, 1, 7, 2, 2, 1],
         )
         before = oracle_mwss(g)[0]
-        res = interval_transform(g, [[(0, 1), (2, 3, 4, 5)]], certify=True)
+        res = interval_transform(g, [[(0, 1), (2, 3, 4, 5)]])
         strip = res.strips[0]
         assert oracle_mwss(strip.graph)[0] == before
         assert res.added_edges == ((0, 3), (0, 4), (1, 5))
@@ -101,12 +100,9 @@ class TestTransform:
         _, _, route, detail = solve_component(g, collect=True)
         if detail is None:
             pytest.skip("component fell back")
-        interval = detail.interval
-        # claw-freeness and square-freeness of the transformed strips
-        for strip in interval.strips:
-            assert find_claw(strip.graph) is None
-            for lo, hi in zip(strip.local_cliques, strip.local_cliques[1:]):
-                assert find_square_in(strip.graph, lo, hi) is None
+        # claw-freeness, square-freeness and a consistent order per strip
+        for strip, co in zip(detail.interval.strips, detail.orders):
+            assert interval_violation(strip, co) is None
         # alpha_w(Gbar) equals alpha_w(G - X), strip by strip summation
         from mwss import induced_subgraph
 
@@ -144,6 +140,45 @@ class TestCertificate:
         adj = overlay(g, range(5))
         bad = semi_homog_pair_certificate(adj, 0, {2, 3}, range(5))
         assert bad is not None and bad[0] == "not_semi_homogeneous"
+
+    def test_certificate_holds_before_every_kill_diags_stage(self):
+        # Replays each pair's stages on the pipeline's own strips.  abar is
+        # the endpoint in A shared by the stage's added edges (|missing| >= 2
+        # there, so at least one edge is added).
+        strips = stages = 0
+        for seed in range(16):
+            g = gen_strip_instance(
+                GenSpec(seed=9300 + seed, mode="strip", nodes=30 + 2 * seed,
+                        clique_min=4, clique_max=9,
+                        density=(0.2, 0.35, 0.5)[seed % 3], weights="random")
+            )
+            for detail in solve(g, collect_trace=True).certificates["details"]:
+                if detail is None:
+                    continue
+                comp = detail.graph
+                for strip in detail.decomposition.strips:
+                    strips += 1
+                    adj = overlay(comp, strip.nodes)
+                    for ki, kj in zip(strip.cliques, strip.cliques[1:]):
+                        st = EliminationState(adj, comp.weights, ki, kj)
+                        for _ in range(3 * len(ki) + 8):
+                            if not st.a:
+                                break
+                            before = {v: set(nb) for v, nb in adj.items()}
+                            a_before, b_before = set(st.a), set(st.b)
+                            done = len(st.added)
+                            if st.stage() != "kill_diags":
+                                continue
+                            new = st.added[done:]
+                            (abar,) = set.intersection(*map(set, new)) & a_before
+                            missing = b_before - before[abar]
+                            assert len(new) == len(missing) - 1 >= 1
+                            assert semi_homog_pair_certificate(
+                                before, abar, missing, before
+                            ) is None
+                            stages += 1
+                        assert not st.a
+        assert strips >= 20 and stages >= 20
 
 
 class TestStageBoundaryInvariant:

@@ -8,7 +8,6 @@ from mwss import (
     build_wing_graph,
     build_wing_table,
     find_claw,
-    free_components,
     gen_rejection,
     greedy_maximal_stable_set,
     canonicalize,
@@ -16,7 +15,7 @@ from mwss import (
 )
 from mwss.patterns import PatternWitness
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, free_components, path_graph
 
 
 class TestWingTable:
