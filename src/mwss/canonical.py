@@ -32,7 +32,7 @@ class CanonicalState:
 
     __slots__ = ("graph", "members", "_count")
 
-    def __init__(self, graph: Graph, members, require_maximal: bool = True):
+    def __init__(self, graph: Graph, members):
         members = frozenset(members)
         for v in members:
             if not (0 <= v < graph.n):
@@ -53,7 +53,7 @@ class CanonicalState:
                     (u, *stable_nbrs[:3]),
                     "node with three stable neighbors (input contains a claw)",
                 )
-            if count[u] == 0 and require_maximal:
+            if count[u] == 0:
                 raise GraphInputError(f"set is not maximal: node {u} is uncovered")
         self.graph = graph
         self.members = members

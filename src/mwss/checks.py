@@ -88,8 +88,7 @@ def verify_consistent(gbar: Graph, co: ConsistentOrder) -> tuple[int, int, int] 
     """Exhaustive consistency check; returns a violating triple or None."""
     pos = co.pos
     order = co.order
-    for v in range(gbar.n):
-        k = pos[v]
+    for k, v in enumerate(order):
         for u in gbar.neighbors(v):
             i = pos[u]
             if i >= k:
@@ -100,18 +99,27 @@ def verify_consistent(gbar: Graph, co: ConsistentOrder) -> tuple[int, int, int] 
     return None
 
 
-def interval_violation(strip, order: ConsistentOrder) -> tuple | None:
-    """A claw in a transformed strip's graph, a square across consecutive
-    local cliques, or a triple breaking the consistency of ``order``."""
-    g = strip.graph
-    claw = find_claw(g)
+def transformed_graph(g: Graph, interval) -> Graph:
+    """The overlay of ``interval_transform`` as a graph in ``g``'s ids:
+    the strips with their added diagonals, and the removal clique's
+    nodes left isolated."""
+    adj = interval.adj
+    edges = [(u, v) for u in adj for v in adj[u] if u < v]
+    return Graph(g.n, edges, g.weights, _trusted=True)
+
+
+def interval_violation(g: Graph, interval, order: ConsistentOrder) -> tuple | None:
+    """A claw in the transformed strips, a square across consecutive
+    cliques, or a triple breaking the consistency of ``order``."""
+    gbar = transformed_graph(g, interval)
+    claw = find_claw(gbar)
     if claw is not None:
         return ("claw", claw.nodes)
-    for lo, hi in zip(strip.local_cliques, strip.local_cliques[1:]):
-        sq = find_square_in(g, lo, hi)
+    for lo, hi in zip(interval.cliques, interval.cliques[1:]):
+        sq = find_square_in(gbar, lo, hi)
         if sq is not None:
             return ("square", sq.nodes)
-    triple = verify_consistent(g, order)
+    triple = verify_consistent(gbar, order)
     if triple is not None:
         return ("inconsistent", triple)
     return None

@@ -135,10 +135,13 @@ def cmd_decompose(args) -> int:
     )
     if args.trace:
         payload["added_edges"] = [[u + 1, v + 1] for u, v in detail.interval.added_edges]
-        payload["orders"] = [
-            _ext(s.to_orig[v] for v in co.order)
-            for s, co in zip(detail.interval.strips, detail.orders)
-        ]
+        # one list per strip: the one order runs strip after strip
+        order = detail.order.order
+        payload["orders"] = []
+        for strip in dec.strips:
+            size = len(strip.nodes)
+            payload["orders"].append(_ext(order[:size]))
+            order = order[size:]
     _emit_json(payload)
     return 0
 
@@ -248,9 +251,8 @@ def strip_ladder(sizes, repeats: int, seed: int, clique_min: int,
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     ladder = strip_ladder(
-        sizes, args.repeats, args.seed, args.clique_min, args.clique_max, args.density
+        args.sizes, args.repeats, args.seed, args.clique_min, args.clique_max, args.density
     )
     rows = [
         {
@@ -287,6 +289,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _size_list(text: str) -> list[int]:
+    sizes = [_positive_int(part) for part in text.split(",") if part]
+    if not sizes:
+        raise argparse.ArgumentTypeError("needs at least one size")
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="scaling benchmark on strip instances")
-    p.add_argument("--sizes", default="1000,4000,16000,64000")
+    p.add_argument("--sizes", type=_size_list, default="1000,4000,16000,64000",
+                   help="comma-separated node counts, each at least 1")
     p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clique-min", type=int, default=7)

@@ -22,8 +22,11 @@ def parse_graph(text: str) -> Graph:
     m_declared = None
     weights: list[int] = []
     weight_seen: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    edge_seen: set[tuple[int, int]] = set()
+    # Rows are filled as edges arrive, and a duplicate is found by an int
+    # key, so a large file leaves neither an edge list nor a set of tuples
+    # for the collector to walk on each full pass.
+    rows: list[list[int]] = []
+    edge_seen: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -43,6 +46,7 @@ def parse_graph(text: str) -> Graph:
             if n < 0 or m_declared < 0:
                 raise GraphParseError("negative counts in problem line", line_no)
             weights = [1] * n
+            rows = [[] for _ in range(n)]
         elif kind == "n":
             if n is None:
                 raise GraphParseError("weight line before problem line", line_no)
@@ -73,20 +77,21 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"edge ({u}, {v}) out of range 1..{n}", line_no)
             if u == v:
                 raise GraphParseError(f"self-loop at node {u}", line_no)
-            key = (u, v) if u < v else (v, u)
+            key = u * (n + 1) + v if u < v else v * (n + 1) + u
             if key in edge_seen:
                 raise GraphParseError(f"duplicate edge ({u}, {v})", line_no)
             edge_seen.add(key)
-            edges.append((u - 1, v - 1))
+            rows[u - 1].append(v - 1)
+            rows[v - 1].append(u - 1)
         else:
             raise GraphParseError(f"unknown line type {kind!r}", line_no)
     if n is None:
         raise GraphParseError("missing problem line")
-    if m_declared != len(edges):
+    if m_declared != len(edge_seen):
         raise GraphParseError(
-            f"problem line declares {m_declared} edges, found {len(edges)}"
+            f"problem line declares {m_declared} edges, found {len(edge_seen)}"
         )
-    return Graph(n, edges, weights, _trusted=True)
+    return Graph._from_rows([tuple(sorted(row)) for row in rows], weights)
 
 
 def serialize_graph(g: Graph, comments=()) -> str:

@@ -14,37 +14,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, StructuralError
-from .graph import Graph
 
 
 @dataclass(frozen=True)
 class ConsistentOrder:
     """Node order, inverse positions, and per-node prefix pointers.
 
-    ``prefix[k]`` is the last position whose node may be combined with the
-    node at position k: one less than the position of its earliest
-    earlier neighbor, or k-1 when it has none.
+    ``pos`` maps each node to its position.  ``prefix[k]`` is the last
+    position whose node may be combined with the node at position k: one
+    less than the position of its earliest earlier neighbor, or k-1 when
+    it has none.
     """
 
     order: tuple[int, ...]
-    pos: tuple[int, ...]
+    pos: dict
     prefix: tuple[int, ...]
 
 
-def consistent_order(gbar: Graph, cliques) -> ConsistentOrder:
-    """Order a strip's nodes by clique, then by reach into the next clique.
+def consistent_order(adj: dict, cliques) -> ConsistentOrder:
+    """Order the nodes of ``adj`` by clique, then by reach into the next clique.
 
-    Verifies the nesting that square-freeness promises; a violation is
-    reported as the induced square it implies.
+    ``adj`` maps each node to its neighbor set; ``cliques`` must partition
+    its nodes.  Cliques of several strips may follow each other: strips
+    do not touch, so at a strip boundary every reach is empty and no
+    prefix pointer crosses it.  Verifies the nesting that square-freeness
+    promises; a violation is reported as the induced square it implies.
     """
     cliques = [tuple(k) for k in cliques]
+    members = [v for k in cliques for v in k]
+    if len(members) != len(adj) or set(members) != adj.keys():
+        raise GraphInputError("cliques do not partition the strip graph")
     order: list[int] = []
     for t, clique in enumerate(cliques):
         nxt = set(cliques[t + 1]) if t + 1 < len(cliques) else set()
-        ranked = sorted(clique, key=lambda v: (len(gbar.adj(v) & nxt), v))
+        ranked = sorted(clique, key=lambda v: (len(adj[v] & nxt), v))
         for prev, cur in zip(ranked, ranked[1:]):
-            reach_prev = gbar.adj(prev) & nxt
-            reach_cur = gbar.adj(cur) & nxt
+            reach_prev = adj[prev] & nxt
+            reach_cur = adj[cur] & nxt
             if not reach_prev <= reach_cur:
                 b1 = min(reach_prev - reach_cur)
                 b2 = min(reach_cur - reach_prev)
@@ -54,19 +60,12 @@ def consistent_order(gbar: Graph, cliques) -> ConsistentOrder:
                     "cross-neighborhoods not nested (square present)",
                 )
         order.extend(ranked)
-    if len(order) != gbar.n or set(order) != set(range(gbar.n)):
-        raise GraphInputError("cliques do not partition the strip graph")
-    pos = [0] * gbar.n
-    for k, v in enumerate(order):
-        pos[v] = k
-    prefix = [0] * gbar.n
-    for k, v in enumerate(order):
-        earliest = k
-        for u in gbar.neighbors(v):
-            if pos[u] < earliest:
-                earliest = pos[u]
-        prefix[k] = earliest - 1
-    return ConsistentOrder(tuple(order), tuple(pos), tuple(prefix))
+    pos = {v: k for k, v in enumerate(order)}
+    at = pos.__getitem__
+    prefix = tuple(
+        min(k, min(map(at, adj[v]), default=k)) - 1 for k, v in enumerate(order)
+    )
+    return ConsistentOrder(tuple(order), pos, prefix)
 
 
 def mwss_on_order(

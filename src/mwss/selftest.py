@@ -78,10 +78,7 @@ def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
     report("canonical-fixpoint", bad, f"{len(details)} pipeline components")
 
     bad = sum(
-        1
-        for d in details
-        for strip, co in zip(d.interval.strips, d.orders)
-        if interval_violation(strip, co) is not None
+        1 for d in details if interval_violation(d.graph, d.interval, d.order) is not None
     )
     report("post-transform-interval", bad)
 

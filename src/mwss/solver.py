@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from .canonical import CanonicalState, canonicalize, greedy_members
 from .decomposition import Decomposition, decompose
 from .errors import MWSSError, StructuralError
-from .graph import (
-    Graph,
-    closed_neighborhood,
-    connected_components,
-    induced_subgraph,
-    remove_twins,
-)
+from .graph import Graph, connected_components, induced_subgraph, remove_twins
 from .interval_mwss import ConsistentOrder, consistent_order, mwss_on_order
 from .square_elimination import IntervalResult, interval_transform
 
@@ -47,7 +41,7 @@ class PipelineDetail:
     state: CanonicalState
     decomposition: Decomposition
     interval: IntervalResult
-    orders: tuple[ConsistentOrder, ...]
+    order: ConsistentOrder  # over V - X, strip after strip
     base_value: int
     base_nodes: tuple[int, ...]
     per_vertex: tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -148,27 +142,8 @@ def solve_component(
     state, stats = canonicalize(g, CanonicalState(g, greedy_members(g, seed4)))
     dec = decompose(g, state)
     interval = interval_transform(g, dec.strips)
-    orders = tuple(
-        consistent_order(s.graph, s.local_cliques) for s in interval.strips
-    )
-    weights_local = [s.graph.weights for s in interval.strips]
-
-    def strip_optimum(excluded_orig: frozenset):
-        total = 0
-        chosen: list[int] = []
-        for s, co, w in zip(interval.strips, orders, weights_local):
-            if excluded_orig:
-                local_excluded = {
-                    s.to_local[v] for v in excluded_orig if v in s.to_local
-                }
-            else:
-                local_excluded = frozenset()
-            value, nodes = mwss_on_order(co, w, local_excluded)
-            total += value
-            chosen.extend(s.to_orig[v] for v in nodes)
-        return total, tuple(sorted(chosen))
-
-    base_value, base_nodes = strip_optimum(frozenset())
+    co = consistent_order(interval.adj, interval.cliques)
+    base_value, base_nodes = mwss_on_order(co, g.weights)
     best_value, best_nodes = base_value, base_nodes
     per_vertex = []
     removal = dec.removal
@@ -177,8 +152,8 @@ def solve_component(
             "removal_size", removal, "removal clique exceeds isqrt(2m) + 1 nodes"
         )
     for v in removal:
-        closed = frozenset(closed_neighborhood(g, (v,)))
-        value, nodes = strip_optimum(closed)
+        # v lies in X, outside the order, so excluding N(v) excludes N[v].
+        value, nodes = mwss_on_order(co, g.weights, g.adj(v))
         value += g.weights[v]
         nodes = tuple(sorted(nodes + (v,)))
         if collect:
@@ -192,7 +167,7 @@ def solve_component(
             state=state,
             decomposition=dec,
             interval=interval,
-            orders=orders,
+            order=co,
             base_value=base_value,
             base_nodes=base_nodes,
             per_vertex=tuple(per_vertex),
@@ -202,7 +177,7 @@ def solve_component(
     return best_value, best_nodes, ROUTE_PIPELINE, detail
 
 
-def solve(g: Graph, collect_trace: bool = False, validate: bool = True) -> Solution:
+def solve(g: Graph, collect_trace: bool = False) -> Solution:
     """Exact maximum weight stable set of a {claw, net}-free graph.
 
     The input is trusted to be {claw, net}-free; structural contract
@@ -236,11 +211,10 @@ def solve(g: Graph, collect_trace: bool = False, validate: bool = True) -> Solut
     lifted = reduction.lift(chosen)
     if keep_map is not None:
         lifted = keep_map.lift(lifted)
-    if validate:
-        if not g.is_stable(lifted):
-            raise MWSSError("internal error: produced set is not stable")
-        if g.weight_of(lifted) != total:
-            raise MWSSError("internal error: produced set weight mismatch")
+    if not g.is_stable(lifted):
+        raise MWSSError("internal error: produced set is not stable")
+    if g.weight_of(lifted) != total:
+        raise MWSSError("internal error: produced set weight mismatch")
     if not routes:
         route = ROUTE_ALPHA3
     elif len(routes) == 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructuralError
-from .graph import Graph, induced_rows
+from .graph import Graph
 
 MAX_STAGE_SLACK = 8  # stages per pair are bounded by 3*|K_i|; guard a bit above
 
@@ -23,11 +23,12 @@ MAX_STAGE_SLACK = 8  # stages per pair are bounded by 3*|K_i|; guard a bit above
 class EliminationState:
     """Stage machine for one consecutive clique pair over a mutable overlay."""
 
-    __slots__ = ("adj", "weights", "a", "b", "d", "added", "actions")
+    __slots__ = ("adj", "weights", "a", "b", "d", "added", "actions", "limit")
 
     def __init__(self, adj: dict, weights, ki, kj):
         self.adj = adj
         self.weights = weights
+        self.limit = 3 * len(ki) + MAX_STAGE_SLACK
         self.a = {u for u in ki if adj[u] & set(kj)}
         self.b = {v for v in kj if adj[v] & set(ki)}
         self.d = {u: len(adj[u] & self.b) for u in self.a}
@@ -92,12 +93,11 @@ class EliminationState:
             if v != spare:
                 self._add_edge(abar, v)
 
-    def run(self, limit: int | None = None) -> int:
-        if limit is None:
-            limit = 3 * (len(self.a) or 1) + MAX_STAGE_SLACK
+    def run(self) -> int:
+        """Run stages until A drains; returns their number."""
         stages = 0
         while self.a:
-            if stages > limit:
+            if stages > self.limit:
                 raise StructuralError(
                     "stage", tuple(sorted(self.a)), "stage budget exceeded"
                 )
@@ -107,66 +107,39 @@ class EliminationState:
 
 
 @dataclass(frozen=True)
-class TransformedStrip:
-    """One strip after elimination, materialized as its own graph."""
-
-    cliques: tuple[tuple[int, ...], ...]  # original ids
-    graph: Graph  # local ids
-    to_local: dict
-    to_orig: tuple
-    local_cliques: tuple[tuple[int, ...], ...]
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return self.to_orig
-
-
-@dataclass(frozen=True)
 class IntervalResult:
-    strips: tuple[TransformedStrip, ...]
-    added_edges: tuple[tuple[int, int], ...]  # original ids
+    """The strips after elimination, as one overlay over V - X."""
+
+    adj: dict  # node -> neighbor set within V - X, added diagonals included
+    cliques: tuple[tuple[int, ...], ...]  # every strip's cliques, strip after strip
+    added_edges: tuple[tuple[int, int], ...]
     stage_counts: tuple[tuple[int, ...], ...]  # per strip, per pair
 
 
 def interval_transform(g: Graph, strips) -> IntervalResult:
     """Destroy every square inside each strip, preserving stable set weights.
 
-    ``strips`` is a sequence of clique families (ordered cliques of
-    original node ids), as produced by the decomposition.  Each strip is
-    processed pair by pair on a shared overlay and then materialized as
-    an induced graph together with the log of added edges.
+    ``strips`` is a sequence of clique families (ordered cliques of node
+    ids), as produced by the decomposition.  The strips partition V - X
+    and do not touch, so one overlay holds them all: each node's
+    neighbors minus the removal clique X, to which each strip's pairs add
+    their diagonals in place.
     """
     families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
-    result_strips = []
-    all_added: list[tuple[int, int]] = []
+    cliques = tuple(k for family in families for k in family)
+    adj = {v: set(g.adj(v)) for k in cliques for v in k}
+    for x in range(g.n):
+        if x not in adj:
+            for u in g.neighbors(x):
+                if u in adj:
+                    adj[u].discard(x)
+    added: list[tuple[int, int]] = []
     stage_counts = []
     for family in families:
-        nodes = sorted(v for k in family for v in k)
-        node_set = set(nodes)
-        adj = {v: set(g.adj(v)) & node_set for v in nodes}
         counts = []
-        added_before = len(all_added)
-        for idx in range(len(family) - 1):
-            ki, kj = family[idx], family[idx + 1]
+        for ki, kj in zip(family, family[1:]):
             state = EliminationState(adj, g.weights, ki, kj)
-            counts.append(state.run(3 * len(ki) + MAX_STAGE_SLACK))
-            all_added.extend(state.added)
+            counts.append(state.run())
+            added.extend(state.added)
         stage_counts.append(tuple(counts))
-        to_orig = tuple(nodes)
-        to_local = {v: i for i, v in enumerate(nodes)}
-        # The overlay only gains edges: the strip's induced rows plus the
-        # added diagonals, so only rows that gained one are re-sorted.
-        rows = induced_rows(g, nodes)
-        grown: dict[int, list[int]] = {}
-        for u, v in all_added[added_before:]:
-            lu, lv = to_local[u], to_local[v]
-            grown.setdefault(lu, []).append(lv)
-            grown.setdefault(lv, []).append(lu)
-        for lu, extra in grown.items():
-            rows[lu] = tuple(sorted(rows[lu] + tuple(extra)))
-        local_graph = Graph._from_rows(rows, [g.weights[v] for v in nodes])
-        local_cliques = tuple(tuple(sorted(to_local[v] for v in k)) for k in family)
-        result_strips.append(
-            TransformedStrip(family, local_graph, to_local, to_orig, local_cliques)
-        )
-    return IntervalResult(tuple(result_strips), tuple(all_added), tuple(stage_counts))
+    return IntervalResult(adj, cliques, tuple(added), tuple(stage_counts))

@@ -16,6 +16,15 @@ def complete_graph(n, weights=None):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], weights)
 
 
+def overlay(g, nodes=None):
+    """Node -> neighbor set of the subgraph induced by ``nodes`` (all of
+    ``g`` by default), the shape ``consistent_order`` and
+    ``EliminationState`` read."""
+    nodes = range(g.n) if nodes is None else nodes
+    node_set = set(nodes)
+    return {v: set(g.adj(v)) & node_set for v in nodes}
+
+
 def random_graph(n, p, rng, weights=None):
     """Erdos-Renyi G(n, p), claws and nets included."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

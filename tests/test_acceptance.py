@@ -33,6 +33,7 @@ from mwss.checks import (
     canonical_violation,
     interval_violation,
     strip_violation,
+    transformed_graph,
     verify_consistent,
 )
 from mwss.cli import run, strip_ladder
@@ -238,11 +239,13 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
 
 def test_criterion_4_post_transform(pipeline_details):
     strips_checked = 0
-    for _g, detail in pipeline_details:
-        for strip, co in zip(detail.interval.strips, detail.orders):
-            assert interval_violation(strip, co) is None
-            strips_checked += 1
-    print(f"PASS criterion 4: post-transform claw/square freedom on {strips_checked} strips")
+    for g, detail in pipeline_details:
+        assert interval_violation(g, detail.interval, detail.order) is None
+        strips_checked += len(detail.decomposition.strips)
+    print(
+        f"PASS criterion 4: post-transform claw/square freedom and order "
+        f"consistency on {len(pipeline_details)} components ({strips_checked} strips)"
+    )
 
 
 def test_criterion_5_canonicality(pool, extras, pipeline_details):
@@ -257,18 +260,19 @@ def test_criterion_5_canonicality(pool, extras, pipeline_details):
 
 
 def test_criterion_6_consistency(pipeline_details):
-    orders = 0
-    dp_checked = 0
-    for _g, detail in pipeline_details:
-        for strip, co in zip(detail.interval.strips, detail.orders):
-            assert verify_consistent(strip.graph, co) is None
-            orders += 1
-            if strip.graph.n <= 20:
-                value, nodes = mwss_on_order(co, strip.graph.weights)
-                assert value == oracle_mwss(strip.graph)[0]
-                assert strip.graph.is_stable(nodes)
-                dp_checked += 1
-    print(f"PASS criterion 6: {orders} consistent orders, {dp_checked} strip DP oracle matches")
+    strips = 0
+    for g, detail in pipeline_details:
+        gbar = transformed_graph(g, detail.interval)
+        assert verify_consistent(gbar, detail.order) is None
+        value, nodes = mwss_on_order(detail.order, g.weights)
+        strip_graph, _ = induced_subgraph(gbar, sorted(detail.interval.adj))
+        assert value == oracle_mwss(strip_graph)[0]
+        assert gbar.is_stable(nodes) and gbar.weight_of(nodes) == value
+        strips += len(detail.decomposition.strips)
+    print(
+        f"PASS criterion 6: {len(pipeline_details)} consistent orders and DP "
+        f"oracle matches, one per component ({strips} strips)"
+    )
 
 
 def test_criterion_7_scaling_trend():

@@ -177,6 +177,12 @@ class TestOtherCommands:
         assert run(["bench", "--sizes", "100", "--repeats", repeats]) == 2
         assert "--repeats" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["x", "1000,x", "0", "-5"])
+    def test_bench_rejects_bad_sizes(self, capsys, sizes):
+        assert run(["bench", "--sizes", sizes, "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--sizes" in captured.err and captured.out == ""
+
 
 class TestDeterminism:
     def test_solve_json_byte_identical(self, capsys):
@@ -192,6 +198,23 @@ class TestDeterminism:
             assert run(["gen", "--seed", "11", "--nodes", "20", "--weights", "ties"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestGoldenBytes:
+    """The golden instance's CLI output, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["solve", "--json"], "golden_strip_seed1.solve.json"),
+            (["decompose", "--trace"], "golden_strip_seed1.decompose_trace.json"),
+            (["canonicalize", "--json"], "golden_strip_seed1.canonicalize.json"),
+        ],
+    )
+    def test_output_matches_pinned_bytes(self, capsys, argv, expected):
+        graph = str(DATA / "golden_strip_seed1.mwss")
+        assert run([argv[0], graph, *argv[1:]]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / expected).read_bytes()
 
 
 class TestSelftest:

@@ -3,6 +3,7 @@ import pytest
 from mwss import (
     GenSpec,
     Graph,
+    GraphInputError,
     StructuralError,
     consistent_order,
     gen_strip_instance,
@@ -10,54 +11,72 @@ from mwss import (
     oracle_mwss,
     solve_component,
 )
-from mwss.checks import verify_consistent
-from mwss.graph import closed_neighborhood
+from mwss.checks import transformed_graph, verify_consistent
+from mwss.graph import closed_neighborhood, induced_subgraph
 
-from helpers import complete_graph, path_graph
+from helpers import complete_graph, overlay, path_graph
 
 
 class TestConsistentOrder:
     def test_two_cliques_reach_order(self):
         # cliques {0,1} and {2}; only 1-2 crosses, so 0 precedes 1
         g = Graph(3, [(0, 1), (1, 2)])
-        co = consistent_order(g, [(0, 1), (2,)])
+        co = consistent_order(overlay(g), [(0, 1), (2,)])
         assert co.order == (0, 1, 2)
         assert verify_consistent(g, co) is None
 
     def test_single_clique_id_order(self):
         g = complete_graph(4)
-        co = consistent_order(g, [(0, 1, 2, 3)])
+        co = consistent_order(overlay(g), [(0, 1, 2, 3)])
         assert co.order == (0, 1, 2, 3)
         assert verify_consistent(g, co) is None
 
     def test_p3_strip(self):
         g = path_graph(3)
-        co = consistent_order(g, [(0,), (1,), (2,)])
+        co = consistent_order(overlay(g), [(0,), (1,), (2,)])
         assert co.order == (0, 1, 2)
 
     def test_nesting_violation_reports_square(self):
         # 0 reaches {2}, 1 reaches {3}: incomparable, a square survives
         g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
         with pytest.raises(StructuralError) as err:
-            consistent_order(g, [(0, 1), (2, 3)])
+            consistent_order(overlay(g), [(0, 1), (2, 3)])
         assert err.value.kind == "nesting"
         a, b1, b2, c = err.value.witness
         assert {a, c} == {0, 1} and {b1, b2} == {2, 3}
 
+    @pytest.mark.parametrize(
+        "cliques", [[(0, 1)], [(0, 1), (2,), (2,)], [(0, 1), (2, 3)]]
+    )
+    def test_cliques_must_partition_the_overlay(self, cliques):
+        # a node missing, a node twice, a node outside the overlay
+        with pytest.raises(GraphInputError):
+            consistent_order(overlay(path_graph(3)), cliques)
+
+    def test_two_strips_one_order(self):
+        # strips 0-1 and 2-3-4 do not touch: the order is the two strip
+        # orders one after the other, and no prefix pointer crosses
+        g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+        co = consistent_order(overlay(g), [(1,), (0,), (2,), (3,), (4,)])
+        assert co.order == (1, 0, 2, 3, 4)
+        assert co.prefix == (-1, -1, 1, 1, 2)
+        assert mwss_on_order(co, [4, 1, 2, 1, 2]) == (8, (0, 2, 4))
+
     def test_prefix_pointers_cover_suffix(self):
         g = gen_strip_instance(GenSpec(seed=9, mode="strip", nodes=18, clique_min=1, clique_max=4))
         _, _, _, detail = solve_component(g, collect=True)
-        for strip, co in zip(detail.interval.strips, detail.orders):
-            sg = strip.graph
-            for k, v in enumerate(co.order):
-                earlier = {co.pos[u] for u in sg.neighbors(v) if co.pos[u] < k}
-                assert earlier == set(range(co.prefix[k] + 1, k))
+        adj, co = detail.interval.adj, detail.order
+        assert len(detail.decomposition.strips) == 2  # one order spans both
+        for k, v in enumerate(co.order):
+            assert co.pos[v] == k
+            earlier = {co.pos[u] for u in adj[v] if co.pos[u] < k}
+            assert earlier == set(range(co.prefix[k] + 1, k))
 
 
 class TestVerifyConsistent:
     def test_path_along_itself(self):
         g = path_graph(4)
-        co = consistent_order(g, [(0,), (1,), (2,), (3,)])
+        co = consistent_order(overlay(g), [(0,), (1,), (2,), (3,)])
         assert verify_consistent(g, co) is None
 
     def test_permuted_p3_is_consistent(self):
@@ -66,34 +85,34 @@ class TestVerifyConsistent:
         from mwss.interval_mwss import ConsistentOrder
 
         g = path_graph(3)
-        co = ConsistentOrder((0, 2, 1), (0, 2, 1), (-1, 1, 0))
+        co = ConsistentOrder((0, 2, 1), {0: 0, 2: 1, 1: 2}, (-1, 1, 0))
         assert verify_consistent(g, co) is None
 
     def test_star_center_first_violates(self):
         from mwss.interval_mwss import ConsistentOrder
 
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        co = ConsistentOrder((0, 1, 2, 3), (0, 1, 2, 3), (-1, 0, 1, 2))
+        co = ConsistentOrder((0, 1, 2, 3), {0: 0, 1: 1, 2: 2, 3: 3}, (-1, 0, 1, 2))
         assert verify_consistent(g, co) is not None
 
 
 class TestDP:
     def test_single_clique_takes_max(self):
         g = complete_graph(3, [2, 7, 1])
-        co = consistent_order(g, [(0, 1, 2)])
+        co = consistent_order(overlay(g), [(0, 1, 2)])
         value, nodes = mwss_on_order(co, g.weights)
         assert value == 7 and nodes == (1,)
 
     def test_p3_weights(self):
         g = path_graph(3, [2, 5, 3])
-        co = consistent_order(g, [(0,), (1,), (2,)])
+        co = consistent_order(overlay(g), [(0,), (1,), (2,)])
         value, nodes = mwss_on_order(co, g.weights)
         assert value == 5
         assert g.is_stable(nodes) and g.weight_of(nodes) == 5
 
     def test_p5_weights(self):
         g = path_graph(5, [1, 9, 1, 9, 1])
-        co = consistent_order(g, [tuple([i]) for i in range(5)])
+        co = consistent_order(overlay(g), [tuple([i]) for i in range(5)])
         value, nodes = mwss_on_order(co, g.weights)
         assert value == 18 and nodes == (1, 3)
 
@@ -106,15 +125,13 @@ class TestDP:
             _, _, _, detail = solve_component(g, collect=True)
             if detail is None:
                 continue
-            for strip, co in zip(detail.interval.strips, detail.orders):
-                value, nodes = mwss_on_order(co, strip.graph.weights)
-                assert value == oracle_mwss(strip.graph)[0]
-                assert strip.graph.is_stable(nodes)
-                assert strip.graph.weight_of(nodes) == value
+            gbar = transformed_graph(g, detail.interval)
+            strips, _ = induced_subgraph(gbar, sorted(detail.interval.adj))
+            value, nodes = mwss_on_order(detail.order, g.weights)
+            assert value == detail.base_value == oracle_mwss(strips)[0]
+            assert gbar.is_stable(nodes) and gbar.weight_of(nodes) == value
 
     def test_exclusion_matches_oracle_on_restrictions(self):
-        from mwss import induced_subgraph
-
         for seed in range(15):
             g = gen_strip_instance(
                 GenSpec(seed=6500 + seed, mode="strip", nodes=9 + seed % 9,
@@ -125,10 +142,7 @@ class TestDP:
                 continue
             for v in detail.decomposition.removal:
                 closed = set(closed_neighborhood(g, (v,)))
-                total = 0
-                for strip, co in zip(detail.interval.strips, detail.orders):
-                    excl = {strip.to_local[u] for u in closed if u in strip.to_local}
-                    total += mwss_on_order(co, strip.graph.weights, excl)[0]
+                total = mwss_on_order(detail.order, g.weights, closed)[0]
                 keep = [u for u in range(g.n) if u not in closed]
                 rest, _ = induced_subgraph(g, keep)
                 assert total == oracle_mwss(rest)[0]

@@ -220,24 +220,38 @@ class TestSolve:
 
 
 class TestPipelineContracts:
-    def test_exactly_x_plus_one_dp_passes(self):
-        from mwss import solve_component
+    def test_exactly_x_plus_one_dp_passes(self, monkeypatch):
+        # counts the DP calls themselves: one over the strips, one per node of X
+        calls = []
+        real = mwss.solver.mwss_on_order
 
-        for seed in range(15):
-            g = gen_strip_instance(
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mwss.solver, "mwss_on_order", counting)
+        graphs = [path_graph(7), cycle_graph(9)] + [
+            gen_strip_instance(
                 GenSpec(seed=9900 + seed, mode="strip", nodes=12 + seed,
                         clique_min=2, clique_max=4, weights="random")
             )
-            _, _, _, detail = solve_component(g, collect=True)
-            assert detail.dp_passes == len(detail.decomposition.removal) + 1
+            for seed in range(15)
+        ]
+        strip_counts = set()
+        for g in graphs:
+            calls.clear()
+            _, _, _, detail = mwss.solver.solve_component(g, collect=True)
+            passes = len(detail.decomposition.removal) + 1
+            assert len(calls) == detail.dp_passes == passes
+            assert all(co is detail.order for co in calls)
+            strip_counts.add(len(detail.decomposition.strips))
+        assert strip_counts == {1, 2}
 
     def test_p7_post_transform_order(self):
-        from mwss import solve_component
-
-        _, _, _, detail = solve_component(path_graph(7), collect=True)
-        second = detail.interval.strips[1]
-        co = detail.orders[1]
-        assert tuple(second.to_orig[v] for v in co.order) == (4, 5, 6)
+        _, _, _, detail = mwss.solver.solve_component(path_graph(7), collect=True)
+        assert detail.decomposition.removal == (3,)
+        # strip (1 2)(0) first, then strip (4)(5)(6)
+        assert detail.order.order == (2, 1, 0, 4, 5, 6)
 
     def test_oversized_removal_raises_with_witness(self, monkeypatch):
         real = mwss.solver.decompose

@@ -10,12 +10,13 @@ from mwss import (
     solve,
     solve_component,
 )
-from mwss.checks import interval_violation, semi_homog_pair_certificate
+from mwss.checks import (
+    interval_violation,
+    semi_homog_pair_certificate,
+    transformed_graph,
+)
 
-
-def overlay(g, nodes):
-    node_set = set(nodes)
-    return {v: set(g.adj(v)) & node_set for v in nodes}
+from helpers import overlay
 
 
 class TestStage:
@@ -62,9 +63,11 @@ class TestStage:
         )
         before = oracle_mwss(g)[0]
         res = interval_transform(g, [[(0, 1), (2, 3, 4, 5)]])
-        strip = res.strips[0]
-        assert oracle_mwss(strip.graph)[0] == before
+        assert oracle_mwss(transformed_graph(g, res))[0] == before
         assert res.added_edges == ((0, 3), (0, 4), (1, 5))
+        assert res.cliques == ((0, 1), (2, 3, 4, 5))
+        for u, v in res.added_edges:
+            assert v in res.adj[u] and u in res.adj[v]
 
     def test_stage_count_bounded(self):
         for seed in range(25):
@@ -100,9 +103,8 @@ class TestTransform:
         _, _, route, detail = solve_component(g, collect=True)
         if detail is None:
             pytest.skip("component fell back")
-        # claw-freeness, square-freeness and a consistent order per strip
-        for strip, co in zip(detail.interval.strips, detail.orders):
-            assert interval_violation(strip, co) is None
+        # claw-freeness, square-freeness and a consistent order on the strips
+        assert interval_violation(g, detail.interval, detail.order) is None
         # alpha_w(Gbar) equals alpha_w(G - X), strip by strip summation
         from mwss import induced_subgraph
 
@@ -114,9 +116,8 @@ class TestTransform:
     def test_added_edges_are_logged_in_original_ids(self):
         g = gen_strip_instance(GenSpec(seed=123, mode="strip", nodes=16, clique_min=2, clique_max=4, density=0.5))
         _, _, _, detail = solve_component(g, collect=True)
-        strip_nodes = set()
-        for s in detail.interval.strips:
-            strip_nodes.update(s.to_orig)
+        strip_nodes = set(detail.interval.adj)
+        assert strip_nodes == set(range(g.n)) - set(detail.decomposition.removal)
         for u, v in detail.interval.added_edges:
             assert u in strip_nodes and v in strip_nodes
             assert not g.has_edge(u, v)
