@@ -139,7 +139,6 @@ def canonicalize(
     members = set(seed.members)
     count = list(seed._count)
     stats = CanonicalizeStats()
-    adj = g._sets
     nbrs = g._nbrs
 
     def shift(v: int, delta: int):
@@ -155,7 +154,7 @@ def canonicalize(
         stats.steps += len(nbrs[s])
         pair = None
         for i, x in enumerate(free):
-            ax = adj[x]
+            ax = set(nbrs[x])
             for y in free[i + 1 :]:
                 stats.steps += 1
                 if y not in ax:
@@ -166,9 +165,10 @@ def canonicalize(
         if pair is None:
             continue
         x, y = pair
+        ax, ay = set(nbrs[x]), set(nbrs[y])
         for t in free:
             stats.steps += 1
-            if t not in (x, y) and t not in adj[x] and t not in adj[y]:
+            if t not in (x, y) and t not in ax and t not in ay:
                 raise StructuralError(
                     "claw", (s, x, y, t), "three independent free neighbors"
                 )
@@ -188,7 +188,7 @@ def canonicalize(
         for x in nbrs[s]:
             if x in members or count[x] != 1:
                 continue
-            ax = adj[x]
+            ax = set(nbrs[x])
             dominated = True
             for t in nbrs[s]:
                 stats.steps += 1

@@ -22,7 +22,7 @@ def find_augmenting_p3(st: CanonicalState, s: int) -> tuple[int, int] | None:
     g = st.graph
     free = [u for u in g.neighbors(s) if st.is_free(u)]
     for i, x in enumerate(free):
-        ax = g.adj(x)
+        ax = set(g.neighbors(x))
         for y in free[i + 1 :]:
             if y not in ax:
                 return (x, y)
@@ -44,7 +44,7 @@ def find_dominating_free(st: CanonicalState, s: int) -> int | None:
     for x in nb_s:
         if not st.is_free(x):
             continue
-        ax = g.adj(x)
+        ax = set(g.neighbors(x))
         if all(t == x or t in ax for t in nb_s) and g.degree(x) > g.degree(s):
             if best is None or g.degree(x) > g.degree(best):
                 best = x
@@ -89,12 +89,13 @@ def verify_consistent(gbar: Graph, co: ConsistentOrder) -> tuple[int, int, int] 
     pos = co.pos
     order = co.order
     for k, v in enumerate(order):
+        av = set(gbar.neighbors(v))
         for u in gbar.neighbors(v):
             i = pos[u]
             if i >= k:
                 continue
             for j in range(i + 1, k):
-                if not gbar.has_edge(order[j], v):
+                if order[j] not in av:
                     return (u, order[j], v)
     return None
 
@@ -103,9 +104,8 @@ def transformed_graph(g: Graph, interval) -> Graph:
     """The overlay of ``interval_transform`` as a graph in ``g``'s ids:
     the strips with their added diagonals, and the removal clique's
     nodes left isolated."""
-    adj = interval.adj
-    edges = [(u, v) for u in adj for v in adj[u] if u < v]
-    return Graph(g.n, edges, g.weights, _trusted=True)
+    rows = [tuple(sorted(interval.adj.get(v, ()))) for v in range(g.n)]
+    return Graph._from_rows(rows, g.weights)
 
 
 def interval_violation(g: Graph, interval, order: ConsistentOrder) -> tuple | None:

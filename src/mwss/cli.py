@@ -206,13 +206,24 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _median_seconds(fn, repeats: int):
+    """Median wall time of ``repeats`` calls of ``fn``, and the last result."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
+
+
 def strip_ladder(sizes, repeats: int, seed: int, clique_min: int,
                  clique_max: int, density: float) -> list[dict]:
     """Time ``solve`` on one seeded strip instance per size.
 
     Each row holds n, m, the generation seconds, the median of ``repeats``
-    solve times, its ratio to the previous row's median and the optimum
-    value, all unrounded.
+    public ``Graph(n, edges, weights)`` builds from the instance's edge
+    list, the median of ``repeats`` solve times, its ratio to the previous
+    row's median and the optimum value, all unrounded.
     """
     rows = []
     prev_median = None
@@ -229,21 +240,18 @@ def strip_ladder(sizes, repeats: int, seed: int, clique_min: int,
         t0 = time.perf_counter()
         g = generate(spec)
         gen_s = time.perf_counter() - t0
-        times = []
-        value = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            value = solve(g).value
-            times.append(time.perf_counter() - t0)
-        median = statistics.median(times)
+        edges = list(g.edges())
+        build, _ = _median_seconds(lambda: Graph(g.n, edges, g.weights), repeats)
+        median, solution = _median_seconds(lambda: solve(g), repeats)
         rows.append(
             {
                 "n": n,
                 "m": g.m,
                 "gen_seconds": gen_s,
+                "median_build_seconds": build,
                 "median_solve_seconds": median,
                 "ratio_to_previous": (median / prev_median) if prev_median else None,
-                "value": value,
+                "value": solution.value,
             }
         )
         prev_median = median
@@ -258,6 +266,7 @@ def cmd_bench(args) -> int:
         {
             **r,
             "gen_seconds": round(r["gen_seconds"], 4),
+            "median_build_seconds": round(r["median_build_seconds"], 4),
             "median_solve_seconds": round(r["median_solve_seconds"], 4),
             "ratio_to_previous": (
                 round(r["ratio_to_previous"], 3) if r["ratio_to_previous"] else None
@@ -268,11 +277,14 @@ def cmd_bench(args) -> int:
     if args.json:
         _emit_json({"rows": rows})
     else:
-        print(f"{'n':>8} {'m':>9} {'gen_s':>8} {'solve_s':>9} {'ratio':>7}")
+        print(
+            f"{'n':>8} {'m':>9} {'gen_s':>8} {'build_s':>8} {'solve_s':>9} {'ratio':>7}"
+        )
         for r in rows:
             ratio = f"{r['ratio_to_previous']:.2f}" if r["ratio_to_previous"] else "-"
             print(
                 f"{r['n']:>8} {r['m']:>9} {r['gen_seconds']:>8.3f} "
+                f"{r['median_build_seconds']:>8.3f} "
                 f"{r['median_solve_seconds']:>9.3f} {ratio:>7}"
             )
     return 0

@@ -100,22 +100,15 @@ def select_q(
     w23 = wt.wing_between(s2, s3)
     if w23 is None:
         raise StructuralError("wing_missing", (s2, s3), "expected wing absent")
-    adj_s2 = g.adj(s2)
-    seed = sorted(u for u in w23.members if u in adj_s2)
-    core = [s2] + seed
-    if not g.is_clique(core):
-        bad = next(
-            (u, v)
-            for i, u in enumerate(core)
-            for v in core[i + 1 :]
-            if not g.has_edge(u, v)
-        )
+    core = [s2] + sorted(set(w23.members).intersection(g.neighbors(s2)))
+    bad = g.non_edge(core)
+    if bad is not None:
         raise StructuralError(
             "non_clique", bad, "wing restriction to N(s2) is not a clique"
         )
     members = set(core)
     for u in g.neighbors(s2):
-        if u not in members and all(x in g.adj(u) for x in core):
+        if u not in members and len(members.intersection(g.neighbors(u))) == len(core):
             core.append(u)
             members.add(u)
     return tuple(sorted(core)), Anchor("b", 1), covers
@@ -147,25 +140,12 @@ def classify_q(
             "X, Y do not partition N(Q)",
         )
     for side in (x, y):
-        bad = _non_edge(g, side)
+        bad = g.non_edge(side)
         if bad is not None:
             raise StructuralError("non_clique", bad, "side of N(Q) is not a clique")
-    kind = "strongly_bisimplicial"
-    for u in x:
-        if g.adj(u) & set(y):
-            kind = "dominating"
-            break
-    return x, y, kind
-
-
-def _non_edge(g: Graph, nodes) -> tuple[int, int] | None:
-    nodes = tuple(nodes)
-    for i, u in enumerate(nodes):
-        au = g.adj(u)
-        for v in nodes[i + 1 :]:
-            if v not in au:
-                return (u, v)
-    return None
+    ys = set(y)
+    dominating = any(not ys.isdisjoint(g.neighbors(u)) for u in x)
+    return x, y, "dominating" if dominating else "strongly_bisimplicial"
 
 
 def _bfs_layers(g: Graph, sources, removed: set) -> list[tuple[int, ...]]:
@@ -191,7 +171,7 @@ def _bfs_layers(g: Graph, sources, removed: set) -> list[tuple[int, ...]]:
 
 def _require_clique_layers(g: Graph, layers, label: str):
     for layer in layers:
-        bad = _non_edge(g, layer)
+        bad = g.non_edge(layer)
         if bad is not None:
             raise StructuralError(
                 "non_clique_layer", bad, f"{label} layer is not a clique"
@@ -216,7 +196,7 @@ def build_strips(
     if kind == "dominating":
         outside = set(range(g.n)) - set(closed_neighborhood(g, q))
         p = tuple(sorted(outside))
-        bad = _non_edge(g, p)
+        bad = g.non_edge(p)
         if bad is not None:
             raise StructuralError(
                 "non_clique", bad, "V minus N[Q] is not a clique in the dominating case"

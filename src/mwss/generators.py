@@ -204,7 +204,7 @@ def gen_strip_instance(spec: GenSpec) -> Graph:
             if u < v
         )
         weights = _draw_weights(rng, spec.nodes, spec)
-        g = Graph(spec.nodes, final_edges, weights, _trusted=True)
+        g = Graph(spec.nodes, final_edges, weights)
         if spec.nodes <= FULL_DETECTOR_LIMIT:
             if find_claw(g) is not None or find_net(g) is not None:
                 continue
@@ -240,7 +240,7 @@ def gen_rejection(spec: GenSpec, max_attempts: int = 200_000) -> Graph:
             if rng.random() < p
         ]
         weights = _draw_weights(rng, spec.nodes, spec)
-        g = Graph(spec.nodes, edges, weights, _trusted=True)
+        g = Graph(spec.nodes, edges, weights)
         if find_claw(g) is None and find_net(g) is None:
             return g
     raise MWSSError("rejection generator exhausted its attempt budget")

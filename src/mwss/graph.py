@@ -8,32 +8,31 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphInputError
-
-NodeSet = tuple  # sorted tuple of node ids; the package-wide carrier for node sets
 
 
 class Graph:
     """Simple undirected graph with exact, unbounded integer node weights.
 
-    Adjacency is held both as sorted tuples (deterministic iteration) and
-    as frozensets (constant-time membership).  No self-loops, no parallel
-    edges.
+    Adjacency is held once, as one sorted tuple of neighbors per node
+    (the rows), with no per-node or per-edge set.  ``has_edge`` bisects a
+    row in O(log deg); code testing membership in one neighborhood many
+    times builds a set from that row.  No self-loops, no parallel edges.
     """
 
-    __slots__ = ("n", "m", "weights", "_nbrs", "_sets")
+    __slots__ = ("n", "m", "weights", "_nbrs")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]] = (),
         weights: Sequence[int] | None = None,
-        _trusted: bool = False,
     ):
         if n < 0:
             raise GraphInputError("node count must be non-negative")
@@ -44,31 +43,20 @@ class Graph:
             if len(weights) != n:
                 raise GraphInputError(f"expected {n} weights, got {len(weights)}")
         lists: list[list[int]] = [[] for _ in range(n)]
-        m = 0
-        if _trusted:
-            for u, v in edges:
-                lists[u].append(v)
-                lists[v].append(u)
-                m += 1
-        else:
-            seen = set()
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise GraphInputError(f"self-loop at node {u}")
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    raise GraphInputError(f"duplicate edge ({u}, {v})")
-                seen.add(key)
-                lists[u].append(v)
-                lists[v].append(u)
-                m += 1
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise GraphInputError(f"self-loop at node {u}")
+            lists[u].append(v)
+            lists[v].append(u)
+        duplicate = sort_rows(lists)
+        if duplicate is not None:
+            raise GraphInputError("duplicate edge (%d, %d)" % duplicate)
         self.n = n
-        self.m = m
+        self.m = sum(map(len, lists)) // 2
         self.weights = weights
-        self._nbrs = tuple(tuple(sorted(row)) for row in lists)
-        self._sets = tuple(frozenset(row) for row in self._nbrs)
+        self._nbrs = tuple(map(tuple, lists))
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[int, ...]], weights: Iterable[int]) -> Graph:
@@ -82,7 +70,6 @@ class Graph:
         g.n = len(g._nbrs)
         g.m = sum(map(len, g._nbrs)) // 2
         g.weights = tuple(weights)
-        g._sets = tuple(map(frozenset, g._nbrs))
         return g
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -90,11 +77,13 @@ class Graph:
         return self._nbrs[v]
 
     def adj(self, v: int) -> frozenset:
-        """Open neighborhood of ``v`` as a frozenset."""
-        return self._sets[v]
+        """Open neighborhood of ``v`` as a frozenset, built on each call."""
+        return frozenset(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        row = self._nbrs[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def degree(self, v: int) -> int:
         return len(self._nbrs[v])
@@ -111,20 +100,31 @@ class Graph:
         return sum(w[v] for v in nodes)
 
     def is_stable(self, nodes: Iterable[int]) -> bool:
+        """No two of ``nodes`` adjacent and none repeated."""
         nodes = list(nodes)
-        node_set = set(nodes)
-        if len(node_set) != len(nodes):
-            return False
-        return all(not (self._sets[v] & node_set) for v in nodes)
+        mark = bytearray(self.n)
+        for v in nodes:
+            if mark[v]:
+                return False
+            mark[v] = 1
+        rows = map(self._nbrs.__getitem__, nodes)
+        return not any(map(mark.__getitem__, chain.from_iterable(rows)))
+
+    def non_edge(self, nodes: Iterable[int]) -> tuple[int, int] | None:
+        """The first pair of ``nodes``, in their order, that is not an edge
+        (a repeated node included), or None for a clique."""
+        nodes = list(nodes)
+        members = set(nodes)
+        others = len(nodes) - 1
+        if len(members) == len(nodes) and all(
+            len(members.intersection(self._nbrs[u])) == others for u in nodes
+        ):
+            return None
+        pairs = ((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :])
+        return next((p for p in pairs if not self.has_edge(*p)), None)
 
     def is_clique(self, nodes: Iterable[int]) -> bool:
-        nodes = list(nodes)
-        for i, u in enumerate(nodes):
-            au = self._sets[u]
-            for v in nodes[i + 1 :]:
-                if v not in au:
-                    return False
-        return True
+        return self.non_edge(nodes) is None
 
     def __eq__(self, other):
         return (
@@ -141,6 +141,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def sort_rows(lists: list[list[int]]) -> tuple[int, int] | None:
+    """Sort each adjacency list in place.  A parallel edge shows up as two
+    equal neighbors in a sorted list; returns the first one, (u, v), or None."""
+    for u, row in enumerate(lists):
+        row.sort()
+        if len(set(row)) != len(row):
+            return u, next(a for a, b in zip(row, row[1:]) if a == b)
+    return None
+
+
 def _check_subset(g: Graph, nodes: Iterable[int]) -> list[int]:
     out = []
     for v in nodes:
@@ -155,17 +165,14 @@ def neighborhood(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     inside = set(_check_subset(g, nodes))
     out: set[int] = set()
     for v in inside:
-        out.update(g._sets[v])
+        out.update(g._nbrs[v])
     return tuple(sorted(out - inside))
 
 
 def closed_neighborhood(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     """N[W] = N(W) ∪ W."""
-    inside = set(_check_subset(g, nodes))
-    out = set(inside)
-    for v in inside:
-        out.update(g._sets[v])
-    return tuple(sorted(out))
+    nodes = _check_subset(g, nodes)
+    return tuple(sorted(set(neighborhood(g, nodes)).union(nodes)))
 
 
 @dataclass(frozen=True)
@@ -342,29 +349,23 @@ def _twin_classes(g: Graph, alive, live, keys, closed: bool) -> list[list[int]]:
     for v, k in zip(live, keys):
         if counts[k] > 1:
             groups.setdefault(k, []).append(v)
-    sets = g._sets
+    nbrs = g._nbrs
     is_alive = alive.__getitem__
 
-    def twins(u: int, v: int) -> bool:
-        # The neighborhoods may differ only in removed nodes.
-        differ = sets[u] ^ sets[v]
+    def live_row(v: int) -> tuple[int, ...]:
+        # Removed nodes no longer count as neighbors; a closed neighborhood
+        # also holds the node itself.
+        row = list(filter(is_alive, nbrs[v]))
         if closed:
-            if v not in sets[u]:
-                return False
-            differ -= {u, v}
-        return not any(map(is_alive, differ))
+            insort(row, v)
+        return tuple(row)
 
     classes = []
     for members in groups.values():
-        split: list[list[int]] = []
+        split: dict[tuple[int, ...], list[int]] = {}
         for v in members:
-            for c in split:
-                if twins(c[0], v):
-                    c.append(v)
-                    break
-            else:
-                split.append([v])
-        classes.extend(c for c in split if len(c) > 1)
+            split.setdefault(live_row(v), []).append(v)
+        classes.extend(c for c in split.values() if len(c) > 1)
     classes.sort()
     return classes
 
@@ -408,7 +409,7 @@ def is_regular_node(g: Graph, v: int) -> RegularityResult:
         queue = deque([seed])
         while queue:
             u = queue.popleft()
-            au = g._sets[u]
+            au = set(g._nbrs[u])
             for x in nb:
                 if x == u or x in au:
                     continue  # complement edges are the non-adjacent pairs
@@ -428,11 +429,10 @@ def is_regular_node(g: Graph, v: int) -> RegularityResult:
 
 
 def _extend_clique(g: Graph, base: list[int], candidates: list[int]) -> tuple[int, ...]:
-    clique = list(base)
+    clique = set(base)
     for u in candidates:
-        au = g._sets[u]
-        if all(x in au for x in clique):
-            clique.append(u)
+        if len(clique.intersection(g._nbrs[u])) == len(clique):
+            clique.add(u)
     return tuple(sorted(clique))
 
 

@@ -14,7 +14,7 @@ for weights other than 1, so parse(serialize(g)) round-trips exactly.
 from __future__ import annotations
 
 from .errors import GraphParseError
-from .graph import Graph
+from .graph import Graph, sort_rows
 
 
 def parse_graph(text: str) -> Graph:
@@ -22,11 +22,10 @@ def parse_graph(text: str) -> Graph:
     m_declared = None
     weights: list[int] = []
     weight_seen: set[int] = set()
-    # Rows are filled as edges arrive, and a duplicate is found by an int
-    # key, so a large file leaves neither an edge list nor a set of tuples
-    # for the collector to walk on each full pass.
+    # Rows are filled as edges arrive and duplicates are found in the sorted
+    # rows, so a large file leaves no edge list and no set of edge keys.
     rows: list[list[int]] = []
-    edge_seen: set[int] = set()
+    m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -77,21 +76,20 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"edge ({u}, {v}) out of range 1..{n}", line_no)
             if u == v:
                 raise GraphParseError(f"self-loop at node {u}", line_no)
-            key = u * (n + 1) + v if u < v else v * (n + 1) + u
-            if key in edge_seen:
-                raise GraphParseError(f"duplicate edge ({u}, {v})", line_no)
-            edge_seen.add(key)
             rows[u - 1].append(v - 1)
             rows[v - 1].append(u - 1)
+            m += 1
         else:
             raise GraphParseError(f"unknown line type {kind!r}", line_no)
     if n is None:
         raise GraphParseError("missing problem line")
-    if m_declared != len(edge_seen):
-        raise GraphParseError(
-            f"problem line declares {m_declared} edges, found {len(edge_seen)}"
-        )
-    return Graph._from_rows([tuple(sorted(row)) for row in rows], weights)
+    if m_declared != m:
+        raise GraphParseError(f"problem line declares {m_declared} edges, found {m}")
+    duplicate = sort_rows(rows)
+    if duplicate is not None:
+        u, v = duplicate
+        raise GraphParseError(f"duplicate edge ({u + 1}, {v + 1})")
+    return Graph._from_rows(map(tuple, rows), weights)
 
 
 def serialize_graph(g: Graph, comments=()) -> str:

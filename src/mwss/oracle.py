@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .errors import OracleSizeError
 from .graph import Graph
+from .patterns import row_sets
 
 DEFAULT_ORACLE_LIMIT = 64
 
@@ -29,7 +30,7 @@ def oracle_mwss(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, tuple
     best_value = 0
     best_set: tuple[int, ...] = ()
 
-    adj = g._sets
+    adj = row_sets(g)
 
     def cover_bound(nodes: frozenset) -> int:
         # Greedy clique cover; the max weight per clique bounds any stable set.

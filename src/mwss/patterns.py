@@ -9,12 +9,20 @@ node-id enumeration, so test expectations are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import GraphInputError
 from .graph import Graph
 
 S3MINUS_EDGES = ((0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5))
+# Edges of each pattern over the positions of its witness tuple, i < j.
+PATTERN_EDGES = {
+    "claw": frozenset({(0, 1), (0, 2), (0, 3)}),
+    "net": frozenset({(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)}),
+    "square": frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}),
+    "s3minus": frozenset(S3MINUS_EDGES),
+}
 
 
 @dataclass(frozen=True)
@@ -33,46 +41,26 @@ class PatternWitness:
 
 def validate_witness(g: Graph, w: PatternWitness) -> bool:
     """Re-check that the witness induces exactly the claimed pattern."""
+    pattern = PATTERN_EDGES.get(w.kind)
+    if pattern is None:
+        raise GraphInputError(f"unknown pattern kind {w.kind!r}")
     nodes = w.nodes
-    if len(set(nodes)) != len(nodes):
+    if len(set(nodes)) != 1 + max(j for _, j in pattern):
         return False
-    if w.kind == "claw":
-        c, x, y, z = nodes
-        return (
-            g.has_edge(c, x) and g.has_edge(c, y) and g.has_edge(c, z)
-            and not g.has_edge(x, y) and not g.has_edge(x, z) and not g.has_edge(y, z)
-        )
-    if w.kind == "net":
-        x, y, z, px, py, pz = nodes
-        tri = g.has_edge(x, y) and g.has_edge(y, z) and g.has_edge(x, z)
-        pend = (
-            g.has_edge(x, px) and g.has_edge(y, py) and g.has_edge(z, pz)
-            and not g.has_edge(px, y) and not g.has_edge(px, z)
-            and not g.has_edge(py, x) and not g.has_edge(py, z)
-            and not g.has_edge(pz, x) and not g.has_edge(pz, y)
-            and not g.has_edge(px, py) and not g.has_edge(px, pz)
-            and not g.has_edge(py, pz)
-        )
-        return tri and pend
-    if w.kind == "square":
-        a, b, c, d = nodes
-        return (
-            g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
-            and g.has_edge(d, a) and not g.has_edge(a, c) and not g.has_edge(b, d)
-        )
-    if w.kind == "s3minus":
-        present = {tuple(sorted((nodes[i], nodes[j]))) for i, j in S3MINUS_EDGES}
-        for i in range(6):
-            for j in range(i + 1, 6):
-                e = tuple(sorted((nodes[i], nodes[j])))
-                if (e in present) != g.has_edge(*e):
-                    return False
-        return True
-    raise GraphInputError(f"unknown pattern kind {w.kind!r}")
+    return all(
+        g.has_edge(nodes[i], nodes[j]) == ((i, j) in pattern)
+        for i, j in combinations(range(len(nodes)), 2)
+    )
+
+
+def row_sets(g: Graph) -> tuple[frozenset, ...]:
+    """Every node's open neighborhood as a set, for a whole-graph scan."""
+    return tuple(map(frozenset, map(g.neighbors, range(g.n))))
 
 
 def find_claw(g: Graph) -> PatternWitness | None:
     """First induced claw, scanning centers then leaf triples ascending."""
+    adj = row_sets(g)
     for c in range(g.n):
         nb = g.neighbors(c)
         k = len(nb)
@@ -80,12 +68,12 @@ def find_claw(g: Graph) -> PatternWitness | None:
             continue
         for i in range(k - 2):
             x = nb[i]
-            ax = g.adj(x)
+            ax = adj[x]
             for j in range(i + 1, k - 1):
                 y = nb[j]
                 if y in ax:
                     continue
-                ay = g.adj(y)
+                ay = adj[y]
                 for t in range(j + 1, k):
                     z = nb[t]
                     if z not in ax and z not in ay:
@@ -93,13 +81,13 @@ def find_claw(g: Graph) -> PatternWitness | None:
     return None
 
 
-def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
+def _triangles(g: Graph, adj) -> Iterator[tuple[int, int, int]]:
     for x in range(g.n):
-        ax = g.adj(x)
+        ax = adj[x]
         for y in g.neighbors(x):
             if y <= x:
                 continue
-            common = ax & g.adj(y)
+            common = ax & adj[y]
             for z in sorted(common):
                 if z > y:
                     yield (x, y, z)
@@ -107,9 +95,10 @@ def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
 
 def find_net(g: Graph) -> PatternWitness | None:
     """First induced net: a triangle plus three independent pendants."""
-    for x, y, z in _triangles(g):
+    adj = row_sets(g)
+    for x, y, z in _triangles(g, adj):
         tri = (x, y, z)
-        others = [set(g.adj(a)) for a in tri]
+        others = [adj[a] for a in tri]
         pendants = []
         for i, a in enumerate(tri):
             banned = set(tri)
@@ -121,11 +110,11 @@ def find_net(g: Graph) -> PatternWitness | None:
         if not (px and py and pz):
             continue
         for ux in px:
-            aux = g.adj(ux)
+            aux = adj[ux]
             for uy in py:
                 if uy == ux or uy in aux:
                     continue
-                auy = g.adj(uy)
+                auy = adj[uy]
                 for uz in pz:
                     if uz in (ux, uy) or uz in aux or uz in auy:
                         continue
@@ -147,10 +136,11 @@ def iter_squares_in(g: Graph, a, b) -> Iterator[PatternWitness]:
     """All induced squares with two nodes in clique ``a`` and two in ``b``."""
     a, b = _check_clique_pair(g, a, b)
     bset = set(b)
+    into_b = [bset.intersection(g.neighbors(v)) for v in a]
     for i, a1 in enumerate(a):
-        n1 = g.adj(a1) & bset
-        for a2 in a[i + 1 :]:
-            n2 = g.adj(a2) & bset
+        n1 = into_b[i]
+        for j in range(i + 1, len(a)):
+            a2, n2 = a[j], into_b[j]
             only1 = sorted(n1 - n2)
             only2 = sorted(n2 - n1)
             for b1 in only1:
@@ -178,11 +168,11 @@ def semi_homogeneous_violation(g: Graph, x, y) -> int | None:
     both = xs | ys
     candidates: set[int] = set()
     for v in both:
-        candidates.update(g.adj(v))
+        candidates.update(g.neighbors(v))
     for u in sorted(candidates - both):
-        au = g.adj(u)
-        hit_x = len(au & xs)
-        hit_y = len(au & ys)
+        nb = g.neighbors(u)
+        hit_x = len(xs.intersection(nb))
+        hit_y = len(ys.intersection(nb))
         if hit_x == len(xs) or hit_y == len(ys):
             continue
         if hit_x == 0 and hit_y == 0:
@@ -215,6 +205,6 @@ def brandstadt_check(g: Graph, h: PatternWitness) -> int | None:
     for u in range(g.n):
         if u in members:
             continue
-        if len(g.adj(u) & members) < 2:
+        if len(members.intersection(g.neighbors(u))) < 2:
             return u
     return None

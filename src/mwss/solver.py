@@ -11,7 +11,9 @@ avoiding N[v].  Witness sets are lifted back through the twin log.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .canonical import CanonicalState, canonicalize, greedy_members
 from .decomposition import Decomposition, decompose
@@ -51,14 +53,19 @@ class PipelineDetail:
 
 def _non_neighbour_bits(g: Graph, order) -> list[int]:
     """Per node v, the nodes not adjacent to v (v excluded) as an int whose
-    bit i stands for ``order[i]``."""
-    bit = [0] * g.n
+    bit i stands for ``order[i]``, parsed from a string of binary digits."""
+    n = g.n
+    place = [0] * n  # digit index of each node's bit
     for i, v in enumerate(order):
-        bit[v] = 1 << i
-    full = (1 << g.n) - 1
-    return [
-        full ^ bit[v] ^ sum(bit[u] for u in g.neighbors(v)) for v in range(g.n)
-    ]
+        place[v] = n - 1 - i
+    out = []
+    for v in range(n):
+        digits = bytearray(b"1") * n
+        digits[place[v]] = 48  # ord("0")
+        for u in g.neighbors(v):
+            digits[place[u]] = 48
+        out.append(int(digits, 2))
+    return out
 
 
 def find_stable4(g: Graph) -> tuple[int, ...] | None:
@@ -102,6 +109,8 @@ def smallest_stable4(g: Graph) -> tuple[int, ...] | None:
 def alpha3_fallback(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact optimum when alpha(G) <= 3: scan sets of size 0, 1, 2, 3.
 
+    Only non-edges (u, v) are walked, u ascending and then v ascending;
+    a node adjacent to every later node is skipped at once.
     Non-neighbourhood bits are ranked by descending weight, lower id first
     on ties, so the best third node for a non-edge (u, v) is the lowest
     set bit of the two non-neighbourhoods' intersection.
@@ -109,17 +118,22 @@ def alpha3_fallback(g: Graph) -> tuple[int, tuple[int, ...]]:
     best = 0
     best_set: tuple[int, ...] = ()
     w = g.weights
-    for v in range(g.n):
+    n = g.n
+    for v in range(n):
         if w[v] > best:
             best, best_set = w[v], (v,)
-    order = sorted(range(g.n), key=lambda t: (-w[t], t))
+    order = sorted(range(n), key=lambda t: (-w[t], t))
     nn = _non_neighbour_bits(g, order)
-    for u in range(g.n):
-        au = g.adj(u)
+    for u in range(n):
+        row = g.neighbors(u)
+        above = row[bisect_right(row, u) :]
+        if len(above) == n - 1 - u:
+            continue  # u sees every later node
+        unseen = bytearray(b"\x01") * n
+        for x in above:
+            unseen[x] = 0
         nn_u = nn[u]
-        for v in range(u + 1, g.n):
-            if v in au:
-                continue
+        for v in compress(range(u + 1, n), unseen[u + 1 :]):
             pair = w[u] + w[v]
             if pair > best:
                 best, best_set = pair, (u, v)
@@ -153,7 +167,7 @@ def solve_component(
         )
     for v in removal:
         # v lies in X, outside the order, so excluding N(v) excludes N[v].
-        value, nodes = mwss_on_order(co, g.weights, g.adj(v))
+        value, nodes = mwss_on_order(co, g.weights, set(g.neighbors(v)))
         value += g.weights[v]
         nodes = tuple(sorted(nodes + (v,)))
         if collect:

@@ -29,8 +29,9 @@ class EliminationState:
         self.adj = adj
         self.weights = weights
         self.limit = 3 * len(ki) + MAX_STAGE_SLACK
-        self.a = {u for u in ki if adj[u] & set(kj)}
-        self.b = {v for v in kj if adj[v] & set(ki)}
+        ki_set, kj_set = set(ki), set(kj)
+        self.a = {u for u in ki if not adj[u].isdisjoint(kj_set)}
+        self.b = {v for v in kj if not adj[v].isdisjoint(ki_set)}
         self.d = {u: len(adj[u] & self.b) for u in self.a}
         for v in self.b:
             self.d[v] = len(adj[v] & self.a)
@@ -127,7 +128,7 @@ def interval_transform(g: Graph, strips) -> IntervalResult:
     """
     families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
-    adj = {v: set(g.adj(v)) for k in cliques for v in k}
+    adj = {v: set(g.neighbors(v)) for k in cliques for v in k}
     for x in range(g.n):
         if x not in adj:
             for u in g.neighbors(x):

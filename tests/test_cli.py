@@ -44,6 +44,10 @@ class TestParse:
         with pytest.raises(GraphParseError):
             parse_graph("p mwss 2 2\ne 1 2\ne 2 1\n")
 
+    def test_duplicate_edge_in_same_orientation_named(self):
+        with pytest.raises(GraphParseError, match=r"duplicate edge \(1, 2\)"):
+            parse_graph("p mwss 3 3\ne 1 2\ne 2 3\ne 1 2\n")
+
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphParseError):
             parse_graph("p mwss 2 1\ne 1 3\n")
@@ -171,6 +175,7 @@ class TestOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["rows"][0]["n"] == 1000
+        assert payload["rows"][0]["median_build_seconds"] > 0
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_bench_rejects_repeats_below_one(self, capsys, repeats):

@@ -53,11 +53,75 @@ class TestConstruction:
         with pytest.raises(GraphInputError):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_id(self):
+        # a negative id must not wrap around to the last row
+        with pytest.raises(GraphInputError):
+            Graph(3, [(-1, 0)])
+        with pytest.raises(GraphInputError):
+            Graph(3, [(0, -3)])
+
+    def test_rejects_duplicate_in_same_orientation(self):
+        with pytest.raises(GraphInputError, match=r"duplicate edge \(0, 1\)"):
+            Graph(3, [(0, 1), (0, 1)])
+
+    def test_rejects_duplicate_among_many_edges(self):
+        rng = random.Random(7)
+        edges = [(u, v) for u in range(60) for v in range(u + 1, 60) if rng.random() < 0.4]
+        rng.shuffle(edges)
+        assert Graph(60, edges).m == len(edges)
+        u, v = edges[len(edges) // 3]
+        edges.insert(2 * len(edges) // 3, (v, u))
+        with pytest.raises(GraphInputError, match=rf"duplicate edge \({min(u, v)}, {max(u, v)}\)"):
+            Graph(60, edges)
+
+    def test_is_stable_on_repeated_node(self):
+        g = Graph(3, [(0, 1)])
+        assert g.is_stable([0, 2])
+        assert not g.is_stable([2, 2])
+        assert not g.is_stable([0, 2, 0])
+
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 3)])
         assert g.neighbors(0) == (2, 3)
         for u, v in g.edges():
             assert g.has_edge(v, u)
+
+
+class TestRowsMatchEdgeSet:
+    def test_queries_on_random_graphs(self):
+        rng = random.Random(43)
+        for trial in range(200):
+            n = rng.randint(0, 20)
+            p = rng.random()
+            edges = [
+                (u, v) if rng.random() < 0.5 else (v, u)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < p
+            ]
+            rng.shuffle(edges)
+            g = Graph(n, edges)
+            ref = {frozenset(e) for e in edges}
+
+            def edge(a, b):
+                return frozenset((a, b)) in ref
+
+            for u in range(n):
+                assert g.adj(u) == {v for v in range(n) if edge(u, v)}
+                assert all(g.has_edge(u, v) == edge(u, v) for v in range(n))
+            for _ in range(10):
+                nodes = [rng.randrange(n) for _ in range(rng.randint(0, 5))] if n else []
+                distinct = len(set(nodes)) == len(nodes)
+                pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+                assert g.is_stable(nodes) == (distinct and not any(edge(a, b) for a, b in pairs))
+                assert g.is_clique(nodes) == (distinct and all(edge(a, b) for a, b in pairs))
+                assert g.non_edge(nodes) == next(
+                    ((a, b) for a, b in pairs if not edge(a, b)), None
+                )
+                inside = set(nodes)
+                assert neighborhood(g, nodes) == tuple(
+                    v for v in range(n) if v not in inside and any(edge(v, a) for a in inside)
+                )
 
 
 class TestNeighborhood:

@@ -56,3 +56,22 @@ def test_solver_modules_import_no_check_code():
         for name in SOLVER_MODULES
     }
     assert found == {name: [] for name in SOLVER_MODULES}
+
+
+def test_solver_modules_read_adjacency_rows_only():
+    # the sorted rows are the only adjacency a Graph holds; membership sets
+    # are built per call from single rows, never cached for the whole graph
+    root = Path(mwss.__file__).parent
+    found = []
+    for name in SOLVER_MODULES:
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_sets":
+                found.append(f"{name}:{node.lineno} _sets")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "adj"
+            ):
+                found.append(f"{name}:{node.lineno} .adj(")
+    assert found == []
+    assert mwss.Graph.__slots__ == ("n", "m", "weights", "_nbrs")

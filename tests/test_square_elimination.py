@@ -214,7 +214,6 @@ class TestStageBoundaryInvariant:
                             [(nodes.index(u), nodes.index(v))
                              for u in nodes for v in adj[u] if u < v],
                             [g.weights[v] for v in nodes],
-                            _trusted=True,
                         )
                         la = [nodes.index(v) for v in live_a]
                         lb = [nodes.index(v) for v in live_b]
