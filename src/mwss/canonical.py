@@ -39,7 +39,7 @@ class CanonicalState:
                 raise GraphInputError(f"node id {v} out of range")
         count = [0] * graph.n
         for s in members:
-            for u in graph.neighbors(s):
+            for u in graph._nbrs[s]:
                 if u in members:
                     raise GraphInputError(f"set is not stable: edge ({s}, {u})")
                 count[u] += 1
@@ -58,6 +58,21 @@ class CanonicalState:
         self.graph = graph
         self.members = members
         self._count = tuple(count)
+
+    @classmethod
+    def _from_counts(cls, graph: Graph, members, count) -> CanonicalState:
+        """The state of a stable set ``members`` whose stable-neighbor
+        counts ``count`` the caller already holds.  Stability is the
+        caller's to guarantee; a node with three or more stable neighbors,
+        or a non-member with none, is reported as the constructor would."""
+        members = frozenset(members)
+        if max(count, default=0) >= 3 or count.count(0) != len(members):
+            return cls(graph, members)
+        st = cls.__new__(cls)
+        st.graph = graph
+        st.members = members
+        st._count = tuple(count)
+        return st
 
     @property
     def stable_set(self) -> tuple[int, ...]:
@@ -103,16 +118,17 @@ class CanonicalizeStats:
 def greedy_members(g: Graph, seed: tuple[int, ...] = ()) -> list[int]:
     """Ascending greedy maximal stable set extending the stable set
     ``seed``: after the seed, take each node no member sees."""
+    nbrs = g._nbrs
     blocked = bytearray(g.n)
     members = list(seed)
     for s in members:
         blocked[s] = 1
-        for u in g.neighbors(s):
+        for u in nbrs[s]:
             blocked[u] = 1
     for v in range(g.n):
         if not blocked[v]:
             members.append(v)
-            for u in g.neighbors(v):
+            for u in nbrs[v]:
                 blocked[u] = 1
     return members
 
@@ -207,4 +223,4 @@ def canonicalize(
         shift(best, +1)
         stats.alternations += 1
 
-    return CanonicalState(g, members), stats
+    return CanonicalState._from_counts(g, members, count), stats

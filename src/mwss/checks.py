@@ -101,11 +101,21 @@ def verify_consistent(gbar: Graph, co: ConsistentOrder) -> tuple[int, int, int] 
 
 
 def transformed_graph(g: Graph, interval) -> Graph:
-    """The overlay of ``interval_transform`` as a graph in ``g``'s ids:
-    the strips with their added diagonals, and the removal clique's
-    nodes left isolated."""
-    rows = [tuple(sorted(interval.adj.get(v, ()))) for v in range(g.n)]
-    return Graph._from_rows(rows, g.weights)
+    """The graph ``interval_transform`` leaves, built from ``g``'s rows:
+    the strips with their added diagonals, and the removal clique's nodes
+    left isolated."""
+    inside = bytearray(g.n)
+    for clique in interval.cliques:
+        for v in clique:
+            inside[v] = 1
+    rows = [
+        set(filter(inside.__getitem__, g.neighbors(v))) if inside[v] else set()
+        for v in range(g.n)
+    ]
+    for u, v in interval.added_edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    return Graph._from_rows([tuple(sorted(row)) for row in rows], g.weights)
 
 
 def interval_violation(g: Graph, interval, order: ConsistentOrder) -> tuple | None:

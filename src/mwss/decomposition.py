@@ -5,12 +5,13 @@ path or cycle s1...st.  A maximal clique anchored at s2 or s3 (chosen by
 which of four wing-cover intersections is empty) is bisimplicial: its
 neighborhood splits into cliques X and Y.  Removing X leaves at most two
 clique-strips, built here as BFS layers away from X and Y in G - Q, or as
-(Q, Y, V - N[Q]) in the dominating case.
+(Q, Y, V - N[Q]) in the dominating case.  That the strips partition
+V - X and touch only between consecutive cliques is checked where their
+overlay is built, in ``interval_transform``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .canonical import CanonicalState
@@ -148,34 +149,38 @@ def classify_q(
     return x, y, "dominating" if dominating else "strongly_bisimplicial"
 
 
-def _bfs_layers(g: Graph, sources, removed: set) -> list[tuple[int, ...]]:
-    dist = {}
-    queue = deque()
-    for s in sources:
+def _clique_layers(g: Graph, sources, removed, label: str) -> list[tuple[int, ...]]:
+    """Layers of a breadth-first search from ``sources`` that never enters
+    ``removed`` (sources excepted), each sorted, and each required to be a
+    clique: every node of a layer sees the rest of it."""
+    nbrs = g._nbrs
+    dist = [-1] * g.n
+    for v in removed:
+        dist[v] = -2
+    frontier = list(dict.fromkeys(sources))
+    for s in frontier:
         dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v in removed or v in dist:
-                continue
-            dist[v] = dist[u] + 1
-            queue.append(v)
-    if not dist:
-        return []
-    layers: list[list[int]] = [[] for _ in range(max(dist.values()) + 1)]
-    for v, d in dist.items():
-        layers[d].append(v)
-    return [tuple(sorted(layer)) for layer in layers]
-
-
-def _require_clique_layers(g: Graph, layers, label: str):
-    for layer in layers:
-        bad = g.non_edge(layer)
-        if bad is not None:
-            raise StructuralError(
-                "non_clique_layer", bad, f"{label} layer is not a clique"
-            )
+    layers = []
+    d = 0
+    while frontier:
+        layer = tuple(sorted(frontier))
+        layers.append(layer)
+        frontier = []
+        for u in layer:
+            same = 0
+            for v in nbrs[u]:
+                dv = dist[v]
+                if dv == -1:
+                    dist[v] = d + 1
+                    frontier.append(v)
+                elif dv == d:
+                    same += 1
+            if same != len(layer) - 1:
+                raise StructuralError(
+                    "non_clique_layer", g.non_edge(layer), f"{label} layer is not a clique"
+                )
+        d += 1
+    return layers
 
 
 def build_strips(
@@ -204,9 +209,7 @@ def build_strips(
         family = [q, y] + ([p] if p else [])
         strips = [CliqueStrip(tuple(family))]
     else:
-        removed = set(q)
-        x_layers = _bfs_layers(g, x, removed)
-        _require_clique_layers(g, x_layers, "X")
+        x_layers = _clique_layers(g, x, q, "X")
         if not y:
             strips = [CliqueStrip((q,))]
             if len(x_layers) > 1:
@@ -217,8 +220,7 @@ def build_strips(
                 x_nodes.update(layer)
             if y[0] in x_nodes:
                 # One shared component: X sits inside the last two Y layers.
-                y_layers = _bfs_layers(g, y, removed)
-                _require_clique_layers(g, y_layers, "Y")
+                y_layers = _clique_layers(g, y, q, "Y")
                 last = len(y_layers) - 1
                 xs = set(x)
                 allowed = set(y_layers[last]) | (set(y_layers[last - 1]) if last >= 1 else set())
@@ -240,47 +242,11 @@ def build_strips(
                 family = [k for k in family if k]
                 strips = [CliqueStrip(tuple(family))]
             else:
-                y_layers = _bfs_layers(g, y, removed)
-                _require_clique_layers(g, y_layers, "Y")
+                y_layers = _clique_layers(g, y, q, "Y")
                 strips = [CliqueStrip(tuple([q] + y_layers))]
                 if len(x_layers) > 1:
                     strips.append(CliqueStrip(tuple(x_layers[1:])))
-    dec = Decomposition(
-        q, x, y, kind, anchor, tuple(strips), wg.order, covers
-    )
-    _validate_cover(g, dec)
-    return dec
-
-
-def _validate_cover(g: Graph, dec: Decomposition):
-    """Strips must partition V minus X, pairwise null, consecutive-only."""
-    seen: dict[int, tuple[int, int]] = {}
-    for si, strip in enumerate(dec.strips):
-        for ki, clique in enumerate(strip.cliques):
-            for v in clique:
-                if v in seen:
-                    raise StructuralError("strip_cover", (v,), "node in two cliques")
-                seen[v] = (si, ki)
-    expected = set(range(g.n)) - set(dec.removal)
-    if set(seen) != expected:
-        missing = tuple(sorted(expected - set(seen)))[:4]
-        extra = tuple(sorted(set(seen) - expected))[:4]
-        raise StructuralError(
-            "strip_cover", missing + extra, "strips do not cover V minus X exactly"
-        )
-    for v, (si, ki) in seen.items():
-        for u in g.neighbors(v):
-            if u not in seen:
-                continue  # a removal-clique node
-            sj, kj = seen[u]
-            if si != sj:
-                raise StructuralError(
-                    "strip_adjacent", (v, u), "edge between different strips"
-                )
-            if abs(ki - kj) > 1:
-                raise StructuralError(
-                    "strip_adjacent", (v, u), "edge skips a strip layer"
-                )
+    return Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order, covers)
 
 
 def decompose(g: Graph, st: CanonicalState) -> Decomposition:

@@ -72,21 +72,32 @@ class Graph:
         g.weights = tuple(weights)
         return g
 
+    def _bad_id(self, v) -> GraphInputError:
+        return GraphInputError(f"node id {v} out of range for n={self.n}")
+
+    def _check_ids(self, nodes: Sequence[int]):
+        if nodes and not (0 <= min(nodes) and max(nodes) < self.n):
+            raise self._bad_id(next(v for v in nodes if not 0 <= v < self.n))
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted open neighborhood of ``v``."""
-        return self._nbrs[v]
+        if 0 <= v < self.n:
+            return self._nbrs[v]
+        raise self._bad_id(v)
 
     def adj(self, v: int) -> frozenset:
         """Open neighborhood of ``v`` as a frozenset, built on each call."""
-        return frozenset(self._nbrs[v])
+        return frozenset(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self._nbrs[u]
+        row = self.neighbors(u)
+        if not 0 <= v < self.n:
+            raise self._bad_id(v)
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return len(self.neighbors(v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
@@ -102,6 +113,7 @@ class Graph:
     def is_stable(self, nodes: Iterable[int]) -> bool:
         """No two of ``nodes`` adjacent and none repeated."""
         nodes = list(nodes)
+        self._check_ids(nodes)
         mark = bytearray(self.n)
         for v in nodes:
             if mark[v]:
@@ -114,6 +126,7 @@ class Graph:
         """The first pair of ``nodes``, in their order, that is not an edge
         (a repeated node included), or None for a clique."""
         nodes = list(nodes)
+        self._check_ids(nodes)
         members = set(nodes)
         others = len(nodes) - 1
         if len(members) == len(nodes) and all(

@@ -20,37 +20,46 @@ from .errors import GraphInputError, StructuralError
 class ConsistentOrder:
     """Node order, inverse positions, and per-node prefix pointers.
 
-    ``pos`` maps each node to its position.  ``prefix[k]`` is the last
-    position whose node may be combined with the node at position k: one
-    less than the position of its earliest earlier neighbor, or k-1 when
-    it has none.
+    ``pos[v]`` is the position of node v; it is a list indexed by node
+    id, and reads -1 for ids outside the order.  ``prefix[k]`` is the
+    last position whose node may be combined with the node at position k:
+    one less than the position of its earliest earlier neighbor, or k-1
+    when it has none.
     """
 
     order: tuple[int, ...]
-    pos: dict
+    pos: list
     prefix: tuple[int, ...]
 
 
 def consistent_order(adj: dict, cliques) -> ConsistentOrder:
     """Order the nodes of ``adj`` by clique, then by reach into the next clique.
 
-    ``adj`` maps each node to its neighbor set; ``cliques`` must partition
-    its nodes.  Cliques of several strips may follow each other: strips
-    do not touch, so at a strip boundary every reach is empty and no
-    prefix pointer crosses it.  Verifies the nesting that square-freeness
+    ``adj`` maps each node to its neighbor set, or at least to its
+    neighbors in the cliques before and after its own, as
+    ``interval_transform`` keeps them; ``cliques`` must partition its
+    nodes.  Cliques of several strips may follow each other: strips do
+    not touch, so at a strip boundary every reach is empty and no prefix
+    pointer crosses it.  Verifies the nesting that square-freeness
     promises; a violation is reported as the induced square it implies.
+
+    Nested reaches make the neighbors of a node in the previous clique a
+    suffix of that clique's order, so its earliest earlier neighbor is
+    found by counting them: it sits that many places before the node's
+    own clique starts.
     """
     cliques = [tuple(k) for k in cliques]
     members = [v for k in cliques for v in k]
     if len(members) != len(adj) or set(members) != adj.keys():
         raise GraphInputError("cliques do not partition the strip graph")
     order: list[int] = []
+    prefix: list[int] = []
+    before: tuple[int, ...] = ()  # the previous clique
     for t, clique in enumerate(cliques):
         nxt = set(cliques[t + 1]) if t + 1 < len(cliques) else set()
-        ranked = sorted(clique, key=lambda v: (len(adj[v] & nxt), v))
-        for prev, cur in zip(ranked, ranked[1:]):
-            reach_prev = adj[prev] & nxt
-            reach_cur = adj[cur] & nxt
+        reach = [nxt.intersection(adj[v]) for v in clique]
+        ranked = sorted(zip(map(len, reach), clique, reach))
+        for (_, prev, reach_prev), (_, cur, reach_cur) in zip(ranked, ranked[1:]):
             if not reach_prev <= reach_cur:
                 b1 = min(reach_prev - reach_cur)
                 b2 = min(reach_cur - reach_prev)
@@ -59,13 +68,15 @@ def consistent_order(adj: dict, cliques) -> ConsistentOrder:
                     (prev, b1, b2, cur),
                     "cross-neighborhoods not nested (square present)",
                 )
-        order.extend(ranked)
-    pos = {v: k for k, v in enumerate(order)}
-    at = pos.__getitem__
-    prefix = tuple(
-        min(k, min(map(at, adj[v]), default=k)) - 1 for k, v in enumerate(order)
-    )
-    return ConsistentOrder(tuple(order), pos, prefix)
+        start = len(order)
+        for _, v, _ in ranked:
+            order.append(v)
+            prefix.append(start - len(adj[v].intersection(before)) - 1)
+        before = clique
+    pos = [-1] * (max(members, default=-1) + 1)
+    for k, v in enumerate(order):
+        pos[v] = k
+    return ConsistentOrder(tuple(order), pos, tuple(prefix))
 
 
 def mwss_on_order(

@@ -155,16 +155,16 @@ def solve_component(
         return value, nodes, ROUTE_ALPHA3, None
     state, stats = canonicalize(g, CanonicalState(g, greedy_members(g, seed4)))
     dec = decompose(g, state)
-    interval = interval_transform(g, dec.strips)
-    co = consistent_order(interval.adj, interval.cliques)
-    base_value, base_nodes = mwss_on_order(co, g.weights)
-    best_value, best_nodes = base_value, base_nodes
-    per_vertex = []
     removal = dec.removal
     if len(removal) > math.isqrt(2 * g.m) + 1:
         raise StructuralError(
             "removal_size", removal, "removal clique exceeds isqrt(2m) + 1 nodes"
         )
+    interval = interval_transform(g, dec.strips, removal)
+    co = consistent_order(interval.adj, interval.cliques)
+    base_value, base_nodes = mwss_on_order(co, g.weights)
+    best_value, best_nodes = base_value, base_nodes
+    per_vertex = []
     for v in removal:
         # v lies in X, outside the order, so excluding N(v) excludes N[v].
         value, nodes = mwss_on_order(co, g.weights, set(g.neighbors(v)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .canonical import CanonicalState
 from .errors import GraphInputError, StructuralError
@@ -27,84 +28,89 @@ class Wing:
     free_lo: tuple[int, ...]  # free nodes anchored at min(ends)
     free_hi: tuple[int, ...]  # free nodes anchored at max(ends)
 
-    @property
+    @cached_property
     def members(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.bound) | set(self.free_lo) | set(self.free_hi)))
+        return tuple(sorted(self.bound + self.free_lo + self.free_hi))
 
 
 @dataclass(frozen=True)
 class WingTable:
     wings: tuple[Wing, ...]
-    wing_of: dict
     unassigned_free: tuple[int, ...]
 
+    @cached_property
+    def _by_ends(self) -> dict:
+        return {w.ends: w for w in self.wings}
+
     def wing_between(self, s: int, t: int) -> Wing | None:
-        key = (s, t) if s < t else (t, s)
-        for w in self.wings:
-            if w.ends == key:
-                return w
-        return None
+        return self._by_ends.get((s, t) if s < t else (t, s))
 
 
 def build_wing_table(g: Graph, st: CanonicalState) -> WingTable:
-    """Assign every bound node, and each free node that has one, to its wing."""
+    """Assign every bound node, and each free node that has one, to its wing.
+
+    One walk over the stable nodes' rows, in ascending order, gives every
+    other node its one or two stable neighbors, lower id first.  A free
+    node's partners are the anchors of its free neighbors other than its
+    own; two or more of them raise a claw or net, found by a scan of its
+    row in order.
+    """
     if st.graph is not g:
         raise GraphInputError("state was built for a different graph")
-    anchor = {}
-    for u in range(g.n):
-        if st.is_free(u):
-            anchor[u] = st.stable_neighbor(u)
-    buckets: dict[tuple[int, int], dict] = {}
-
-    def bucket(s, t):
-        key = (s, t) if s < t else (t, s)
-        return buckets.setdefault(key, {"bound": [], "lo": [], "hi": []})
-
-    unassigned = []
-    for u in range(g.n):
-        if st.is_bound(u):
-            s, t = (v for v in g.neighbors(u) if st.is_stable_node(v))
-            bucket(s, t)["bound"].append(u)
-        elif st.is_free(u):
-            s = anchor[u]
-            partner = None
-            witness_nbr = None
-            for v in g.neighbors(u):
-                t = anchor.get(v)
-                if t is None or t == s:
-                    continue
-                if partner is None:
-                    partner, witness_nbr = t, v
-                elif t != partner:
-                    if g.has_edge(witness_nbr, v):
-                        raise StructuralError(
-                            "net",
-                            (u, witness_nbr, v, s, partner, t),
-                            "free node in two wings",
-                        )
-                    raise StructuralError(
-                        "claw", (u, s, witness_nbr, v), "free node in two wings"
-                    )
-            if partner is None:
-                unassigned.append(u)
+    nbrs = g._nbrs
+    first = [-1] * g.n  # lowest stable neighbor of each non-stable node
+    second = [-1] * g.n  # the other one of a bound node
+    for s in st.stable_set:
+        for u in nbrs[s]:
+            if first[u] < 0:
+                first[u] = s
             else:
-                side = "lo" if s == min(s, partner) else "hi"
-                bucket(s, partner)[side].append(u)
-    wings = []
-    wing_of = {}
-    for key in sorted(buckets):
-        data = buckets[key]
-        wing = Wing(
-            key,
-            tuple(sorted(data["bound"])),
-            tuple(sorted(data["lo"])),
-            tuple(sorted(data["hi"])),
-        )
-        idx = len(wings)
-        wings.append(wing)
-        for u in wing.members:
-            wing_of[u] = idx
-    return WingTable(tuple(wings), wing_of, tuple(unassigned))
+                second[u] = s
+    anchor = [a if b < 0 else -1 for a, b in zip(first, second)]  # free nodes only
+    buckets: dict[tuple[int, int], tuple[list, list, list]] = {}
+    unassigned = []
+    for u, (s, t) in enumerate(zip(first, second)):
+        if s < 0:
+            continue  # a stable node
+        if t >= 0:
+            key, side = (s, t), 0
+        else:
+            partners = set(map(anchor.__getitem__, nbrs[u]))
+            partners.discard(-1)
+            partners.discard(s)
+            if not partners:
+                unassigned.append(u)
+                continue
+            if len(partners) > 1:
+                _raise_two_wings(g, anchor, u)
+            (t,) = partners
+            key, side = ((s, t), 1) if s < t else ((t, s), 2)
+        if key not in buckets:
+            buckets[key] = ([], [], [])
+        buckets[key][side].append(u)
+    wings = tuple(Wing(key, *map(tuple, buckets[key])) for key in sorted(buckets))
+    return WingTable(wings, tuple(unassigned))
+
+
+def _raise_two_wings(g: Graph, anchor: list, u: int):
+    """The claw or net at a free node ``u`` whose free neighbors carry two
+    anchors other than its own, from the first two in row order."""
+    s = anchor[u]
+    partner = witness_nbr = None
+    for v in g.neighbors(u):
+        t = anchor[v]
+        if t < 0 or t == s:
+            continue
+        if partner is None:
+            partner, witness_nbr = t, v
+        elif t != partner:
+            if g.has_edge(witness_nbr, v):
+                raise StructuralError(
+                    "net", (u, witness_nbr, v, s, partner, t), "free node in two wings"
+                )
+            raise StructuralError(
+                "claw", (u, s, witness_nbr, v), "free node in two wings"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,32 @@
+import random
 from collections import deque
 from dataclasses import dataclass
 
-from mwss import Graph, TwinReduction
+from mwss import (
+    CanonicalState,
+    CliqueStrip,
+    Decomposition,
+    GenSpec,
+    Graph,
+    IntervalResult,
+    StructuralError,
+    TwinReduction,
+    Wing,
+    WingTable,
+    build_wing_graph,
+    build_wing_table,
+    canonicalize,
+    classify_q,
+    consistent_order,
+    decompose,
+    gen_strip_instance,
+    interval_transform,
+    select_q,
+)
+from mwss.canonical import greedy_members
+from mwss.graph import closed_neighborhood
+from mwss.interval_mwss import ConsistentOrder
+from mwss.solver import find_stable4
 
 
 def path_graph(n, weights=None):
@@ -243,3 +268,350 @@ def free_components(g, st):
         classes = {anchor[u] for u in comp}
         out.append(FreeComponent(tuple(sorted(comp)), len(classes), len(classes) >= 3))
     return out
+
+
+def perturbed_strip(seed):
+    """A seeded strip graph with 16..50 nodes and 1..4 node pairs flipped
+    (edge to non-edge or back), so claws and nets appear; weights 1..100."""
+    rng = random.Random(seed)
+    spec = GenSpec(
+        seed=seed, nodes=rng.randint(16, 50), clique_min=2, clique_max=6,
+        density=rng.choice((0.3, 0.5, 0.7)), weights="random",
+    )
+    g = gen_strip_instance(spec)
+    edges = set(g.edges())
+    for _ in range(rng.randint(1, 4)):
+        u, v = sorted(rng.sample(range(g.n), 2))
+        edges ^= {(u, v)}
+    return Graph(g.n, sorted(edges), g.weights)
+
+
+# References for the strip pipeline's flat passes: the set- and dict-based
+# code they replaced, kept to compare outputs and witnesses against.
+
+
+def reference_build_wing_table(g, st):
+    """Wing table through per-node ``CanonicalState`` predicates and a
+    per-node scan of every free node's row; the reference for
+    ``mwss.build_wing_table``."""
+    anchor = {}
+    for u in range(g.n):
+        if st.is_free(u):
+            anchor[u] = st.stable_neighbor(u)
+    buckets = {}
+
+    def bucket(s, t):
+        key = (s, t) if s < t else (t, s)
+        return buckets.setdefault(key, {"bound": [], "lo": [], "hi": []})
+
+    unassigned = []
+    for u in range(g.n):
+        if st.is_bound(u):
+            s, t = (v for v in g.neighbors(u) if st.is_stable_node(v))
+            bucket(s, t)["bound"].append(u)
+        elif st.is_free(u):
+            s = anchor[u]
+            partner = None
+            witness_nbr = None
+            for v in g.neighbors(u):
+                t = anchor.get(v)
+                if t is None or t == s:
+                    continue
+                if partner is None:
+                    partner, witness_nbr = t, v
+                elif t != partner:
+                    if g.has_edge(witness_nbr, v):
+                        raise StructuralError(
+                            "net",
+                            (u, witness_nbr, v, s, partner, t),
+                            "free node in two wings",
+                        )
+                    raise StructuralError(
+                        "claw", (u, s, witness_nbr, v), "free node in two wings"
+                    )
+            if partner is None:
+                unassigned.append(u)
+            else:
+                side = "lo" if s == min(s, partner) else "hi"
+                bucket(s, partner)[side].append(u)
+    wings = []
+    for key in sorted(buckets):
+        data = buckets[key]
+        wings.append(
+            Wing(
+                key,
+                tuple(sorted(data["bound"])),
+                tuple(sorted(data["lo"])),
+                tuple(sorted(data["hi"])),
+            )
+        )
+    return WingTable(tuple(wings), tuple(unassigned))
+
+
+def reference_bfs_layers(g, sources, removed):
+    """Dict-based BFS layers; the reference for the layers of
+    ``mwss.decomposition._clique_layers``."""
+    dist = {}
+    queue = deque()
+    for s in sources:
+        dist[s] = 0
+        queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if v in removed or v in dist:
+                continue
+            dist[v] = dist[u] + 1
+            queue.append(v)
+    if not dist:
+        return []
+    layers = [[] for _ in range(max(dist.values()) + 1)]
+    for v, d in dist.items():
+        layers[d].append(v)
+    return [tuple(sorted(layer)) for layer in layers]
+
+
+def _reference_clique_layers(g, layers, label):
+    for layer in layers:
+        bad = g.non_edge(layer)
+        if bad is not None:
+            raise StructuralError("non_clique_layer", bad, f"{label} layer is not a clique")
+
+
+def reference_build_strips(g, q, x, y, kind, anchor, wg, covers):
+    """``mwss.build_strips`` over ``reference_bfs_layers``, followed by
+    ``reference_validate_cover``."""
+    q = tuple(sorted(q))
+    x = tuple(sorted(x))
+    y = tuple(sorted(y))
+    if kind == "dominating":
+        outside = set(range(g.n)) - set(closed_neighborhood(g, q))
+        p = tuple(sorted(outside))
+        bad = g.non_edge(p)
+        if bad is not None:
+            raise StructuralError(
+                "non_clique", bad, "V minus N[Q] is not a clique in the dominating case"
+            )
+        strips = [CliqueStrip(tuple([q, y] + ([p] if p else [])))]
+    else:
+        removed = set(q)
+        x_layers = reference_bfs_layers(g, x, removed)
+        _reference_clique_layers(g, x_layers, "X")
+        if not y:
+            strips = [CliqueStrip((q,))]
+            if len(x_layers) > 1:
+                strips.append(CliqueStrip(tuple(x_layers[1:])))
+        elif y[0] in {v for layer in x_layers for v in layer}:
+            y_layers = reference_bfs_layers(g, y, removed)
+            _reference_clique_layers(g, y_layers, "Y")
+            last = len(y_layers) - 1
+            xs = set(x)
+            allowed = set(y_layers[last]) | (set(y_layers[last - 1]) if last >= 1 else set())
+            if not xs <= allowed:
+                raise StructuralError(
+                    "strip_overlap",
+                    tuple(sorted(xs - allowed)),
+                    "X reaches beyond the last two Y layers",
+                )
+            if last >= 1 and (xs & set(y_layers[last - 1])) and (set(y_layers[last]) - xs):
+                raise StructuralError(
+                    "strip_overlap",
+                    tuple(sorted(set(y_layers[last]) - xs)),
+                    "X meets the second-to-last layer but not all of the last",
+                )
+            family = [q] + [tuple(sorted(set(layer) - xs)) for layer in y_layers]
+            strips = [CliqueStrip(tuple(k for k in family if k))]
+        else:
+            y_layers = reference_bfs_layers(g, y, removed)
+            _reference_clique_layers(g, y_layers, "Y")
+            strips = [CliqueStrip(tuple([q] + y_layers))]
+            if len(x_layers) > 1:
+                strips.append(CliqueStrip(tuple(x_layers[1:])))
+    dec = Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order, covers)
+    reference_validate_cover(g, dec.strips, dec.removal)
+    return dec
+
+
+def reference_validate_cover(g, strips, removal):
+    """Strips must partition V minus X, pairwise null, consecutive-only;
+    the reference for the cover check in ``mwss.interval_transform``."""
+    seen = {}
+    for si, strip in enumerate(strips):
+        for ki, clique in enumerate(getattr(strip, "cliques", strip)):
+            for v in clique:
+                if v in seen:
+                    raise StructuralError("strip_cover", (v,), "node in two cliques")
+                seen[v] = (si, ki)
+    expected = set(range(g.n)) - set(removal)
+    if set(seen) != expected:
+        missing = tuple(sorted(expected - set(seen)))[:4]
+        extra = tuple(sorted(set(seen) - expected))[:4]
+        raise StructuralError(
+            "strip_cover", missing + extra, "strips do not cover V minus X exactly"
+        )
+    for v, (si, ki) in seen.items():
+        for u in g.neighbors(v):
+            if u not in seen:
+                continue  # a removal-clique node
+            sj, kj = seen[u]
+            if si != sj:
+                raise StructuralError("strip_adjacent", (v, u), "edge between different strips")
+            if abs(ki - kj) > 1:
+                raise StructuralError("strip_adjacent", (v, u), "edge skips a strip layer")
+
+
+def reference_decompose(g, st):
+    """(wing table, decomposition) through the reference wing table and
+    strip construction; the reference for ``mwss.decompose``."""
+    wt = reference_build_wing_table(g, st)
+    wg = build_wing_graph(wt, st)
+    q, anchor, covers = select_q(g, st, wg, wt)
+    x, y, kind = classify_q(g, q, st, wg, anchor)
+    return wt, reference_build_strips(g, q, x, y, kind, anchor, wg, covers)
+
+
+class ReferenceEliminationState:
+    """``mwss.EliminationState`` with A, B and the degrees found by set
+    intersections and every stage re-testing adjacency in the overlay."""
+
+    def __init__(self, adj, weights, ki, kj):
+        self.adj = adj
+        self.weights = weights
+        self.limit = 3 * len(ki) + 8
+        ki_set, kj_set = set(ki), set(kj)
+        self.a = {u for u in ki if not adj[u].isdisjoint(kj_set)}
+        self.b = {v for v in kj if not adj[v].isdisjoint(ki_set)}
+        self.d = {u: len(adj[u] & self.b) for u in self.a}
+        for v in self.b:
+            self.d[v] = len(adj[v] & self.a)
+        self.added = []
+
+    def _add_edge(self, u, v):
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self.added.append((u, v) if u < v else (v, u))
+        self.d[u] += 1
+        self.d[v] += 1
+
+    def stage(self):
+        a_max = max(self.a, key=lambda u: (self.d[u], -u))
+        if self.d[a_max] == len(self.b):
+            self.a.discard(a_max)
+            dead = []
+            for v in self.b:
+                if a_max in self.adj[v]:
+                    self.d[v] -= 1
+                    if self.d[v] == 0:
+                        dead.append(v)
+            for v in dead:
+                self.b.discard(v)
+            return
+        if self.d[a_max] == len(self.b) - 1:
+            (b1,) = self.b - self.adj[a_max]
+            in_a = self.adj[b1] & self.a
+            if not in_a:
+                raise StructuralError("stage", (b1,), "square-elimination stage found b1 null to A")
+            a2 = min(in_a)
+            if self.d[a2] == len(self.b) - 1:
+                (b2,) = self.b - self.adj[a2]
+                w = self.weights
+                if w[a2] + w[b2] >= w[a_max] + w[b1]:
+                    self._add_edge(a_max, b1)
+                else:
+                    self._add_edge(a2, b2)
+                return
+            self._kill_diags(a2)
+            return
+        self._kill_diags(a_max)
+
+    def _kill_diags(self, abar):
+        missing = self.b - self.adj[abar]
+        w = self.weights
+        spare = max(missing, key=lambda v: (w[v], -v))
+        for v in sorted(missing):
+            if v != spare:
+                self._add_edge(abar, v)
+
+    def run(self):
+        stages = 0
+        while self.a:
+            if stages > self.limit:
+                raise StructuralError("stage", tuple(sorted(self.a)), "stage budget exceeded")
+            self.stage()
+            stages += 1
+        return stages
+
+
+def reference_interval_transform(g, strips):
+    """Elimination over a full neighbor-set overlay of V - X; the reference
+    for ``mwss.interval_transform`` (its cover check aside)."""
+    families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
+    cliques = tuple(k for family in families for k in family)
+    adj = {v: set(g.neighbors(v)) for k in cliques for v in k}
+    for x in range(g.n):
+        if x not in adj:
+            for u in g.neighbors(x):
+                if u in adj:
+                    adj[u].discard(x)
+    added = []
+    stage_counts = []
+    for family in families:
+        counts = []
+        for ki, kj in zip(family, family[1:]):
+            state = ReferenceEliminationState(adj, g.weights, ki, kj)
+            counts.append(state.run())
+            added.extend(state.added)
+        stage_counts.append(tuple(counts))
+    return IntervalResult(adj, cliques, tuple(added), tuple(stage_counts))
+
+
+def reference_consistent_order(adj, cliques):
+    """Order, dict positions and prefix pointers from the minimum position
+    over each node's full neighbor set; the reference for
+    ``mwss.consistent_order``."""
+    cliques = [tuple(k) for k in cliques]
+    order = []
+    for t, clique in enumerate(cliques):
+        nxt = set(cliques[t + 1]) if t + 1 < len(cliques) else set()
+        ranked = sorted(clique, key=lambda v: (len(adj[v] & nxt), v))
+        for prev, cur in zip(ranked, ranked[1:]):
+            reach_prev = adj[prev] & nxt
+            reach_cur = adj[cur] & nxt
+            if not reach_prev <= reach_cur:
+                b1 = min(reach_prev - reach_cur)
+                b2 = min(reach_cur - reach_prev)
+                raise StructuralError(
+                    "nesting",
+                    (prev, b1, b2, cur),
+                    "cross-neighborhoods not nested (square present)",
+                )
+        order.extend(ranked)
+    pos = {v: k for k, v in enumerate(order)}
+    at = pos.__getitem__
+    prefix = tuple(min(k, min(map(at, adj[v]), default=k)) - 1 for k, v in enumerate(order))
+    return ConsistentOrder(tuple(order), pos, prefix)
+
+
+def strip_pipeline_outcome(g, reference=False):
+    """Everything the strip pipeline builds for ``g`` after its canonical
+    set, through the solver's code or the references: (wing table,
+    decomposition, added edges, stage counts, order, prefix), or the kind
+    and witness of the first ``StructuralError``.  None when the stability
+    number is below four."""
+    seed = find_stable4(g)
+    if seed is None:
+        return None
+    try:
+        st, _ = canonicalize(g, CanonicalState(g, greedy_members(g, seed)))
+        if reference:
+            wt, dec = reference_decompose(g, st)
+            interval = reference_interval_transform(g, dec.strips)
+            co = reference_consistent_order(interval.adj, interval.cliques)
+        else:
+            wt = build_wing_table(g, st)
+            dec = decompose(g, st)
+            interval = interval_transform(g, dec.strips, dec.removal)
+            co = consistent_order(interval.adj, interval.cliques)
+    except StructuralError as err:
+        return ("error", err.kind, err.witness)
+    return (wt, dec, interval.added_edges, interval.stage_counts, co.order, co.prefix)

@@ -8,6 +8,7 @@ from mwss import (
     StructuralError,
     canonicalize,
     gen_rejection,
+    gen_strip_instance,
     greedy_maximal_stable_set,
 )
 from mwss.canonical import greedy_members
@@ -149,6 +150,22 @@ class TestCanonicalize:
             out, stats = canonicalize(g, greedy_maximal_stable_set(g))
             assert is_canonical(out)
             assert stats.steps <= 50 * (g.n + g.m)
+
+    def test_result_state_equals_one_built_from_scratch(self):
+        # canonicalize hands the counts it maintains to the state it returns
+        for seed_id in range(40):
+            g = gen_strip_instance(GenSpec(seed=700 + seed_id, nodes=12 + seed_id))
+            out, _ = canonicalize(g, greedy_maximal_stable_set(g))
+            fresh = CanonicalState(g, out.members)
+            assert all(out.classification(v) == fresh.classification(v) for v in range(g.n))
+
+    def test_counts_constructor_reports_like_the_checked_one(self):
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(StructuralError) as err:
+            CanonicalState._from_counts(star, {1, 2, 3}, [3, 0, 0, 0])
+        assert (err.value.kind, err.value.witness) == ("claw", (0, 1, 2, 3))
+        with pytest.raises(GraphInputError):
+            CanonicalState._from_counts(path_graph(4), {1}, [1, 0, 1, 0])
 
     def test_augmentation_shrinks_free_set(self):
         # after each augmentation the free set must not gain members

@@ -1,9 +1,13 @@
 import pytest
 
 from mwss import (
+    Anchor,
     CanonicalState,
     GenSpec,
     Graph,
+    StructuralError,
+    WingGraph,
+    build_strips,
     build_wing_graph,
     build_wing_table,
     decompose,
@@ -16,7 +20,7 @@ from mwss import (
 )
 from mwss.checks import strip_violation
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, reference_build_strips
 
 
 def canonical_state(g):
@@ -142,6 +146,18 @@ class TestDominatingCase:
             ((0, 1),),
             ((3,), (4,), (5,), (6,)),
         ]
+
+
+class TestCliqueLayers:
+    def test_non_clique_bfs_layer_raises(self):
+        # from X = {1}, the second layer {2, 3} misses the edge 2-3
+        g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+        wg = WingGraph((), "path", ())
+        args = (g, (0,), (1,), (), "strongly_bisimplicial", Anchor("a", 1), wg, ())
+        for build in (reference_build_strips, build_strips):
+            with pytest.raises(StructuralError) as err:
+                build(*args)
+            assert (err.value.kind, err.value.witness) == ("non_clique_layer", (2, 3))
 
 
 class TestStripInvariants:

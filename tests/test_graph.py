@@ -124,6 +124,48 @@ class TestRowsMatchEdgeSet:
                 )
 
 
+class TestQueryRange:
+    # node ids outside 0..n-1 are rejected, never wrapped around by a
+    # negative index
+    g = Graph(3, [(0, 2)])
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_has_edge(self, u, v):
+        with pytest.raises(GraphInputError):
+            self.g.has_edge(u, v)
+
+    @pytest.mark.parametrize("nodes", [[-1], [0, 3]])
+    def test_is_stable(self, nodes):
+        with pytest.raises(GraphInputError):
+            self.g.is_stable(nodes)
+
+    @pytest.mark.parametrize("nodes", [[-1, 0], [0, 2, 3]])
+    def test_non_edge_and_is_clique(self, nodes):
+        for query in (self.g.non_edge, self.g.is_clique):
+            with pytest.raises(GraphInputError):
+                query(nodes)
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_neighbors(self, v):
+        with pytest.raises(GraphInputError):
+            self.g.neighbors(v)
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_degree(self, v):
+        with pytest.raises(GraphInputError):
+            self.g.degree(v)
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_adj(self, v):
+        with pytest.raises(GraphInputError):
+            self.g.adj(v)
+
+    def test_in_range_queries_unchanged(self):
+        assert self.g.has_edge(0, 2) and not self.g.has_edge(0, 1)
+        assert self.g.is_stable([0, 1]) and self.g.is_clique([0, 2])
+        assert self.g.neighbors(0) == (2,) and self.g.degree(1) == 0
+
+
 class TestNeighborhood:
     def test_triangle_single_node(self):
         g = complete_graph(3)

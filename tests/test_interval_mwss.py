@@ -65,11 +65,11 @@ class TestConsistentOrder:
     def test_prefix_pointers_cover_suffix(self):
         g = gen_strip_instance(GenSpec(seed=9, mode="strip", nodes=18, clique_min=1, clique_max=4))
         _, _, _, detail = solve_component(g, collect=True)
-        adj, co = detail.interval.adj, detail.order
+        gbar, co = transformed_graph(g, detail.interval), detail.order
         assert len(detail.decomposition.strips) == 2  # one order spans both
         for k, v in enumerate(co.order):
             assert co.pos[v] == k
-            earlier = {co.pos[u] for u in adj[v] if co.pos[u] < k}
+            earlier = {co.pos[u] for u in gbar.neighbors(v) if co.pos[u] < k}
             assert earlier == set(range(co.prefix[k] + 1, k))
 
 

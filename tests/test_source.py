@@ -75,3 +75,22 @@ def test_solver_modules_read_adjacency_rows_only():
                 found.append(f"{name}:{node.lineno} .adj(")
     assert found == []
     assert mwss.Graph.__slots__ == ("n", "m", "weights", "_nbrs")
+
+
+STRIP_PIPELINE_MODULES = ("wings", "decomposition", "square_elimination", "interval_mwss")
+STATE_PREDICATES = {"is_stable_node", "is_free", "is_bound", "stable_neighbor"}
+
+
+def test_strip_pipeline_calls_no_per_node_state_predicate():
+    # the strip pipeline reads stable membership from arrays built in one
+    # walk, not through a CanonicalState method call per node
+    root = Path(mwss.__file__).parent
+    found = [
+        f"{name}:{node.lineno} {node.func.attr}"
+        for name in STRIP_PIPELINE_MODULES
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in STATE_PREDICATES
+    ]
+    assert found == []

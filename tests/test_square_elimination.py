@@ -4,6 +4,7 @@ from mwss import (
     EliminationState,
     GenSpec,
     Graph,
+    StructuralError,
     gen_strip_instance,
     interval_transform,
     oracle_mwss,
@@ -16,7 +17,7 @@ from mwss.checks import (
     transformed_graph,
 )
 
-from helpers import overlay
+from helpers import cycle_graph, overlay, path_graph, reference_validate_cover
 
 
 class TestStage:
@@ -62,7 +63,7 @@ class TestStage:
             [1, 1, 7, 2, 2, 1],
         )
         before = oracle_mwss(g)[0]
-        res = interval_transform(g, [[(0, 1), (2, 3, 4, 5)]])
+        res = interval_transform(g, [[(0, 1), (2, 3, 4, 5)]], ())
         assert oracle_mwss(transformed_graph(g, res))[0] == before
         assert res.added_edges == ((0, 3), (0, 4), (1, 5))
         assert res.cliques == ((0, 1), (2, 3, 4, 5))
@@ -121,6 +122,36 @@ class TestTransform:
         for u, v in detail.interval.added_edges:
             assert u in strip_nodes and v in strip_nodes
             assert not g.has_edge(u, v)
+
+
+class TestCoverCheck:
+    # hand-built strips; interval_transform must raise what the reference
+    # cover check raises, with the same witness
+    @pytest.mark.parametrize(
+        "g, strips, removal, kind, witness",
+        [
+            # node 1 in two cliques
+            (path_graph(4), [[(0,), (1,), (1, 2), (3,)]], (), "strip_cover", (1,)),
+            # node 4 in no clique
+            (path_graph(5), [[(1,), (2,), (3,)]], (0,), "strip_cover", (4,)),
+            # node 4 missing and node 0 of X in a clique
+            (path_graph(5), [[(0, 1), (2,), (3,)]], (0,), "strip_cover", (4, 0)),
+            # edge 1-2 joins two strips
+            (path_graph(4), [[(0,), (1,)], [(2,), (3,)]], (), "strip_adjacent", (1, 2)),
+            # edge 0-3 skips two cliques
+            (cycle_graph(4), [[(0,), (1,), (2,), (3,)]], (), "strip_adjacent", (0, 3)),
+        ],
+    )
+    def test_violation_kind_and_witness(self, g, strips, removal, kind, witness):
+        for check in (reference_validate_cover, interval_transform):
+            with pytest.raises(StructuralError) as err:
+                check(g, strips, removal)
+            assert (err.value.kind, err.value.witness) == (kind, witness)
+
+    def test_edges_into_x_are_allowed(self):
+        g = path_graph(5)
+        res = interval_transform(g, [[(0,), (1,)], [(3,), (4,)]], (2,))
+        assert res.adj == {0: {1}, 1: {0}, 3: {4}, 4: {3}}
 
 
 class TestCertificate:
