@@ -81,44 +81,55 @@ def find_claw(g: Graph) -> PatternWitness | None:
     return None
 
 
-def _triangles(g: Graph, adj) -> Iterator[tuple[int, int, int]]:
+def find_net(g: Graph) -> PatternWitness | None:
+    """First induced net: a triangle plus three independent pendants.
+
+    Triangles x < y < z come in ascending order, z walking the row of y.
+    A pendant of x sees neither y nor z, so each edge (x, y) first keeps
+    the parts of the two rows the other one misses, and a triangle is
+    dropped as soon as one of its pendant sets is empty.
+    """
+    adj = row_sets(g)
     for x in range(g.n):
         ax = adj[x]
         for y in g.neighbors(x):
             if y <= x:
                 continue
-            common = ax & adj[y]
-            for z in sorted(common):
-                if z > y:
-                    yield (x, y, z)
-
-
-def find_net(g: Graph) -> PatternWitness | None:
-    """First induced net: a triangle plus three independent pendants."""
-    adj = row_sets(g)
-    for x, y, z in _triangles(g, adj):
-        tri = (x, y, z)
-        others = [adj[a] for a in tri]
-        pendants = []
-        for i, a in enumerate(tri):
-            banned = set(tri)
-            for j in range(3):
-                if j != i:
-                    banned |= others[j]
-            pendants.append([u for u in g.neighbors(a) if u not in banned])
-        px, py, pz = pendants
-        if not (px and py and pz):
-            continue
-        for ux in px:
-            aux = adj[ux]
-            for uy in py:
-                if uy == ux or uy in aux:
+            ay = adj[y]
+            x_only = ax - ay  # holds y, which every z sees
+            y_only = ay - ax  # holds x
+            if len(x_only) < 2 or len(y_only) < 2:
+                continue
+            for z in g.neighbors(y):
+                if z <= y or z not in ax:
                     continue
-                auy = adj[uy]
-                for uz in pz:
-                    if uz in (ux, uy) or uz in aux or uz in auy:
-                        continue
-                    return PatternWitness("net", (x, y, z, ux, uy, uz))
+                az = adj[z]
+                px = x_only - az
+                if not px:
+                    continue
+                py = y_only - az
+                if not py:
+                    continue
+                pz = az.difference(ax, ay)
+                if not pz:
+                    continue
+                witness = _independent_pendants(adj, sorted(px), sorted(py), sorted(pz))
+                if witness is not None:
+                    return PatternWitness("net", (x, y, z) + witness)
+    return None
+
+
+def _independent_pendants(adj, px, py, pz) -> tuple[int, int, int] | None:
+    """First pairwise non-adjacent (ux, uy, uz) of the three sorted lists."""
+    for ux in px:
+        aux = adj[ux]
+        for uy in py:
+            if uy in aux:
+                continue
+            auy = adj[uy]
+            for uz in pz:
+                if uz not in aux and uz not in auy:
+                    return (ux, uy, uz)
     return None
 
 

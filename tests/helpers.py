@@ -9,6 +9,7 @@ from mwss import (
     GenSpec,
     Graph,
     IntervalResult,
+    PatternWitness,
     StructuralError,
     TwinReduction,
     Wing,
@@ -94,7 +95,7 @@ def clique_chain_value(chain, edges, weights):
 
 def reference_stable4_exact(g):
     """Set-arithmetic search for the lexicographically smallest stable
-    4-set; the reference for ``mwss.solver.smallest_stable4``."""
+    4-set; the reference for ``mwss.solver.find_stable4``'s verdict."""
     full = set(range(g.n))
     for u in range(g.n):
         au = g.adj(u)
@@ -137,6 +138,37 @@ def reference_alpha3(g):
                 if pair + w[z] > best:
                     best, best_set = pair + w[z], tuple(sorted((u, v, z)))
     return best, best_set
+
+
+def reference_find_net(g):
+    """Net search over every triangle, ascending, with banned-set unions
+    for the pendants; the reference for ``mwss.find_net``'s witness."""
+    adj = [g.adj(v) for v in range(g.n)]
+    for x in range(g.n):
+        for y in g.neighbors(x):
+            if y <= x:
+                continue
+            for z in sorted(adj[x] & adj[y]):
+                if z <= y:
+                    continue
+                tri = (x, y, z)
+                pendants = []
+                for i, a in enumerate(tri):
+                    banned = set(tri)
+                    for j in range(3):
+                        if j != i:
+                            banned |= adj[tri[j]]
+                    pendants.append([u for u in g.neighbors(a) if u not in banned])
+                px, py, pz = pendants
+                for ux in px:
+                    for uy in py:
+                        if uy == ux or uy in adj[ux]:
+                            continue
+                        for uz in pz:
+                            if uz in (ux, uy) or uz in adj[ux] or uz in adj[uy]:
+                                continue
+                            return PatternWitness("net", (x, y, z, ux, uy, uz))
+    return None
 
 
 def reference_remove_twins(g):
@@ -598,10 +630,10 @@ def strip_pipeline_outcome(g, reference=False):
     decomposition, added edges, stage counts, order, prefix), or the kind
     and witness of the first ``StructuralError``.  None when the stability
     number is below four."""
-    seed = find_stable4(g)
-    if seed is None:
-        return None
     try:
+        seed = find_stable4(g)
+        if seed is None:
+            return None
         st, _ = canonicalize(g, CanonicalState(g, greedy_members(g, seed)))
         if reference:
             wt, dec = reference_decompose(g, st)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwss import (
+    GenSpec,
     Graph,
     GraphInputError,
     PatternWitness,
@@ -12,13 +14,14 @@ from mwss import (
     find_claw,
     find_net,
     find_square_in,
+    gen_strip_instance,
     semi_homogeneous_violation,
     square_semi_homogeneous_check,
     validate_witness,
 )
 from mwss.patterns import S3MINUS_EDGES
 
-from helpers import complete_graph, path_graph
+from helpers import complete_graph, path_graph, random_graph, reference_find_net
 
 
 def s3minus():
@@ -196,3 +199,23 @@ def test_detector_witnesses_validate_and_match_brute(g):
 def test_net_detector_matches_brute_on_small(g):
     if g.n <= 7:
         assert (find_net(g) is not None) == brute_has_net(g)
+
+
+def test_net_witness_matches_reference():
+    # the first net in the same triangle and pendant order, found or not
+    rng = random.Random(83)
+    graphs = [
+        random_graph(rng.randint(6, 30), rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 0.9)), rng)
+        for _ in range(400)
+    ]
+    graphs += [
+        gen_strip_instance(GenSpec(seed=seed, nodes=40 + 20 * seed, clique_min=2,
+                                   clique_max=6, density=0.6))
+        for seed in range(5)
+    ]
+    found = 0
+    for g in graphs:
+        witness = find_net(g)
+        assert witness == reference_find_net(g)
+        found += witness is not None
+    assert found > 100

@@ -19,7 +19,7 @@ from mwss import (
     solve,
 )
 from mwss.canonical import greedy_members
-from mwss.solver import smallest_stable4
+from mwss.patterns import PatternWitness, validate_witness
 
 from helpers import (
     clique_chain_value,
@@ -48,19 +48,112 @@ class TestFindStable4:
 
     def test_enumeration_fallback_when_greedy_misses(self):
         # hub 0 sees every other node, so the ascending greedy stops at [0];
-        # the first case is the star K1,4
-        cases = [
-            ((), (1, 2, 3, 4)),
-            (((1, 2), (3, 4)), (1, 3, 5, 6)),
-            (((1, 3), (2, 5), (5, 6)), (1, 2, 4, 6)),
-        ]
-        for extra_edges, expected in cases:
+        # a hub with a stable triple among its neighbours is a claw centre,
+        # and the first case is the star K1,4
+        cases = [(), ((1, 2), (3, 4)), ((1, 3), (2, 5), (5, 6))]
+        for extra_edges in cases:
             n = 5 if not extra_edges else 9
             g = Graph(n, [(0, i) for i in range(1, n)] + list(extra_edges))
             assert greedy_members(g) == [0]
-            smallest = min(q for q in itertools.combinations(range(n), 4) if g.is_stable(q))
-            assert smallest == expected
-            assert find_stable4(g) == expected
+            with pytest.raises(StructuralError) as err:
+                find_stable4(g)
+            assert err.value.kind == "claw" and err.value.witness[0] == 0
+            assert validate_witness(g, PatternWitness("claw", err.value.witness))
+
+    @staticmethod
+    def _path7(labels):
+        """P7 on v0..v6 with node id labels[i] for v_i: alpha = 4, and the
+        ascending greedy set takes whatever the labels put first."""
+        return Graph(7, [(labels[i], labels[i + 1]) for i in range(6)])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (3, 0, 4, 5, 1, 6, 2),  # S = {v1, v4, v6}: v0, v2 replace v1
+            (3, 0, 4, 1, 5, 6, 2),  # S = {v1, v3, v6}: v0, v2, v4 replace v1, v3
+            (3, 0, 4, 1, 5, 2, 6),  # S = {v1, v3, v5}: v0, v2, v4, v6 replace all
+        ],
+        ids=["length1", "length2", "length3"],
+    )
+    def test_augmenting_path_from_greedy_miss(self, labels):
+        g = self._path7(labels)
+        assert greedy_members(g) == [0, 1, 2]
+        assert find_stable4(g) == tuple(sorted(labels[0::2]))
+
+    def test_bound_node_seeing_far_free_node_is_a_claw(self):
+        # the length-3 case with v2 joined to v6: v2 sees v1, v3 and v6
+        labels = (3, 0, 4, 1, 5, 2, 6)
+        g = Graph(7, [(labels[i], labels[i + 1]) for i in range(6)] + [(4, 6)])
+        with pytest.raises(StructuralError) as err:
+            find_stable4(g)
+        assert err.value.kind == "claw" and err.value.witness == (4, 0, 1, 6)
+        assert validate_witness(g, PatternWitness("claw", err.value.witness))
+
+    @staticmethod
+    def _c7_blowup(k, drop_xy=False):
+        """The 7-cycle x s b1 t b2 u y with s, t, u single nodes 0, 1, 2 and
+        x, b1, b2, y blown up into cliques of k nodes, each joined to the
+        cliques beside it: claw-free with alpha = 3, or 4 without one x-y
+        edge."""
+        x, b1, b2, y = ([3 + c * k + i for i in range(k)] for c in range(4))
+        edges = [(0, v) for v in x + b1] + [(1, v) for v in b1 + b2] + [(2, v) for v in b2 + y]
+        for part in (x, b1, b2, y):
+            edges += itertools.combinations(part, 2)
+        edges += [(p, q) for p in x for q in y if not (drop_xy and (p, q) == (x[0], y[-1]))]
+        return Graph(3 + 4 * k, edges)
+
+    @pytest.mark.parametrize("drop_xy", [False, True])
+    def test_seven_cycle_blowup(self, drop_xy):
+        g = self._c7_blowup(5, drop_xy)
+        assert find_claw(g) is None and greedy_members(g) == [0, 1, 2]
+        got = find_stable4(g)
+        assert (got is None) == (not drop_xy) == (reference_stable4_exact(g) is None)
+        if drop_xy:
+            assert g.is_stable(got) and 3 in got and 22 in got
+
+    def test_two_rounds_from_greedy_pair(self):
+        # a - 0 - b, 0 - e - b, e - c, c - 1 - d: claw-free, alpha = 4 with
+        # {a, b, c, d}, and the greedy set {0, 1} needs two augmentations
+        a, b, c, d, e = 2, 3, 4, 5, 6
+        g = Graph(7, [(a, 0), (0, b), (0, e), (b, e), (e, c), (c, 1), (1, d)])
+        assert find_claw(g) is None and find_net(g) is None
+        assert greedy_members(g) == [0, 1]
+        assert find_stable4(g) == (a, b, c, d)
+
+    def test_greedy_single_without_claw_has_none(self):
+        # wheel: hub 0 over the 4-cycle 1-2-3-4; the hub's neighbourhood
+        # holds no stable triple, so alpha <= 2
+        g = Graph(5, [(0, i) for i in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (1, 4)])
+        assert find_claw(g) is None and greedy_members(g) == [0]
+        assert find_stable4(g) is None
+
+    def test_node_seeing_three_members_is_a_claw(self):
+        # 0, 1, 2 are the greedy set and 6 sees all three
+        g = Graph(7, [(0, 3), (1, 4), (2, 5), (0, 6), (1, 6), (2, 6)])
+        assert greedy_members(g) == [0, 1, 2]
+        with pytest.raises(StructuralError) as err:
+            find_stable4(g)
+        assert err.value.kind == "claw" and err.value.witness == (6, 0, 1, 2)
+
+    def test_line_graphs_match_reference(self):
+        # line graphs are claw-free, and a greedy matching often misses
+        rng = random.Random(47)
+        missed = 0
+        for _ in range(400):
+            h = [(u, v) for u in range(8) for v in range(u + 1, 8) if rng.random() < 0.3]
+            ids = list(range(len(h)))
+            rng.shuffle(ids)
+            g = Graph(len(h), [
+                (ids[i], ids[j])
+                for i, j in itertools.combinations(range(len(h)), 2)
+                if set(h[i]) & set(h[j])
+            ])
+            got = find_stable4(g)
+            assert (got is None) == (reference_stable4_exact(g) is None)
+            if got is not None:
+                assert len(set(got)) == 4 and g.is_stable(got)
+                missed += len(greedy_members(g)) < 4
+        assert missed > 20
 
 
 class TestCanonicalSeed:
@@ -74,7 +167,11 @@ class TestCanonicalSeed:
         graphs += [random_graph(12, rng.choice((0.2, 0.5, 0.8)), rng) for _ in range(200)]
         seeded = 0
         for g in graphs:
-            seed4 = find_stable4(g)
+            try:
+                seed4 = find_stable4(g)
+            except StructuralError as err:
+                assert err.kind == "claw"  # G(n, p) graphs may hold one
+                continue
             if seed4 is None:
                 continue
             members, blocked = set(seed4), set()
@@ -110,16 +207,29 @@ class TestBitsetMatchesReference:
             yield nested_cliques(k, random.Random(k), weight_hi=(5, 1000)[k % 2])[0]
 
     def test_same_witness_and_best_set(self):
-        claws = 0
+        # find_stable4 gives the reference's verdict, not its set; on a
+        # graph with a claw it may raise instead, with a valid witness
+        claws = raised = 0
         for g in self._graphs():
-            claws += find_claw(g) is not None
-            assert smallest_stable4(g) == reference_stable4_exact(g)
+            has_claw = find_claw(g) is not None
+            claws += has_claw
+            try:
+                got = find_stable4(g)
+            except StructuralError as err:
+                assert has_claw and err.kind == "claw"
+                assert validate_witness(g, PatternWitness("claw", err.witness))
+                raised += 1
+            else:
+                assert (got is None) == (reference_stable4_exact(g) is None)
+                if got is not None:
+                    assert len(set(got)) == 4 and g.is_stable(got)
             assert alpha3_fallback(g) == reference_alpha3(g)
         assert claws > 50  # the sweep reaches graphs outside the class too
+        assert raised > 20
 
 
 class TestNestedCliques:
-    @pytest.mark.parametrize("k", list(range(2, 41)) + [200])
+    @pytest.mark.parametrize("k", list(range(2, 41)) + [200, 400])
     def test_value_matches_chain_dp(self, k):
         g, chain = nested_cliques(k, random.Random(900 + k))
         s = solve(g)
