@@ -139,8 +139,8 @@ def semi_homog_pair_certificate(adj: dict, a1: int, bbar, universe) -> tuple | N
     """The kill-diags certificate: ({a1}, Bbar) is semi-homogeneous and
     each pair (a1, b) with b in Bbar is the diagonal of a square.
 
-    Evaluated on the elimination overlay ``adj`` (node -> neighbor set)
-    before the stage adds its edges.
+    Evaluated on a full overlay ``adj`` of the strip (node -> neighbor
+    set, earlier diagonals included) before the stage adds its edges.
     """
     bbar = set(bbar)
     for u in universe:

@@ -13,6 +13,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 from .canonical import canonicalize, greedy_maximal_stable_set
 from .errors import GraphInputError, GraphParseError, MWSSError, StructuralError
@@ -216,14 +217,26 @@ def _median_seconds(fn, repeats: int):
     return statistics.median(times), result
 
 
+def _peak_mb(fn) -> float:
+    """Peak traced allocation of one ``fn()`` call, in MB (10^6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def strip_ladder(sizes, repeats: int, seed: int, clique_min: int,
-                 clique_max: int, density: float) -> list[dict]:
+                 clique_max: int, density: float, memory: bool = False) -> list[dict]:
     """Time ``solve`` on one seeded strip instance per size.
 
     Each row holds n, m, the generation seconds, the median of ``repeats``
     public ``Graph(n, edges, weights)`` builds from the instance's edge
     list, the median of ``repeats`` solve times, its ratio to the previous
-    row's median and the optimum value, all unrounded.
+    row's median and the optimum value, all unrounded.  With ``memory``
+    it also holds ``peak_mb``, the tracemalloc peak of one more solve,
+    run after the timed ones since tracing slows a solve several-fold.
     """
     rows = []
     prev_median = None
@@ -243,27 +256,30 @@ def strip_ladder(sizes, repeats: int, seed: int, clique_min: int,
         edges = list(g.edges())
         build, _ = _median_seconds(lambda: Graph(g.n, edges, g.weights), repeats)
         median, solution = _median_seconds(lambda: solve(g), repeats)
-        rows.append(
-            {
-                "n": n,
-                "m": g.m,
-                "gen_seconds": gen_s,
-                "median_build_seconds": build,
-                "median_solve_seconds": median,
-                "ratio_to_previous": (median / prev_median) if prev_median else None,
-                "value": solution.value,
-            }
-        )
+        row = {
+            "n": n,
+            "m": g.m,
+            "gen_seconds": gen_s,
+            "median_build_seconds": build,
+            "median_solve_seconds": median,
+            "ratio_to_previous": (median / prev_median) if prev_median else None,
+            "value": solution.value,
+        }
+        if memory:
+            row["peak_mb"] = _peak_mb(lambda: solve(g))
+        rows.append(row)
         prev_median = median
     return rows
 
 
 def cmd_bench(args) -> int:
     ladder = strip_ladder(
-        args.sizes, args.repeats, args.seed, args.clique_min, args.clique_max, args.density
+        args.sizes, args.repeats, args.seed, args.clique_min, args.clique_max,
+        args.density, memory=args.memory,
     )
-    rows = [
-        {
+    rows = []
+    for r in ladder:
+        row = {
             **r,
             "gen_seconds": round(r["gen_seconds"], 4),
             "median_build_seconds": round(r["median_build_seconds"], 4),
@@ -272,20 +288,23 @@ def cmd_bench(args) -> int:
                 round(r["ratio_to_previous"], 3) if r["ratio_to_previous"] else None
             ),
         }
-        for r in ladder
-    ]
+        if args.memory:
+            row["peak_mb"] = round(r["peak_mb"], 3)
+        rows.append(row)
     if args.json:
         _emit_json({"rows": rows})
     else:
+        peak = f" {'peak_mb':>9}" if args.memory else ""
         print(
-            f"{'n':>8} {'m':>9} {'gen_s':>8} {'build_s':>8} {'solve_s':>9} {'ratio':>7}"
+            f"{'n':>8} {'m':>9} {'gen_s':>8} {'build_s':>8} {'solve_s':>9} {'ratio':>7}{peak}"
         )
         for r in rows:
             ratio = f"{r['ratio_to_previous']:.2f}" if r["ratio_to_previous"] else "-"
+            peak = f" {r['peak_mb']:>9.3f}" if args.memory else ""
             print(
                 f"{r['n']:>8} {r['m']:>9} {r['gen_seconds']:>8.3f} "
                 f"{r['median_build_seconds']:>8.3f} "
-                f"{r['median_solve_seconds']:>9.3f} {ratio:>7}"
+                f"{r['median_solve_seconds']:>9.3f} {ratio:>7}{peak}"
             )
     return 0
 
@@ -365,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clique-min", type=int, default=7)
     p.add_argument("--clique-max", type=int, default=11)
     p.add_argument("--density", type=float, default=0.6)
+    p.add_argument("--memory", action="store_true",
+                   help="add peak_mb: the tracemalloc peak of one untimed solve per size")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 
@@ -391,7 +412,8 @@ def run(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except StructuralError as exc:
-        print(f"structural violation: {exc}", file=sys.stderr)
+        witness = tuple(_ext(exc.witness))
+        print(f"structural violation: {exc.detail}; witness={witness}", file=sys.stderr)
         return 1
     except MWSSError as exc:
         print(f"error: {exc}", file=sys.stderr)

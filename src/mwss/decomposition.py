@@ -7,7 +7,7 @@ neighborhood splits into cliques X and Y.  Removing X leaves at most two
 clique-strips, built here as BFS layers away from X and Y in G - Q, or as
 (Q, Y, V - N[Q]) in the dominating case.  That the strips partition
 V - X and touch only between consecutive cliques is checked where their
-overlay is built, in ``interval_transform``.
+rows are built, in ``interval_transform``.
 """
 
 from __future__ import annotations

@@ -27,14 +27,14 @@ class StructuralError(MWSSError):
     This signals that the input graph is outside the supported class
     (contains a claw or net, or has stability number below 4 where at
     least 4 is required).  ``witness`` carries the offending nodes, in a
-    shape that depends on ``kind``.
+    shape that depends on ``kind``; ``detail`` is the message without it.
     """
 
     def __init__(self, kind: str, witness: tuple, message: str = ""):
         self.kind = kind
         self.witness = tuple(witness)
-        detail = message or f"structural contract violated ({kind})"
-        super().__init__(f"{detail}; witness={self.witness}")
+        self.detail = message or f"structural contract violated ({kind})"
+        super().__init__(f"{self.detail}; witness={self.witness}")
 
 
 class OracleSizeError(MWSSError):

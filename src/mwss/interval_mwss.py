@@ -32,47 +32,54 @@ class ConsistentOrder:
     prefix: tuple[int, ...]
 
 
-def consistent_order(adj: dict, cliques) -> ConsistentOrder:
-    """Order the nodes of ``adj`` by clique, then by reach into the next clique.
+def consistent_order(before, after, cliques) -> ConsistentOrder:
+    """Order the nodes of ``cliques`` by clique, then by reach into the next clique.
 
-    ``adj`` maps each node to its neighbor set, or at least to its
-    neighbors in the cliques before and after its own, as
-    ``interval_transform`` keeps them; ``cliques`` must partition its
-    nodes.  Cliques of several strips may follow each other: strips do
+    ``before`` and ``after`` hold each node's neighbors in the clique
+    before and after its own, as sorted tuples indexed by node id, as
+    ``interval_transform`` keeps them (``IntervalResult``); ``cliques``
+    must hold every node with a non-empty row once, and no id outside
+    the rows.  Cliques of several strips may follow each other: strips do
     not touch, so at a strip boundary every reach is empty and no prefix
     pointer crosses it.  Verifies the nesting that square-freeness
     promises; a violation is reported as the induced square it implies.
 
-    Nested reaches make the neighbors of a node in the previous clique a
-    suffix of that clique's order, so its earliest earlier neighbor is
-    found by counting them: it sits that many places before the node's
-    own clique starts.
+    A node's reach is its ``after`` row.  Nested reaches make its
+    ``before`` row a suffix of the previous clique's order, so its
+    earliest earlier neighbor sits ``len(before[v])`` places before its
+    own clique starts.  No row is intersected with a clique.
     """
     cliques = [tuple(k) for k in cliques]
     members = [v for k in cliques for v in k]
-    if len(members) != len(adj) or set(members) != adj.keys():
-        raise GraphInputError("cliques do not partition the strip graph")
+    n = len(before)
+    placed = bytearray(n)
+    for v in members:
+        if not 0 <= v < n or placed[v]:
+            raise GraphInputError("cliques do not partition the strip graph")
+        placed[v] = 1
+    v = placed.find(0)
+    while v >= 0:  # a node off the cliques, such as one of X, has no rows
+        if before[v] or after[v]:
+            raise GraphInputError("cliques do not partition the strip graph")
+        v = placed.find(0, v + 1)
     order: list[int] = []
     prefix: list[int] = []
-    before: tuple[int, ...] = ()  # the previous clique
-    for t, clique in enumerate(cliques):
-        nxt = set(cliques[t + 1]) if t + 1 < len(cliques) else set()
-        reach = [nxt.intersection(adj[v]) for v in clique]
-        ranked = sorted(zip(map(len, reach), clique, reach))
-        for (_, prev, reach_prev), (_, cur, reach_cur) in zip(ranked, ranked[1:]):
-            if not reach_prev <= reach_cur:
-                b1 = min(reach_prev - reach_cur)
-                b2 = min(reach_cur - reach_prev)
+    for clique in cliques:
+        ranked = sorted(clique, key=lambda v: (len(after[v]), v))
+        for prev, cur in zip(ranked, ranked[1:]):
+            reach_prev, reach_cur = after[prev], after[cur]
+            if reach_prev != reach_cur and not set(reach_cur).issuperset(reach_prev):
+                b1 = min(set(reach_prev).difference(reach_cur))
+                b2 = min(set(reach_cur).difference(reach_prev))
                 raise StructuralError(
                     "nesting",
                     (prev, b1, b2, cur),
                     "cross-neighborhoods not nested (square present)",
                 )
         start = len(order)
-        for _, v, _ in ranked:
+        for v in ranked:
             order.append(v)
-            prefix.append(start - len(adj[v].intersection(before)) - 1)
-        before = clique
+            prefix.append(start - len(before[v]) - 1)
     pos = [-1] * (max(members, default=-1) + 1)
     for k, v in enumerate(order):
         pos[v] = k

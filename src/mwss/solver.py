@@ -339,7 +339,7 @@ def solve_component(
             "removal_size", removal, "removal clique exceeds isqrt(2m) + 1 nodes"
         )
     interval = interval_transform(g, dec.strips, removal)
-    co = consistent_order(interval.adj, interval.cliques)
+    co = consistent_order(interval.before, interval.after, interval.cliques)
     base_value, base_nodes = mwss_on_order(co, g.weights)
     best_value, best_nodes = base_value, base_nodes
     per_vertex = []
@@ -373,7 +373,10 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     """Exact maximum weight stable set of a {claw, net}-free graph.
 
     The input is trusted to be {claw, net}-free; structural contract
-    violations surface as ``StructuralError`` with a witness.  A component
+    violations surface as ``StructuralError`` with a witness in ``g``'s
+    ids, mapped back through the component split, the twin reduction and
+    the positive-weight filter.  Each of those keeps an induced subgraph
+    on surviving nodes, so a claw or net witness names one in ``g``.  A component
     whose ascending greedy stable set has fewer than four nodes raises
     ``StructuralError("claw")`` when a greedy or augmented member sees a
     stable triple or a node sees three members, even if its stability
@@ -396,7 +399,14 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
             sub, sub_map = g2, None
         else:
             sub, sub_map = induced_subgraph(g2, comp)
-        value, nodes, route, detail = solve_component(sub, collect=collect_trace)
+        try:
+            value, nodes, route, detail = solve_component(sub, collect=collect_trace)
+        except StructuralError as exc:
+            witness = exc.witness
+            for ids in (sub_map, reduction, keep_map):
+                if ids is not None:
+                    witness = tuple(ids.to_orig[v] for v in witness)
+            raise StructuralError(exc.kind, witness, exc.detail) from exc
         total += value
         if sub_map is not None:
             nodes = sub_map.lift(nodes)

@@ -21,53 +21,84 @@ MAX_STAGE_SLACK = 8  # stages per pair are bounded by 3*|K_i|; guard a bit above
 
 
 class EliminationState:
-    """Stage machine for one consecutive clique pair over a mutable overlay.
+    """Stage machine for one consecutive clique pair K_i, K_j of a strip.
 
-    ``a`` lists the live nodes of A in stage order, ``b`` is the set of
-    live nodes of B, and ``d`` counts each live node's neighbors on the
-    other side.
+    ``before`` and ``after`` are the overlay rows of ``interval_transform``
+    (a node's neighbors in the previous and in the next clique of its
+    strip, as sorted tuples), indexable by node id.  A node of K_i meets
+    K_j only through ``after`` and a node of K_j meets K_i only through
+    ``before``, so ``d``, which counts each live node's neighbors on the
+    other side, starts from the row lengths.  ``a`` lists the live nodes
+    of A in stage order and ``b`` is the set of live nodes of B.
+
+    A ``remove`` stage reads only ``d``.  The other stages read a node's
+    row as a set, built on first use and kept in ``a_sets`` (A node ->
+    its neighbors in K_j) or ``b_sets`` (B node -> its neighbors in K_i);
+    added diagonals extend those sets.  ``run`` writes the rows of nodes
+    that gained diagonals back as sorted tuples.  A diagonal joins an
+    ``after`` row of K_i to a ``before`` row of K_j, which no other pair
+    reads.
     """
 
-    __slots__ = ("adj", "weights", "a", "b", "d", "added", "actions", "limit")
+    __slots__ = (
+        "before", "after", "weights", "a", "b", "d", "a_sets", "b_sets",
+        "added", "actions", "limit",
+    )
 
-    def __init__(self, adj: dict, weights, ki, kj):
-        self.adj = adj
+    def __init__(self, before, after, weights, ki, kj):
+        self.before = before
+        self.after = after
         self.weights = weights
         self.limit = 3 * len(ki) + MAX_STAGE_SLACK
-        # d counts a node's neighbors on the other side; the overlay is
-        # symmetric, so those neighbors all lie in A or B
         d = self.d = {}
-        self.a = []
-        self.b = set()
         for u in ki:
-            count = len(adj[u].intersection(kj))
+            count = len(after[u])
             if count:
                 d[u] = count
-                self.a.append(u)
+        self.a = list(d)
+        self._rank_a()
+        b = self.b = set()
         for v in kj:
-            count = len(adj[v].intersection(ki))
+            count = len(before[v])
             if count:
                 d[v] = count
-                self.b.add(v)
-        self._rank_a()
+                b.add(v)
+        self.a_sets: dict[int, set] = {}
+        self.b_sets: dict[int, set] = {}
         self.added: list[tuple[int, int]] = []
         self.actions: list[str] = []
 
     def _rank_a(self):
-        """Keep A in stage order: most neighbors in B first, then lowest id."""
-        d = self.d
-        self.a.sort(key=lambda u: (-d[u], u))
+        """Keep A in stage order: most neighbors in B first, then lowest id
+        (a stable sort by id, then by count, which keeps ties in id order)."""
+        self.a.sort()
+        self.a.sort(key=self.d.__getitem__, reverse=True)
+
+    def _a_set(self, u: int) -> set:
+        """The neighbors in K_j of the A node ``u``."""
+        s = self.a_sets.get(u)
+        if s is None:
+            s = self.a_sets[u] = set(self.after[u])
+        return s
+
+    def _b_set(self, v: int) -> set:
+        """The neighbors in K_i of the B node ``v``."""
+        s = self.b_sets.get(v)
+        if s is None:
+            s = self.b_sets[v] = set(self.before[v])
+        return s
 
     def _add_edge(self, u: int, v: int):
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        """Join the A node ``u`` to the B node ``v``."""
+        self._a_set(u).add(v)
+        self._b_set(v).add(u)
         self.added.append((u, v) if u < v else (v, u))
         self.d[u] += 1
         self.d[v] += 1
 
     def stage(self) -> str:
         """Run one stage; A must be non-empty.  Returns the action taken."""
-        a, b, d, adj = self.a, self.b, self.d, self.adj
+        a, b, d = self.a, self.b, self.d
         a_max = a[0]
         if d[a_max] == len(b):
             # a_max sees all of B: retire it, and every node of B it leaves
@@ -82,15 +113,15 @@ class EliminationState:
             self.actions.append("remove")
             return "remove"
         if d[a_max] == len(b) - 1:
-            (b1,) = b - adj[a_max]
-            in_a = adj[b1].intersection(a)
+            (b1,) = b - self._a_set(a_max)
+            in_a = self._b_set(b1).intersection(a)
             if not in_a:
                 raise StructuralError(
                     "stage", (b1,), "square-elimination stage found b1 null to A"
                 )
             a2 = min(in_a)
             if d[a2] == len(b) - 1:
-                (b2,) = b - adj[a2]
+                (b2,) = b - self._a_set(a2)
                 w = self.weights
                 if w[a2] + w[b2] >= w[a_max] + w[b1]:
                     self._add_edge(a_max, b1)
@@ -110,7 +141,7 @@ class EliminationState:
     def _kill_diags(self, abar: int):
         """Join abar to each node of B it misses except the heaviest; the
         kill-diags certificate in ``mwss.checks`` is why this is safe."""
-        missing = self.b - self.adj[abar]
+        missing = self.b - self._a_set(abar)
         w = self.weights
         spare = max(missing, key=lambda v: (w[v], -v))
         for v in sorted(missing):
@@ -118,7 +149,8 @@ class EliminationState:
                 self._add_edge(abar, v)
 
     def run(self) -> int:
-        """Run stages until A drains; returns their number."""
+        """Run stages until A drains, then write the grown rows back;
+        returns the number of stages."""
         stages = 0
         while self.a:
             if stages > self.limit:
@@ -127,20 +159,27 @@ class EliminationState:
                 )
             self.stage()
             stages += 1
+        if self.added:
+            for rows, sets in ((self.after, self.a_sets), (self.before, self.b_sets)):
+                for v, s in sets.items():
+                    if len(s) != len(rows[v]):  # sets only grow
+                        rows[v] = tuple(sorted(s))
         return stages
 
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """The strips after elimination, as one overlay over V - X.
+    """The strips after elimination, as two rows per node of V - X.
 
-    The overlay holds only what elimination and the consistent order
-    read: each node's neighbors in the cliques just before and just after
-    its own, added diagonals included.  Edges inside a clique are implied
-    by the clique and not stored.
+    ``before[v]`` holds v's neighbors in the clique before its own, and
+    ``after[v]`` those in the clique after it, in its strip; both are
+    sorted tuples with the added diagonals included.  Edges inside a
+    clique are implied by the clique and not stored.  Both rows are lists
+    indexed by node id; a node of X, or at a strip's end, has ``()``.
     """
 
-    adj: dict  # node of V - X -> its neighbors in the adjacent cliques
+    before: list  # node -> sorted neighbors in the previous clique of its strip
+    after: list  # node -> sorted neighbors in the next clique of its strip
     cliques: tuple[tuple[int, ...], ...]  # every strip's cliques, strip after strip
     added_edges: tuple[tuple[int, int], ...]
     stage_counts: tuple[tuple[int, ...], ...]  # per strip, per pair
@@ -155,12 +194,12 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
     between two of their nodes must lie in one clique or join consecutive
     cliques of one strip; otherwise ``StructuralError`` ``strip_cover`` or
     ``strip_adjacent`` names the first violation.  Both are checked while
-    the overlay is built, in one pass over the strip nodes' rows: a row's
-    part in the cliques next to the node's own is its overlay entry, and
-    as the cliques are cliques, every other neighbor lies in X or in the
-    node's clique exactly when deg(v) = (|K_t| - 1) + |N(v) & K_t-1| +
-    |N(v) & K_t+1| + |N(v) & X|.  Each strip's consecutive pairs then add
-    their diagonals in place.
+    the rows are built, in one pass over the strip nodes' graph rows: the
+    parts of v's row in K_t-1 and K_t+1, filtered in row order, are its
+    ``before`` and ``after`` rows, and as the cliques are cliques, every
+    other neighbor lies in X or in v's clique K_t exactly when deg(v) =
+    (|K_t| - 1) + |before| + |after| + |N(v) & X|.  Each strip's
+    consecutive pairs then add their diagonals to those rows.
     """
     families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
@@ -172,29 +211,31 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
         if 0 <= x < g.n:
             for u in nbrs[x]:
                 x_degree[u] += 1
-    adj = {}
+    before: list = [()] * g.n
+    after: list = [()] * g.n
     for family in families:
+        member = [set(k).__contains__ for k in family] + [None]
         for i, k in enumerate(family):
-            near = set(family[i - 1]) if i else set()
-            if i + 1 < len(family):
-                near.update(family[i + 1])
+            prev_has, next_has = member[i - 1] if i else None, member[i + 1]
             others = len(k) - 1
             for v in k:
                 row = nbrs[v]
-                cross = near.intersection(row)
-                if len(row) != others + len(cross) + x_degree[v]:
+                lo = tuple(filter(prev_has, row)) if prev_has else ()
+                hi = tuple(filter(next_has, row)) if next_has else ()
+                if len(row) != others + len(lo) + len(hi) + x_degree[v]:
                     _raise_strip_adjacent(g, families, removal, v)
-                adj[v] = cross
+                before[v] = lo
+                after[v] = hi
     added: list[tuple[int, int]] = []
     stage_counts = []
     for family in families:
         counts = []
         for ki, kj in zip(family, family[1:]):
-            state = EliminationState(adj, g.weights, ki, kj)
+            state = EliminationState(before, after, g.weights, ki, kj)
             counts.append(state.run())
             added.extend(state.added)
         stage_counts.append(tuple(counts))
-    return IntervalResult(adj, cliques, tuple(added), tuple(stage_counts))
+    return IntervalResult(before, after, cliques, tuple(added), tuple(stage_counts))
 
 
 def _check_cover(n: int, cliques, removal):

@@ -44,11 +44,25 @@ def complete_graph(n, weights=None):
 
 def overlay(g, nodes=None):
     """Node -> neighbor set of the subgraph induced by ``nodes`` (all of
-    ``g`` by default), the shape ``consistent_order`` and
-    ``EliminationState`` read."""
+    ``g`` by default), the shape ``semi_homog_pair_certificate`` reads."""
     nodes = range(g.n) if nodes is None else nodes
     node_set = set(nodes)
     return {v: set(g.adj(v)) & node_set for v in nodes}
+
+
+def strip_rows(g, cliques):
+    """(before, after): each node's sorted neighbors in the clique before
+    and after its own along ``cliques``, as lists indexed by node id (``()``
+    off the cliques); the rows ``consistent_order`` and
+    ``EliminationState`` read."""
+    before, after = [()] * g.n, [()] * g.n
+    for lo, hi in zip(cliques, cliques[1:]):
+        lo_set, hi_set = set(lo), set(hi)
+        for v in hi:
+            before[v] = tuple(sorted(g.adj(v) & lo_set))
+        for v in lo:
+            after[v] = tuple(sorted(g.adj(v) & hi_set))
+    return before, after
 
 
 def random_graph(n, p, rng, weights=None):
@@ -576,7 +590,9 @@ class ReferenceEliminationState:
 
 def reference_interval_transform(g, strips):
     """Elimination over a full neighbor-set overlay of V - X; the reference
-    for ``mwss.interval_transform`` (its cover check aside)."""
+    for ``mwss.interval_transform`` (its cover check aside).  Returns the
+    overlay and the result, whose rows are the overlay restricted to the
+    clique before and after each node's own."""
     families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
     adj = {v: set(g.neighbors(v)) for k in cliques for v in k}
@@ -594,7 +610,14 @@ def reference_interval_transform(g, strips):
             counts.append(state.run())
             added.extend(state.added)
         stage_counts.append(tuple(counts))
-    return IntervalResult(adj, cliques, tuple(added), tuple(stage_counts))
+    before, after = [()] * g.n, [()] * g.n
+    for family in families:
+        for lo, hi in zip(family, family[1:]):
+            for v in hi:
+                before[v] = tuple(sorted(adj[v] & set(lo)))
+            for v in lo:
+                after[v] = tuple(sorted(adj[v] & set(hi)))
+    return adj, IntervalResult(before, after, cliques, tuple(added), tuple(stage_counts))
 
 
 def reference_consistent_order(adj, cliques):
@@ -627,7 +650,8 @@ def reference_consistent_order(adj, cliques):
 def strip_pipeline_outcome(g, reference=False):
     """Everything the strip pipeline builds for ``g`` after its canonical
     set, through the solver's code or the references: (wing table,
-    decomposition, added edges, stage counts, order, prefix), or the kind
+    decomposition, before and after rows, added edges, stage counts,
+    order, prefix), or the kind
     and witness of the first ``StructuralError``.  None when the stability
     number is below four."""
     try:
@@ -637,13 +661,22 @@ def strip_pipeline_outcome(g, reference=False):
         st, _ = canonicalize(g, CanonicalState(g, greedy_members(g, seed)))
         if reference:
             wt, dec = reference_decompose(g, st)
-            interval = reference_interval_transform(g, dec.strips)
-            co = reference_consistent_order(interval.adj, interval.cliques)
+            adj, interval = reference_interval_transform(g, dec.strips)
+            co = reference_consistent_order(adj, interval.cliques)
         else:
             wt = build_wing_table(g, st)
             dec = decompose(g, st)
             interval = interval_transform(g, dec.strips, dec.removal)
-            co = consistent_order(interval.adj, interval.cliques)
+            co = consistent_order(interval.before, interval.after, interval.cliques)
     except StructuralError as err:
         return ("error", err.kind, err.witness)
-    return (wt, dec, interval.added_edges, interval.stage_counts, co.order, co.prefix)
+    return (
+        wt,
+        dec,
+        interval.before,
+        interval.after,
+        interval.added_edges,
+        interval.stage_counts,
+        co.order,
+        co.prefix,
+    )

@@ -265,7 +265,7 @@ def test_criterion_6_consistency(pipeline_details):
         gbar = transformed_graph(g, detail.interval)
         assert verify_consistent(gbar, detail.order) is None
         value, nodes = mwss_on_order(detail.order, g.weights)
-        strip_graph, _ = induced_subgraph(gbar, sorted(detail.interval.adj))
+        strip_graph, _ = induced_subgraph(gbar, [v for k in detail.interval.cliques for v in k])
         assert value == oracle_mwss(strip_graph)[0]
         assert gbar.is_stable(nodes) and gbar.weight_of(nodes) == value
         strips += len(detail.decomposition.strips)

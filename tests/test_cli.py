@@ -108,6 +108,18 @@ class TestSolveCommand:
         assert run(["frobnicate"]) == 2
 
 
+class TestSolveErrors:
+    def test_violation_witness_in_file_ids(self, tmp_path, capsys):
+        # node 1 is isolated, so the claw centred on node 4 is found in a
+        # renumbered component
+        text = (
+            "p mwss 7 5\nn 1 3\nn 2 3\nn 4 5\nn 7 4\n"
+            "e 2 3\ne 2 4\ne 4 5\ne 4 6\ne 6 7\n"
+        )
+        assert run(["solve", write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.endswith("; witness=(4, 2, 5, 6)\n")
+
+
 class TestCheckCommand:
     def test_net_file_reports_witness(self, tmp_path, capsys):
         net = "p mwss 6 6\ne 1 2\ne 1 3\ne 2 3\ne 1 4\ne 2 5\ne 3 6\n"
@@ -137,6 +149,12 @@ class TestDecomposeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload == {"n": 3, "alpha_ge_4": False}
+
+    def test_violation_witness_printed_1_based(self, tmp_path, capsys):
+        # the star K1,4 on nodes 1..5, centre 1
+        star = "p mwss 5 4\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n"
+        assert run(["decompose", write(tmp_path, star)]) == 1
+        assert capsys.readouterr().err.endswith("; witness=(1, 2, 3, 4)\n")
 
     def test_disconnected_rejected(self, tmp_path, capsys):
         two = "p mwss 4 2\ne 1 2\ne 3 4\n"
@@ -176,6 +194,15 @@ class TestOtherCommands:
         assert code == 0
         assert payload["rows"][0]["n"] == 1000
         assert payload["rows"][0]["median_build_seconds"] > 0
+        assert "peak_mb" not in payload["rows"][0]
+        # --memory adds one traced solve per size
+        code = run(["bench", "--sizes", "1000", "--repeats", "1", "--json", "--memory"])
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert code == 0 and row["n"] == 1000
+        assert 0 < row["peak_mb"] < 50
+        assert run(["bench", "--sizes", "200", "--repeats", "1", "--memory"]) == 0
+        header, line = capsys.readouterr().out.splitlines()
+        assert header.split()[-1] == "peak_mb" and float(line.split()[-1]) > 0
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_bench_rejects_repeats_below_one(self, capsys, repeats):

@@ -14,33 +14,38 @@ from mwss import (
 from mwss.checks import transformed_graph, verify_consistent
 from mwss.graph import closed_neighborhood, induced_subgraph
 
-from helpers import complete_graph, overlay, path_graph
+from helpers import complete_graph, path_graph, strip_rows
+
+
+def order_of(g, cliques):
+    """``consistent_order`` on ``g``'s rows along ``cliques``."""
+    return consistent_order(*strip_rows(g, cliques), cliques)
 
 
 class TestConsistentOrder:
     def test_two_cliques_reach_order(self):
         # cliques {0,1} and {2}; only 1-2 crosses, so 0 precedes 1
         g = Graph(3, [(0, 1), (1, 2)])
-        co = consistent_order(overlay(g), [(0, 1), (2,)])
+        co = order_of(g, [(0, 1), (2,)])
         assert co.order == (0, 1, 2)
         assert verify_consistent(g, co) is None
 
     def test_single_clique_id_order(self):
         g = complete_graph(4)
-        co = consistent_order(overlay(g), [(0, 1, 2, 3)])
+        co = order_of(g, [(0, 1, 2, 3)])
         assert co.order == (0, 1, 2, 3)
         assert verify_consistent(g, co) is None
 
     def test_p3_strip(self):
         g = path_graph(3)
-        co = consistent_order(overlay(g), [(0,), (1,), (2,)])
+        co = order_of(g, [(0,), (1,), (2,)])
         assert co.order == (0, 1, 2)
 
     def test_nesting_violation_reports_square(self):
         # 0 reaches {2}, 1 reaches {3}: incomparable, a square survives
         g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
         with pytest.raises(StructuralError) as err:
-            consistent_order(overlay(g), [(0, 1), (2, 3)])
+            order_of(g, [(0, 1), (2, 3)])
         assert err.value.kind == "nesting"
         a, b1, b2, c = err.value.witness
         assert {a, c} == {0, 1} and {b1, b2} == {2, 3}
@@ -49,15 +54,16 @@ class TestConsistentOrder:
         "cliques", [[(0, 1)], [(0, 1), (2,), (2,)], [(0, 1), (2, 3)]]
     )
     def test_cliques_must_partition_the_overlay(self, cliques):
-        # a node missing, a node twice, a node outside the overlay
+        # a node with rows missing, a node twice, a node outside the rows
+        rows = strip_rows(path_graph(3), [(0, 1), (2,)])
         with pytest.raises(GraphInputError):
-            consistent_order(overlay(path_graph(3)), cliques)
+            consistent_order(*rows, cliques)
 
     def test_two_strips_one_order(self):
         # strips 0-1 and 2-3-4 do not touch: the order is the two strip
         # orders one after the other, and no prefix pointer crosses
         g = Graph(5, [(0, 1), (2, 3), (3, 4)])
-        co = consistent_order(overlay(g), [(1,), (0,), (2,), (3,), (4,)])
+        co = order_of(g, [(1,), (0,), (2,), (3,), (4,)])
         assert co.order == (1, 0, 2, 3, 4)
         assert co.prefix == (-1, -1, 1, 1, 2)
         assert mwss_on_order(co, [4, 1, 2, 1, 2]) == (8, (0, 2, 4))
@@ -76,7 +82,7 @@ class TestConsistentOrder:
 class TestVerifyConsistent:
     def test_path_along_itself(self):
         g = path_graph(4)
-        co = consistent_order(overlay(g), [(0,), (1,), (2,), (3,)])
+        co = order_of(g, [(0,), (1,), (2,), (3,)])
         assert verify_consistent(g, co) is None
 
     def test_permuted_p3_is_consistent(self):
@@ -99,20 +105,20 @@ class TestVerifyConsistent:
 class TestDP:
     def test_single_clique_takes_max(self):
         g = complete_graph(3, [2, 7, 1])
-        co = consistent_order(overlay(g), [(0, 1, 2)])
+        co = order_of(g, [(0, 1, 2)])
         value, nodes = mwss_on_order(co, g.weights)
         assert value == 7 and nodes == (1,)
 
     def test_p3_weights(self):
         g = path_graph(3, [2, 5, 3])
-        co = consistent_order(overlay(g), [(0,), (1,), (2,)])
+        co = order_of(g, [(0,), (1,), (2,)])
         value, nodes = mwss_on_order(co, g.weights)
         assert value == 5
         assert g.is_stable(nodes) and g.weight_of(nodes) == 5
 
     def test_p5_weights(self):
         g = path_graph(5, [1, 9, 1, 9, 1])
-        co = consistent_order(overlay(g), [tuple([i]) for i in range(5)])
+        co = order_of(g, [tuple([i]) for i in range(5)])
         value, nodes = mwss_on_order(co, g.weights)
         assert value == 18 and nodes == (1, 3)
 
@@ -126,7 +132,7 @@ class TestDP:
             if detail is None:
                 continue
             gbar = transformed_graph(g, detail.interval)
-            strips, _ = induced_subgraph(gbar, sorted(detail.interval.adj))
+            strips, _ = induced_subgraph(gbar, [v for k in detail.interval.cliques for v in k])
             value, nodes = mwss_on_order(detail.order, g.weights)
             assert value == detail.base_value == oracle_mwss(strips)[0]
             assert gbar.is_stable(nodes) and gbar.weight_of(nodes) == value

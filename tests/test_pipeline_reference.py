@@ -5,7 +5,9 @@ elimination and consistent order once through the solver and once
 through the references in ``helpers``; both must build the same wing
 table, decomposition, added edges, stage counts, order and prefix
 pointers, or raise the same ``StructuralError`` kind with the same
-witness.
+witness.  Every node's ``before`` and ``after`` rows must equal the
+reference's full neighbor-set overlay, diagonals included, restricted to
+the clique before and after its own.
 """
 
 import random

@@ -386,3 +386,38 @@ class TestPipelineContracts:
         with pytest.raises(StructuralError) as err:
             solve(spider)
         assert err.value.witness  # carries the offending nodes
+
+
+class TestWitnessIds:
+    """``solve`` reports witnesses in the caller's ids, though it solves
+    renumbered components of a filtered, twin-reduced graph."""
+
+    def test_claw_named_in_input_ids(self):
+        # node 0 is isolated, so the claw's component is renumbered
+        g = Graph(7, [(1, 2), (1, 3), (3, 4), (3, 5), (5, 6)], (3, 3, 1, 5, 1, 1, 4))
+        with pytest.raises(StructuralError) as err:
+            solve(g)
+        assert (err.value.kind, err.value.witness) == ("claw", (3, 1, 4, 5))
+        assert validate_witness(g, PatternWitness("claw", err.value.witness))
+        assert str(err.value).endswith("; witness=(3, 1, 4, 5)")
+
+    @pytest.mark.parametrize("nonpositive", [False, True])
+    def test_every_pattern_witness_is_valid_in_input_ids(self, nonpositive):
+        # G(n, 0.35) with node 0 isolated; with ``nonpositive`` about one
+        # weight in five is dropped by the positive filter as well
+        rng = random.Random(7)
+        raised = 0
+        for _ in range(1500):
+            n = rng.randint(6, 12)
+            edges = [(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < 0.35]
+            weights = [rng.randint(1, 5) for _ in range(n)]
+            if nonpositive:
+                weights = [w if rng.random() < 0.8 else rng.randint(-2, 0) for w in weights]
+            g = Graph(n, edges, weights)
+            try:
+                solve(g)
+            except StructuralError as err:
+                if err.kind in ("claw", "net"):
+                    raised += 1
+                    assert validate_witness(g, PatternWitness(err.kind, err.witness)), err
+        assert raised >= 300

@@ -17,14 +17,19 @@ from mwss.checks import (
     transformed_graph,
 )
 
-from helpers import cycle_graph, overlay, path_graph, reference_validate_cover
+from helpers import cycle_graph, overlay, path_graph, reference_validate_cover, strip_rows
+
+
+def pair_state(g, ki, kj):
+    """``EliminationState`` for the pair on ``g``'s own rows."""
+    return EliminationState(*strip_rows(g, [ki, kj]), g.weights, ki, kj)
 
 
 class TestStage:
     def test_universal_pair_only_removes(self):
         # complete join between the cliques: case (i) until A drains
         g = Graph(4, [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)])
-        st = EliminationState(overlay(g, range(4)), g.weights, (0, 1), (2, 3))
+        st = pair_state(g, (0, 1), (2, 3))
         st.run()
         assert st.added == []
         assert set(st.actions) == {"remove"}
@@ -32,14 +37,14 @@ class TestStage:
     def test_kill_c4_keeps_heaviest_diagonal_apart(self):
         # square (a1, a2, b1, b2) with w(a1)=5, w(b1)=4, w(a2)=3, w(b2)=2
         g = Graph(4, [(0, 1), (2, 3), (0, 3), (1, 2)], [5, 3, 4, 2])
-        st = EliminationState(overlay(g, range(4)), g.weights, (0, 1), (2, 3))
+        st = pair_state(g, (0, 1), (2, 3))
         action = st.stage()
         assert action == "kill_c4"
         assert st.added == [(1, 3)]  # joins the lighter pair {a2, b2}
 
     def test_kill_c4_tie_adds_amax_edge(self):
         g = Graph(4, [(0, 1), (2, 3), (0, 3), (1, 2)], [1, 1, 1, 1])
-        st = EliminationState(overlay(g, range(4)), g.weights, (0, 1), (2, 3))
+        st = pair_state(g, (0, 1), (2, 3))
         assert st.stage() == "kill_c4"
         assert st.added == [(0, 2)]  # a_max b1 on equal weight sums
 
@@ -51,7 +56,7 @@ class TestStage:
              (0, 5), (1, 2), (1, 3), (1, 4)],
             [1, 1, 7, 2, 2, 1],
         )
-        st = EliminationState(overlay(g, range(6)), g.weights, (0, 1), (2, 3, 4, 5))
+        st = pair_state(g, (0, 1), (2, 3, 4, 5))
         assert st.stage() == "kill_diags"
         assert st.added == [(0, 3), (0, 4)]  # node 2 (weight 7) is spared
 
@@ -67,8 +72,8 @@ class TestStage:
         assert oracle_mwss(transformed_graph(g, res))[0] == before
         assert res.added_edges == ((0, 3), (0, 4), (1, 5))
         assert res.cliques == ((0, 1), (2, 3, 4, 5))
-        for u, v in res.added_edges:
-            assert v in res.adj[u] and u in res.adj[v]
+        for u, v in res.added_edges:  # 0, 1 lie in the first clique
+            assert v in res.after[u] and u in res.before[v]
 
     def test_stage_count_bounded(self):
         for seed in range(25):
@@ -117,11 +122,52 @@ class TestTransform:
     def test_added_edges_are_logged_in_original_ids(self):
         g = gen_strip_instance(GenSpec(seed=123, mode="strip", nodes=16, clique_min=2, clique_max=4, density=0.5))
         _, _, _, detail = solve_component(g, collect=True)
-        strip_nodes = set(detail.interval.adj)
+        strip_nodes = {v for k in detail.interval.cliques for v in k}
         assert strip_nodes == set(range(g.n)) - set(detail.decomposition.removal)
         for u, v in detail.interval.added_edges:
             assert u in strip_nodes and v in strip_nodes
             assert not g.has_edge(u, v)
+
+
+class TestRowShape:
+    def test_rows_sorted_counted_and_remove_pairs_build_no_set(self):
+        g = gen_strip_instance(
+            GenSpec(seed=4242, mode="strip", nodes=4000, clique_min=7, clique_max=11,
+                    density=0.6, weights="random")
+        )
+        details = [d for d in solve(g, collect_trace=True).certificates["details"] if d]
+        assert details
+        remove_only = other = 0
+        for detail in details:
+            comp, interval = detail.graph, detail.interval
+            for rows in (interval.before, interval.after):
+                assert len(rows) == comp.n
+                for row in rows:
+                    assert type(row) is tuple and list(row) == sorted(set(row))
+            # replay every pair on fresh rows: same diagonals, same rows
+            before, after = [()] * comp.n, [()] * comp.n
+            cross = 0
+            added = []
+            for strip in detail.decomposition.strips:
+                lo, hi = strip_rows(comp, strip.cliques)
+                for v in strip.nodes:
+                    before[v], after[v] = lo[v], hi[v]
+                    cross += len(hi[v])
+                for ki, kj in zip(strip.cliques, strip.cliques[1:]):
+                    st = EliminationState(before, after, comp.weights, ki, kj)
+                    st.run()
+                    added.extend(st.added)
+                    if set(st.actions) == {"remove"}:
+                        assert not st.a_sets and not st.b_sets
+                        remove_only += 1
+                    else:
+                        assert st.a_sets and st.b_sets
+                        other += 1
+            assert tuple(added) == interval.added_edges
+            assert (before, after) == (interval.before, interval.after)
+            total = sum(map(len, interval.before)) + sum(map(len, interval.after))
+            assert total == 2 * (cross + len(interval.added_edges))
+        assert remove_only >= 100 and other >= 100, (remove_only, other)
 
 
 class TestCoverCheck:
@@ -151,7 +197,8 @@ class TestCoverCheck:
     def test_edges_into_x_are_allowed(self):
         g = path_graph(5)
         res = interval_transform(g, [[(0,), (1,)], [(3,), (4,)]], (2,))
-        assert res.adj == {0: {1}, 1: {0}, 3: {4}, 4: {3}}
+        assert res.before == [(), (0,), (), (), (3,)]
+        assert res.after == [(1,), (), (), (4,), ()]
 
 
 class TestCertificate:
@@ -190,18 +237,25 @@ class TestCertificate:
                 comp = detail.graph
                 for strip in detail.decomposition.strips:
                     strips += 1
+                    # the full overlay the certificate reads, kept in step
+                    # with the added diagonals
                     adj = overlay(comp, strip.nodes)
+                    rows = strip_rows(comp, strip.cliques)
                     for ki, kj in zip(strip.cliques, strip.cliques[1:]):
-                        st = EliminationState(adj, comp.weights, ki, kj)
+                        st = EliminationState(*rows, comp.weights, ki, kj)
                         for _ in range(3 * len(ki) + 8):
                             if not st.a:
                                 break
                             before = {v: set(nb) for v, nb in adj.items()}
                             a_before, b_before = set(st.a), set(st.b)
                             done = len(st.added)
-                            if st.stage() != "kill_diags":
-                                continue
+                            action = st.stage()
                             new = st.added[done:]
+                            for u, v in new:
+                                adj[u].add(v)
+                                adj[v].add(u)
+                            if action != "kill_diags":
+                                continue
                             (abar,) = set.intersection(*map(set, new)) & a_before
                             missing = b_before - before[abar]
                             assert len(new) == len(missing) - 1 >= 1
@@ -229,11 +283,16 @@ class TestStageBoundaryInvariant:
                 nodes = sorted(v for k in strip.cliques for v in k)
                 node_set = set(nodes)
                 adj = {v: set(g.adj(v)) & node_set for v in nodes}
+                rows = strip_rows(g, strip.cliques)
                 for ki, kj in zip(strip.cliques, strip.cliques[1:]):
-                    st = EliminationState(adj, g.weights, ki, kj)
+                    st = EliminationState(*rows, g.weights, ki, kj)
                     guard = 0
                     while st.a:
+                        done = len(st.added)
                         st.stage()
+                        for u, v in st.added[done:]:
+                            adj[u].add(v)
+                            adj[v].add(u)
                         guard += 1
                         assert guard <= 3 * len(ki) + 8
                         live_a = sorted(st.a)
@@ -260,7 +319,7 @@ class TestKillDiagsDirect:
              (0, 2), (0, 3), (1, 4), (1, 5)],
             [1, 1, 1, 1, 3, 1],
         )
-        st = EliminationState(overlay(g, range(6)), g.weights, (0, 1), (2, 3, 4, 5))
+        st = pair_state(g, (0, 1), (2, 3, 4, 5))
         assert st.d[0] == 2 and st.d[1] == 2
         assert st.stage() == "kill_diags"
         assert st.added == [(0, 5)]  # node 4 (weight 3) spared
