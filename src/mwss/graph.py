@@ -190,80 +190,83 @@ def closed_neighborhood(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SubgraphMap:
-    """Bidirectional id mapping produced by :func:`induced_subgraph`."""
+    """Id mapping produced by :func:`induced_subgraph`: subgraph node i is
+    ``to_orig[i]``."""
 
-    to_sub: dict
     to_orig: tuple
 
     def lift(self, sub_nodes: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(self.to_orig[v] for v in sub_nodes))
 
 
-def induced_rows(g: Graph, keep: Sequence[int]) -> list[tuple[int, ...]]:
-    """Rows of the subgraph induced by ``keep`` (ascending, no repeats),
-    with ids renumbered densely in that order; each row stays sorted."""
-    inside = bytearray(g.n)
-    new_id = [0] * g.n
-    for i, v in enumerate(keep):
-        inside[v] = 1
-        new_id[v] = i
-    marked, renumber = inside.__getitem__, new_id.__getitem__
-    return [tuple(map(renumber, filter(marked, g._nbrs[v]))) for v in keep]
+def induced_subgraph(
+    g: Graph, keep: Iterable[int], weights: Sequence[int] | None = None
+) -> tuple[Graph, SubgraphMap]:
+    """Subgraph induced by ``keep``, node v weighing ``weights[v]``
+    (``g.weights`` by default).
 
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, SubgraphMap]:
-    """Subgraph induced by ``keep``, with weights carried over.
-
-    New ids are dense, assigned in ascending order of the original ids.
+    New ids are dense, assigned in ascending order of the original ids;
+    each row is filtered and renumbered from ``g``'s and stays sorted.
     """
-    keep_sorted = sorted(set(_check_subset(g, keep)))
-    to_sub = {v: i for i, v in enumerate(keep_sorted)}
+    keep_sorted = sorted(set(keep))
+    g._check_ids(keep_sorted)
+    weights = g.weights if weights is None else weights
+    # a dict, not n-long arrays: solve induces many small components of g
+    new_id = dict(zip(keep_sorted, range(len(keep_sorted))))
+    inside, renumber = new_id.__contains__, new_id.__getitem__
     sub = Graph._from_rows(
-        induced_rows(g, keep_sorted), [g.weights[v] for v in keep_sorted]
+        [tuple(map(renumber, filter(inside, g._nbrs[v]))) for v in keep_sorted],
+        [weights[v] for v in keep_sorted],
     )
-    return sub, SubgraphMap(to_sub, tuple(keep_sorted))
+    return sub, SubgraphMap(tuple(keep_sorted))
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Partition of V into maximal connected node sets, ordered by smallest id."""
-    seen = bytearray(g.n)
+def connected_components(
+    g: Graph, nodes: Iterable[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Node sets of the connected components of the subgraph induced by
+    ``nodes`` (all of V by default), each ascending, ordered by smallest id."""
+    nodes = range(g.n) if nodes is None else sorted(nodes)
+    g._check_ids(nodes)
+    seen = bytearray(b"\x01") * g.n
+    for v in nodes:
+        seen[v] = 0
+    nbrs = g._nbrs
     comps = []
-    for start in range(g.n):
+    for start in nodes:
         if seen[start]:
             continue
         seen[start] = 1
-        queue = deque([start])
         comp = [start]
-        while queue:
-            u = queue.popleft()
-            for v in g._nbrs[u]:
+        for u in comp:  # the list grows while it is walked: a BFS queue
+            for v in nbrs[u]:
                 if not seen[v]:
                     seen[v] = 1
                     comp.append(v)
-                    queue.append(v)
         comps.append(tuple(sorted(comp)))
     return comps
 
 
 @dataclass(frozen=True)
 class TwinReduction:
-    """Result of :func:`remove_twins`.
+    """Result of :func:`remove_twins`, in the input graph's ids.
 
-    ``steps`` records the applied reductions in order, over original ids:
-    ``("merge", survivor, removed)`` for a non-adjacent twin whose weight
-    was folded into the survivor, ``("drop", kept, removed)`` for an
-    adjacent twin removal.  ``lift`` replays the log backwards to expand a
-    stable set of the reduced graph into one of the original graph with
-    the same total weight.
+    ``live`` holds the surviving nodes, ascending; ``weights[v]`` is the
+    merged weight of a live node v.  ``steps`` records the applied
+    reductions in order: ``("merge", survivor, removed)`` for a
+    non-adjacent twin whose weight was folded into the survivor,
+    ``("drop", kept, removed)`` for an adjacent twin removal.  ``lift``
+    replays the log backwards to expand a stable set of the graph induced
+    by ``live`` (under ``weights``) into one of the input graph with the
+    same total weight.
     """
 
-    graph: Graph
-    to_orig: tuple
-    to_sub: dict
+    live: tuple
+    weights: tuple
     steps: tuple
 
-    def lift(self, reduced_nodes: Iterable[int]) -> tuple[int, ...]:
-        chosen = {self.to_orig[v] for v in reduced_nodes}
+    def lift(self, nodes: Iterable[int]) -> tuple[int, ...]:
+        chosen = set(nodes)
         for kind, survivor, removed in reversed(self.steps):
             if kind == "merge" and survivor in chosen:
                 chosen.add(removed)
@@ -274,34 +277,36 @@ _TWIN_LABEL_SEED = 0x7E1A  # fixes the neighborhood keys; results never depend o
 
 
 def remove_twins(g: Graph) -> TwinReduction:
-    """Collapse all twins; preserves the optimal stable set weight.
+    """Drop non-positive nodes, then collapse all twins among the rest;
+    preserves the optimal stable set weight.
 
-    Two nodes are twins when N(u)∖{v} = N(v)∖{u}.  Non-adjacent twins are
-    merged (weights added); of adjacent twins only a maximum-weight one
-    survives.  A round is one pass for each kind, non-adjacent first;
-    passes repeat until two in a row remove nothing, so the output graph
-    is twin-free.
+    A node of weight <= 0 is dead from the start: no optimum needs it, so
+    it is neither live nor logged as a step.  Two live nodes are twins
+    when their live neighborhoods satisfy N(u)∖{v} = N(v)∖{u}.
+    Non-adjacent twins are merged into the lowest one (weights added); of
+    adjacent twins only a maximum-weight one survives.  A round is one
+    pass for each kind, non-adjacent first; passes repeat until two in a
+    row remove nothing, so the graph induced by ``live`` is twin-free.
 
     Each node keeps a key, the sum of fixed pseudo-random labels over its
-    open neighborhood, which a removal updates in O(deg).  A pass groups
-    the remaining nodes by key (plus their own label for closed
-    neighborhoods) and splits each group exactly by comparing neighbor
-    sets, so a key collision never merges two non-twins.  A round costs
-    O(n + m), and the graph is never copied: removed nodes are marked in
-    a bytearray.  Without twins the input graph itself is returned, with
-    the identity map.
+    live open neighborhood (a dead node's label is 0), which a removal
+    updates in O(deg).  A pass groups the live nodes by key (plus their
+    own label for closed neighborhoods) and splits each group exactly by
+    comparing live neighbor sets, so a key collision never merges two
+    non-twins.  A round costs O(n + m); no graph is built: dead nodes are
+    marked in a bytearray and every result is in ``g``'s ids.
     """
     n = g.n
     nbrs = g._nbrs
+    weight = list(g.weights)
+    alive = bytearray(w > 0 for w in weight)
     rng = random.Random(_TWIN_LABEL_SEED)
     # 40-bit labels keep each key within a machine word, where sum() is fast.
-    label = [rng.getrandbits(40) for _ in range(n)]
+    label = [rng.getrandbits(40) if a else 0 for a in alive]
     label_of = label.__getitem__
-    key = [sum(map(label_of, row)) for row in nbrs]
-    alive = bytearray(b"\x01") * n
-    weight = list(g.weights)
+    live = list(compress(range(n), alive))
+    key = [sum(map(label_of, row)) if a else 0 for row, a in zip(nbrs, alive)]
     steps: list[tuple] = []
-    live: Sequence[int] = range(n)
     closed = False
     # After two passes in a row that removed nothing, the next pass would
     # see the same graph as the last pass of its kind.
@@ -313,23 +318,17 @@ def remove_twins(g: Graph) -> TwinReduction:
             keys = [key[v] for v in live]
         classes = _twin_classes(g, alive, live, keys, closed)
         for members in classes:
-            # Only positive weights are worth merging into a non-adjacent
-            # twin; any other twin is deleted outright (no optimum ever
-            # needs it next to its surviving twin).  Of adjacent twins only
-            # a maximum-weight one survives.
-            positives = [] if closed else [u for u in members if weight[u] > 0]
-            if positives:
-                kept = positives[0]
-            else:
-                kept = max(members, key=lambda u: (weight[u], -u))
+            # Every live weight is positive, so an open class merges into
+            # its lowest member; of adjacent twins a heaviest one survives.
+            kept = max(members, key=lambda u: (weight[u], -u)) if closed else members[0]
             for u in members:
                 if u == kept:
                     continue
-                if not closed and weight[u] > 0:
+                if closed:
+                    steps.append(("drop", kept, u))
+                else:
                     weight[kept] += weight[u]
                     steps.append(("merge", kept, u))
-                else:
-                    steps.append(("drop", kept, u))
                 alive[u] = 0
                 lu = label[u]
                 for x in nbrs[u]:
@@ -340,14 +339,7 @@ def remove_twins(g: Graph) -> TwinReduction:
         else:
             idle += 1
         closed = not closed
-    if not steps:
-        return TwinReduction(g, tuple(range(n)), {v: v for v in range(n)}, ())
-    to_orig = tuple(live)
-    to_sub = {v: i for i, v in enumerate(to_orig)}
-    reduced = Graph._from_rows(
-        induced_rows(g, to_orig), [weight[v] for v in to_orig]
-    )
-    return TwinReduction(reduced, to_orig, to_sub, tuple(steps))
+    return TwinReduction(tuple(live), tuple(weight), tuple(steps))
 
 
 def _twin_classes(g: Graph, alive, live, keys, closed: bool) -> list[list[int]]:

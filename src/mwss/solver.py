@@ -1,11 +1,13 @@
 """End-to-end solver: preprocessing, dispatch, and the final maximum.
 
-``solve`` deletes non-positive-weight nodes, collapses twins, and handles
-each connected component on its own: components without a stable set of
-size four go to exact bounded enumeration, the rest through the strip
-pipeline, where the answer is the best of the strip optimum and, for
-every node v of the removal clique, v's weight plus the strip optimum
-avoiding N[v].  Witness sets are lifted back through the twin log.
+``solve`` marks non-positive-weight nodes and collapsed twins dead in one
+live mask over the input's ids, and handles each connected component of
+the live nodes on its own, induced straight from the input: components
+without a stable set of size four go to exact bounded enumeration, the
+rest through the strip pipeline, where the answer is the best of the
+strip optimum and, for every node v of the removal clique, v's weight
+plus the strip optimum avoiding N[v].  A component's ids map back through
+its node tuple; the chosen set is then lifted through the twin log.
 """
 
 from __future__ import annotations
@@ -372,51 +374,40 @@ def solve_component(
 def solve(g: Graph, collect_trace: bool = False) -> Solution:
     """Exact maximum weight stable set of a {claw, net}-free graph.
 
-    The input is trusted to be {claw, net}-free; structural contract
-    violations surface as ``StructuralError`` with a witness in ``g``'s
-    ids, mapped back through the component split, the twin reduction and
-    the positive-weight filter.  Each of those keeps an induced subgraph
-    on surviving nodes, so a claw or net witness names one in ``g``.  A component
-    whose ascending greedy stable set has fewer than four nodes raises
-    ``StructuralError("claw")`` when a greedy or augmented member sees a
-    stable triple or a node sees three members, even if its stability
-    number is at most three (see ``find_stable4``).
+    ``remove_twins`` leaves a live mask over ``g``'s ids, with
+    non-positive nodes and collapsed twins dead.  Each connected component
+    of the live nodes is induced from ``g`` under the merged weights (one
+    that is all of ``g`` is ``g`` itself), so its node tuple is its one id
+    map.  The input is trusted to be {claw, net}-free; structural
+    contract violations surface as ``StructuralError`` with a witness
+    mapped through that map, so a claw or net witness names one in ``g``.
+    A component whose ascending greedy stable set has fewer than four
+    nodes raises ``StructuralError("claw")`` when a greedy or augmented
+    member sees a stable triple or a node sees three members, even if its
+    stability number is at most three (see ``find_stable4``).
     """
-    positive = [v for v in range(g.n) if g.weights[v] > 0]
-    if len(positive) < g.n:
-        g1, keep_map = induced_subgraph(g, positive)
-    else:
-        g1, keep_map = g, None
-    reduction = remove_twins(g1)
-    g2 = reduction.graph
-    comps = connected_components(g2)
+    reduction = remove_twins(g)
+    comps = connected_components(g, reduction.live)
     total = 0
     chosen: list[int] = []
     routes = []
     details = [] if collect_trace else None
     for comp in comps:
-        if len(comp) == g2.n:
-            sub, sub_map = g2, None
+        if len(comp) == g.n:
+            sub = g  # all positive, twin-free and connected
         else:
-            sub, sub_map = induced_subgraph(g2, comp)
+            sub = induced_subgraph(g, comp, reduction.weights)[0]
         try:
             value, nodes, route, detail = solve_component(sub, collect=collect_trace)
         except StructuralError as exc:
-            witness = exc.witness
-            for ids in (sub_map, reduction, keep_map):
-                if ids is not None:
-                    witness = tuple(ids.to_orig[v] for v in witness)
+            witness = tuple(comp[v] for v in exc.witness)
             raise StructuralError(exc.kind, witness, exc.detail) from exc
         total += value
-        if sub_map is not None:
-            nodes = sub_map.lift(nodes)
-        chosen.extend(nodes)
+        chosen.extend(comp[v] for v in nodes)
         routes.append(route)
         if collect_trace:
             details.append(detail)
     lifted = reduction.lift(chosen)
-    if keep_map is not None:
-        lifted = keep_map.lift(lifted)
     if not g.is_stable(lifted):
         raise MWSSError("internal error: produced set is not stable")
     if g.weight_of(lifted) != total:

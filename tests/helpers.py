@@ -11,7 +11,6 @@ from mwss import (
     IntervalResult,
     PatternWitness,
     StructuralError,
-    TwinReduction,
     Wing,
     WingTable,
     build_wing_graph,
@@ -25,9 +24,15 @@ from mwss import (
     select_q,
 )
 from mwss.canonical import greedy_members
-from mwss.graph import closed_neighborhood
+from mwss.graph import closed_neighborhood, connected_components
 from mwss.interval_mwss import ConsistentOrder
-from mwss.solver import find_stable4
+from mwss.solver import (
+    ROUTE_ALPHA3,
+    ROUTE_MERGE,
+    Solution,
+    find_stable4,
+    solve_component,
+)
 
 
 def path_graph(n, weights=None):
@@ -187,7 +192,9 @@ def reference_find_net(g):
 
 def reference_remove_twins(g):
     """Set-based twin reduction over a dict-of-sets copy, re-hashing every
-    neighborhood each round; the reference for ``mwss.remove_twins``."""
+    neighborhood each round.  Non-positive twins are dropped, not merged;
+    ``reference_positive_twins`` runs it the way ``mwss.remove_twins``
+    reduces, on the positive nodes only."""
     adj = {v: set(g.adj(v)) for v in range(g.n)}
     weight = list(g.weights)
     steps = []
@@ -241,7 +248,62 @@ def reference_remove_twins(g):
     to_sub = {v: i for i, v in enumerate(to_orig)}
     edges = [(to_sub[u], to_sub[v]) for u in to_orig for v in adj[u] if v > u]
     reduced = Graph(len(to_orig), edges, [weight[v] for v in to_orig])
-    return TwinReduction(reduced, to_orig, to_sub, tuple(steps))
+    return ReferenceTwins(reduced, to_orig, tuple(steps))
+
+
+@dataclass(frozen=True)
+class ReferenceTwins:
+    """A reference twin reduction: the reduced ``graph`` as a copy whose
+    node i is ``to_orig[i]``, and the ``steps`` log, in the input's ids."""
+
+    graph: Graph
+    to_orig: tuple
+    steps: tuple
+
+    def lift(self, reduced_nodes):
+        chosen = {self.to_orig[v] for v in reduced_nodes}
+        for kind, survivor, removed in reversed(self.steps):
+            if kind == "merge" and survivor in chosen:
+                chosen.add(removed)
+        return tuple(sorted(chosen))
+
+
+def reference_positive_twins(g):
+    """``reference_remove_twins`` on the subgraph induced by ``g``'s
+    positive nodes, with ``to_orig`` and ``steps`` mapped back to ``g``'s
+    ids; what ``mwss.remove_twins(g)`` must match."""
+    positive, ids = reference_induced_subgraph(g, [v for v in range(g.n) if g.weights[v] > 0])
+    red = reference_remove_twins(positive)
+    steps = tuple((kind, ids[a], ids[b]) for kind, a, b in red.steps)
+    return ReferenceTwins(red.graph, tuple(ids[v] for v in red.to_orig), steps)
+
+
+def reference_solve(g):
+    """``solve`` as a chain of copies: the positive nodes' subgraph, the
+    reference twin reduction's reduced graph and one subgraph per
+    component, each with its own id map.  A witness and the chosen set
+    are mapped back through all three.  Returns the ``Solution`` with
+    ``routes``, ``twin_steps`` and ``components`` as certificates."""
+    g1, keep = reference_induced_subgraph(g, [v for v in range(g.n) if g.weights[v] > 0])
+    red = reference_remove_twins(g1)
+    comps = connected_components(red.graph)
+    total = 0
+    chosen = []
+    routes = []
+    for comp in comps:
+        sub, _ = reference_induced_subgraph(red.graph, comp)
+        try:
+            value, nodes, route, _ = solve_component(sub)
+        except StructuralError as exc:
+            witness = tuple(keep[red.to_orig[comp[v]]] for v in exc.witness)
+            raise StructuralError(exc.kind, witness, exc.detail) from exc
+        total += value
+        chosen.extend(comp[v] for v in nodes)
+        routes.append(route)
+    lifted = tuple(sorted(keep[v] for v in red.lift(chosen)))
+    route = routes[0] if len(routes) == 1 else (ROUTE_MERGE if routes else ROUTE_ALPHA3)
+    certificates = {"routes": tuple(routes), "twin_steps": len(red.steps), "components": len(comps)}
+    return Solution(total, lifted, route, certificates)
 
 
 def twin_augmented(g, rng, clones):

@@ -24,7 +24,7 @@ from helpers import (
     path_graph,
     random_graph,
     reference_induced_subgraph,
-    reference_remove_twins,
+    reference_positive_twins,
     twin_augmented,
 )
 
@@ -224,7 +224,11 @@ class TestRowsConstructor:
             ref, ref_keep = reference_induced_subgraph(g, keep)
             assert sub == ref and sub.m == ref.m and hash(sub) == hash(ref)
             assert m.to_orig == tuple(ref_keep)
-            assert m.to_sub == {v: i for i, v in enumerate(ref_keep)}
+            # under other weights, only the weights change
+            weights = [rng.randint(-3, 9) for _ in range(n)]
+            reweighed, m2 = induced_subgraph(g, keep, weights)
+            ref_reweighed, _ = reference_induced_subgraph(Graph(n, g.edges(), weights), keep)
+            assert reweighed == ref_reweighed and m2 == m
 
 
 class TestInducedSubgraph:
@@ -259,44 +263,76 @@ class TestComponents:
     def test_empty(self):
         assert connected_components(Graph(0)) == []
 
+    def test_restricted_to_nodes(self):
+        # without node 2 the path falls apart; node 3 stays a singleton
+        assert connected_components(path_graph(6), [4, 0, 1, 3, 5]) == [(0, 1), (3, 4, 5)]
+        assert connected_components(path_graph(6), []) == []
+
+    def test_restricted_matches_induced_subgraph(self):
+        rng = random.Random(43)
+        for trial in range(200):
+            n = rng.randint(0, 30)
+            g = random_graph(n, rng.random() * 0.3, rng)
+            keep = [v for v in range(n) if rng.random() < 0.6]
+            sub, ids = induced_subgraph(g, keep)
+            expected = [tuple(ids.to_orig[v] for v in c) for c in connected_components(sub)]
+            assert connected_components(g, keep) == expected
+
+
+def reduced_graph(g, red):
+    """The graph a twin reduction leaves: ``g`` induced by the live nodes,
+    under the merged weights."""
+    return induced_subgraph(g, red.live, red.weights)[0]
+
 
 class TestTwins:
     def test_adjacent_twins_keep_heavier(self):
         g = Graph(2, [(0, 1)], [3, 5])
         red = remove_twins(g)
-        assert red.graph.n == 1
-        assert red.graph.weights == (5,)
+        assert red.live == (1,)
+        assert reduced_graph(g, red) == Graph(1, [], [5])
         assert red.steps == (("drop", 1, 0),)
 
     def test_isolated_twins_merge_weights(self):
         g = Graph(2, [], [2, 4])
         red = remove_twins(g)
-        assert red.graph.n == 1
-        assert red.graph.weights == (6,)
+        assert red.live == (0,)
+        assert reduced_graph(g, red) == Graph(1, [], [6])
         assert red.lift([0]) == (0, 1)
 
     def test_twin_free_graph_unchanged(self):
         g = path_graph(5)
         red = remove_twins(g)
-        assert red.graph is g
+        assert red.live == tuple(range(5))
+        assert red.weights == g.weights
         assert red.steps == ()
-        assert red.to_orig == tuple(range(5))
-        assert red.to_sub == {v: v for v in range(5)}
 
     def test_p3_cascade(self):
         # the leaves merge, then the merged leaf and the centre are
         # adjacent twins found in a later pass
-        red = remove_twins(path_graph(3))
+        g = path_graph(3)
+        red = remove_twins(g)
         assert red.steps == (("merge", 0, 2), ("drop", 0, 1))
-        assert red.graph == Graph(1, [], [2])
-        assert red.to_orig == (0,)
+        assert reduced_graph(g, red) == Graph(1, [], [2])
+        assert red.live == (0,)
+        assert red.lift([0]) == (0, 2)
+
+    def test_non_positive_nodes_dead_without_steps(self):
+        # 1, 3 and 4 are dead, so 0 and 2 have no live neighbour and merge;
+        # with 1 and 3 live they would not be twins
+        g = Graph(5, [(0, 1), (2, 3)], [2, 0, 3, -1, -4])
+        red = remove_twins(g)
+        assert red.live == (0,)
+        assert red.steps == (("merge", 0, 2),)
+        assert red.weights[0] == 5
         assert red.lift([0]) == (0, 2)
 
     @given(small_graphs())
     @settings(max_examples=80, deadline=None)
     def test_output_twin_free_and_value_preserved(self, g):
         red = remove_twins(g)
-        h = red.graph
+        h = reduced_graph(g, red)
+        assert all(w > 0 for w in h.weights)
         for u in range(h.n):
             for v in range(u + 1, h.n):
                 assert h.adj(u) - {v} != h.adj(v) - {u}
@@ -306,8 +342,8 @@ class TestTwins:
     @settings(max_examples=60, deadline=None)
     def test_lift_is_stable_and_weight_equal(self, g):
         red = remove_twins(g)
-        value, nodes = mwss_enumerate(red.graph)
-        lifted = red.lift(nodes)
+        value, nodes = mwss_enumerate(reduced_graph(g, red))
+        lifted = red.lift(red.live[v] for v in nodes)
         assert g.is_stable(lifted)
         assert g.weight_of(lifted) == value
 
@@ -338,19 +374,19 @@ class TestRegularNodes:
 
 
 class TestTwinsMatchReference:
-    """remove_twins gives the same reduction as the set-based reference."""
+    """remove_twins gives the same reduction as the set-based reference
+    run on the positive nodes' subgraph, mapped back to the input's ids."""
 
     @staticmethod
     def _check(g, rng):
         red = remove_twins(g)
-        ref = reference_remove_twins(g)
-        assert red.graph == ref.graph and red.graph.m == ref.graph.m
-        assert red.to_orig == ref.to_orig
-        assert red.to_sub == ref.to_sub
+        ref = reference_positive_twins(g)
+        h = reduced_graph(g, red)
+        assert h == ref.graph and h.m == ref.graph.m
+        assert red.live == ref.to_orig
         assert red.steps == ref.steps
-        h = red.graph.n
-        for picked in ([], list(range(h)), [v for v in range(h) if rng.random() < 0.5]):
-            assert red.lift(picked) == ref.lift(picked)
+        for picked in ([], list(range(h.n)), [v for v in range(h.n) if rng.random() < 0.5]):
+            assert red.lift(red.live[v] for v in picked) == ref.lift(picked)
         return red
 
     def test_random_graphs(self):

@@ -15,9 +15,14 @@ from collections import Counter
 
 import pytest
 
-from mwss import GenSpec, gen_strip_instance, remove_twins
+from mwss import GenSpec, gen_strip_instance, induced_subgraph, remove_twins
 
-from helpers import perturbed_strip, strip_pipeline_outcome, twin_augmented
+from helpers import (
+    perturbed_strip,
+    reference_positive_twins,
+    strip_pipeline_outcome,
+    twin_augmented,
+)
 
 BLOCKS = 10
 PER_BLOCK = 30  # 300 seeds
@@ -58,7 +63,10 @@ def test_strip_instances_and_twin_variants_match_reference(block):
     strips, twins = Counter(), Counter()
     for seed in range(block * PER_BLOCK, (block + 1) * PER_BLOCK):
         g = strip_instance(seed)
-        strips[matches_reference(remove_twins(g).graph)] += 1
+        red = remove_twins(g)
+        reduced = induced_subgraph(g, red.live, red.weights)[0]
+        assert reduced == reference_positive_twins(g).graph
+        strips[matches_reference(reduced)] += 1
         twins[matches_reference(twin_augmented(g, random.Random(seed), 1 + seed % 2))] += 1
     assert strips["ok"] >= PER_BLOCK // 2, strips
     assert twins["ok"] >= 5, twins

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,8 +30,25 @@ from helpers import (
     path_graph,
     random_graph,
     reference_alpha3,
+    reference_solve,
     reference_stable4_exact,
+    twin_augmented,
 )
+
+
+def pricing_weights(n, rng):
+    """A pricing oracle's weight vector: 70% of the nodes non-positive."""
+    return [rng.randint(-1000, 0) if rng.random() < 0.7 else rng.randint(1, 1000) for _ in range(n)]
+
+
+def outcome(solver, g):
+    """The answer and counters of ``solver`` on ``g``, or the error it raises."""
+    try:
+        s = solver(g)
+    except StructuralError as err:
+        return "error", err.kind, err.witness
+    certs = s.certificates
+    return s.value, s.nodes, s.route, certs["routes"], certs["twin_steps"], certs["components"]
 
 
 class TestFindStable4:
@@ -388,9 +406,80 @@ class TestPipelineContracts:
         assert err.value.witness  # carries the offending nodes
 
 
+@pytest.fixture
+def induced_calls(monkeypatch):
+    """The node sets ``solve`` passes to ``induced_subgraph``, in order."""
+    calls = []
+    real = mwss.solver.induced_subgraph
+
+    def counting(g, keep, *args):
+        calls.append(tuple(keep))
+        return real(g, keep, *args)
+
+    monkeypatch.setattr(mwss.solver, "induced_subgraph", counting)
+    return calls
+
+
+class TestReferenceSolve:
+    """``solve`` on one live mask answers as the chain of copies it
+    replaced: positive filter, reduced graph, per-component subgraph."""
+
+    @staticmethod
+    def _same(g):
+        got = outcome(lambda h: solve(h, collect_trace=True), g)
+        assert got == outcome(reference_solve, g)
+        return got
+
+    def test_strip_and_twin_graphs_under_pricing_weights(self):
+        rng = random.Random(11)
+        seen = Counter()
+        for seed in range(60):
+            base = gen_strip_instance(
+                GenSpec(seed=4400 + seed, nodes=rng.randint(20, 300), clique_min=1,
+                        clique_max=rng.randint(4, 9), density=rng.choice((0.3, 0.6, 0.9)))
+            )
+            twins = twin_augmented(base, rng, rng.randint(3, 25))
+            for g in (base, twins):
+                g = Graph(g.n, g.edges(), pricing_weights(g.n, rng))
+                got = self._same(g)
+                if got[0] == "error":
+                    seen["error"] += 1
+                else:
+                    seen.update(set(got[3]))
+                    seen["twins"] += got[4] > 0
+        # both routes, twin steps and raised witnesses all occur
+        assert seen["error"] >= 2 and seen["strip_pipeline"] >= 20, seen
+        assert seen["alpha3_fallback"] >= 100 and seen["twins"] >= 100, seen
+
+    def test_strip_4k_under_pricing_weights(self, induced_calls):
+        base = gen_strip_instance(
+            GenSpec(seed=5, nodes=4000, clique_min=7, clique_max=11, density=0.6)
+        )
+        edges = list(base.edges())
+        rng = random.Random(9)
+        for vector in range(3):
+            induced_calls.clear()
+            got = self._same(Graph(base.n, edges, pricing_weights(base.n, rng)))
+            assert got[2] == "component_merge" and got[4] > 0
+            # one copy per component and none of the whole input
+            assert len(induced_calls) == got[5]
+
+    def test_connected_twin_free_input_is_not_copied(self, induced_calls):
+        graphs = [nested_cliques(k, random.Random(k))[0] for k in (3, 6, 20)]
+        graphs += [path_graph(9), path_graph(30, list(range(1, 31)))]
+        for g in graphs:
+            s = solve(g, collect_trace=True)
+            assert s.certificates["twin_steps"] == 0
+            assert s.certificates["components"] == 1
+        assert induced_calls == []
+        # a dead node makes the rest a component of its own, which is copied
+        solve(path_graph(9, [0] + [1] * 8))
+        assert induced_calls == [tuple(range(1, 9))]
+
+
 class TestWitnessIds:
     """``solve`` reports witnesses in the caller's ids, though it solves
-    renumbered components of a filtered, twin-reduced graph."""
+    renumbered components induced from the live nodes."""
 
     def test_claw_named_in_input_ids(self):
         # node 0 is isolated, so the claw's component is renumbered
