@@ -34,7 +34,6 @@ from .generators import GenSpec, gen_rejection, gen_strip_instance, generate
 from .graph import (
     Graph,
     RegularityResult,
-    TwinReduction,
     closed_neighborhood,
     connected_components,
     induced_subgraph,

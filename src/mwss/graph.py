@@ -199,24 +199,20 @@ class SubgraphMap:
         return tuple(sorted(self.to_orig[v] for v in sub_nodes))
 
 
-def induced_subgraph(
-    g: Graph, keep: Iterable[int], weights: Sequence[int] | None = None
-) -> tuple[Graph, SubgraphMap]:
-    """Subgraph induced by ``keep``, node v weighing ``weights[v]``
-    (``g.weights`` by default).
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, SubgraphMap]:
+    """Subgraph induced by ``keep``, with ``g``'s weights.
 
     New ids are dense, assigned in ascending order of the original ids;
     each row is filtered and renumbered from ``g``'s and stays sorted.
     """
     keep_sorted = sorted(set(keep))
     g._check_ids(keep_sorted)
-    weights = g.weights if weights is None else weights
     # a dict, not n-long arrays: solve induces many small components of g
     new_id = dict(zip(keep_sorted, range(len(keep_sorted))))
     inside, renumber = new_id.__contains__, new_id.__getitem__
     sub = Graph._from_rows(
         [tuple(map(renumber, filter(inside, g._nbrs[v]))) for v in keep_sorted],
-        [weights[v] for v in keep_sorted],
+        [g.weights[v] for v in keep_sorted],
     )
     return sub, SubgraphMap(tuple(keep_sorted))
 
@@ -247,106 +243,57 @@ def connected_components(
     return comps
 
 
-@dataclass(frozen=True)
-class TwinReduction:
-    """Result of :func:`remove_twins`, in the input graph's ids.
-
-    ``live`` holds the surviving nodes, ascending; ``weights[v]`` is the
-    merged weight of a live node v.  ``steps`` records the applied
-    reductions in order: ``("merge", survivor, removed)`` for a
-    non-adjacent twin whose weight was folded into the survivor,
-    ``("drop", kept, removed)`` for an adjacent twin removal.  ``lift``
-    replays the log backwards to expand a stable set of the graph induced
-    by ``live`` (under ``weights``) into one of the input graph with the
-    same total weight.
-    """
-
-    live: tuple
-    weights: tuple
-    steps: tuple
-
-    def lift(self, nodes: Iterable[int]) -> tuple[int, ...]:
-        chosen = set(nodes)
-        for kind, survivor, removed in reversed(self.steps):
-            if kind == "merge" and survivor in chosen:
-                chosen.add(removed)
-        return tuple(sorted(chosen))
-
-
 _TWIN_LABEL_SEED = 0x7E1A  # fixes the neighborhood keys; results never depend on it
 
 
-def remove_twins(g: Graph) -> TwinReduction:
-    """Drop non-positive nodes, then collapse all twins among the rest;
-    preserves the optimal stable set weight.
+def remove_twins(g: Graph) -> tuple[int, ...]:
+    """The nodes of positive weight, ascending, less every adjacent twin
+    but one heaviest node of its class (the lowest id on ties).
 
-    A node of weight <= 0 is dead from the start: no optimum needs it, so
-    it is neither live nor logged as a step.  Two live nodes are twins
-    when their live neighborhoods satisfy N(u)∖{v} = N(v)∖{u}.
-    Non-adjacent twins are merged into the lowest one (weights added); of
-    adjacent twins only a maximum-weight one survives.  A round is one
-    pass for each kind, non-adjacent first; passes repeat until two in a
-    row remove nothing, so the graph induced by ``live`` is twin-free.
+    A node of weight <= 0 is dead from the start: no optimum needs it.
+    Two live nodes are adjacent twins when their live closed
+    neighborhoods are equal, N[u] = N[v].  That is an equivalence, and a
+    dropped node that tells two survivors apart has the same closed
+    neighborhood as its class's survivor, which tells them apart too; so
+    one pass leaves no two survivors adjacent twins.  The optimum weight
+    is kept: a stable set holds at most one node of a class, and the
+    survivor weighs no less.
 
-    Each node keeps a key, the sum of fixed pseudo-random labels over its
-    live open neighborhood (a dead node's label is 0), which a removal
-    updates in O(deg).  A pass groups the live nodes by key (plus their
-    own label for closed neighborhoods) and splits each group exactly by
-    comparing live neighbor sets, so a key collision never merges two
-    non-twins.  A round costs O(n + m); no graph is built: dead nodes are
-    marked in a bytearray and every result is in ``g``'s ids.
+    Non-adjacent twins, N(u) = N(v), are left live.  In a claw-free graph
+    they do no harm: with K = N(u) not empty, every x in K sees both u and
+    v, so claw-freeness puts N(x) inside K ∪ {u, v} and bounds alpha(K)
+    by 2.  The component of u is then {u, v} joined to K, with alpha 2;
+    otherwise u is isolated.  ``solve`` sends both to ``alpha3_fallback``,
+    which is exact there.
+
+    Each live node's key is the sum of fixed pseudo-random labels over
+    its live closed neighborhood (a dead node's label is 0).  Nodes are
+    grouped by key, and each group is split exactly by comparing live
+    neighbor sets, so a key collision never drops a non-twin.  The pass
+    costs O(n + m), builds no graph and reads ``g``'s rows in place.
     """
     n = g.n
     nbrs = g._nbrs
-    weight = list(g.weights)
+    weight = g.weights
     alive = bytearray(w > 0 for w in weight)
     rng = random.Random(_TWIN_LABEL_SEED)
     # 40-bit labels keep each key within a machine word, where sum() is fast.
     label = [rng.getrandbits(40) if a else 0 for a in alive]
     label_of = label.__getitem__
     live = list(compress(range(n), alive))
-    key = [sum(map(label_of, row)) if a else 0 for row, a in zip(nbrs, alive)]
-    steps: list[tuple] = []
-    closed = False
-    # After two passes in a row that removed nothing, the next pass would
-    # see the same graph as the last pass of its kind.
-    idle = 0
-    while idle < 2:
-        if closed:
-            keys = [key[v] + label[v] for v in live]
-        else:
-            keys = [key[v] for v in live]
-        classes = _twin_classes(g, alive, live, keys, closed)
-        for members in classes:
-            # Every live weight is positive, so an open class merges into
-            # its lowest member; of adjacent twins a heaviest one survives.
-            kept = max(members, key=lambda u: (weight[u], -u)) if closed else members[0]
-            for u in members:
-                if u == kept:
-                    continue
-                if closed:
-                    steps.append(("drop", kept, u))
-                else:
-                    weight[kept] += weight[u]
-                    steps.append(("merge", kept, u))
+    keys = [sum(map(label_of, nbrs[v]), label[v]) for v in live]
+    for members in _twin_classes(g, alive, live, keys):
+        kept = max(members, key=lambda u: (weight[u], -u))
+        for u in members:
+            if u != kept:
                 alive[u] = 0
-                lu = label[u]
-                for x in nbrs[u]:
-                    key[x] -= lu
-        if classes:
-            idle = 0
-            live = list(compress(range(n), alive))
-        else:
-            idle += 1
-        closed = not closed
-    return TwinReduction(tuple(live), tuple(weight), tuple(steps))
+    return tuple(compress(range(n), alive))
 
 
-def _twin_classes(g: Graph, alive, live, keys, closed: bool) -> list[list[int]]:
-    """Classes of twins among the ``live`` nodes, whose neighborhood keys
-    are ``keys``: nodes with equal open neighborhoods, or equal closed
-    ones when ``closed``.  Each class is ascending; classes are ordered by
-    their lowest member."""
+def _twin_classes(g: Graph, alive, live, keys) -> list[list[int]]:
+    """Classes of adjacent twins, two or more nodes with equal live closed
+    neighborhoods, among the ``live`` nodes, whose neighborhood keys are
+    ``keys``."""
     counts = Counter(keys)
     if len(counts) == len(keys):
         return []
@@ -356,22 +303,15 @@ def _twin_classes(g: Graph, alive, live, keys, closed: bool) -> list[list[int]]:
             groups.setdefault(k, []).append(v)
     nbrs = g._nbrs
     is_alive = alive.__getitem__
-
-    def live_row(v: int) -> tuple[int, ...]:
-        # Removed nodes no longer count as neighbors; a closed neighborhood
-        # also holds the node itself.
-        row = list(filter(is_alive, nbrs[v]))
-        if closed:
-            insort(row, v)
-        return tuple(row)
-
     classes = []
     for members in groups.values():
         split: dict[tuple[int, ...], list[int]] = {}
         for v in members:
-            split.setdefault(live_row(v), []).append(v)
+            # dead nodes do not count; a closed neighborhood holds v itself
+            row = list(filter(is_alive, nbrs[v]))
+            insort(row, v)
+            split.setdefault(tuple(row), []).append(v)
         classes.extend(c for c in split.values() if len(c) > 1)
-    classes.sort()
     return classes
 
 

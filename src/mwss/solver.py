@@ -1,13 +1,13 @@
 """End-to-end solver: preprocessing, dispatch, and the final maximum.
 
-``solve`` marks non-positive-weight nodes and collapsed twins dead in one
-live mask over the input's ids, and handles each connected component of
-the live nodes on its own, induced straight from the input: components
-without a stable set of size four go to exact bounded enumeration, the
-rest through the strip pipeline, where the answer is the best of the
-strip optimum and, for every node v of the removal clique, v's weight
-plus the strip optimum avoiding N[v].  A component's ids map back through
-its node tuple; the chosen set is then lifted through the twin log.
+``solve`` keeps the nodes of positive weight less the dropped adjacent
+twins, and handles each connected component of those live nodes on its
+own, induced straight from the input: components without a stable set of
+size four go to exact bounded enumeration, the rest through the strip
+pipeline, where the answer is the best of the strip optimum and, for
+every node v of the removal clique, v's weight plus the strip optimum
+avoiding N[v].  A component's ids map back through its node tuple, so the
+chosen set is already one of the input.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ def alpha3_fallback(g: Graph) -> tuple[int, tuple[int, ...]]:
 def solve_component(
     g: Graph, collect: bool = False
 ) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
-    """Solve one connected component (already positive-weight, twin-free)."""
+    """Solve one connected component (positive-weight, no adjacent twins)."""
     seed4 = find_stable4(g)
     if seed4 is None:
         value, nodes = alpha3_fallback(g)
@@ -374,11 +374,11 @@ def solve_component(
 def solve(g: Graph, collect_trace: bool = False) -> Solution:
     """Exact maximum weight stable set of a {claw, net}-free graph.
 
-    ``remove_twins`` leaves a live mask over ``g``'s ids, with
-    non-positive nodes and collapsed twins dead.  Each connected component
-    of the live nodes is induced from ``g`` under the merged weights (one
-    that is all of ``g`` is ``g`` itself), so its node tuple is its one id
-    map.  The input is trusted to be {claw, net}-free; structural
+    ``remove_twins`` leaves the live nodes in ``g``'s ids: those of
+    positive weight, less all but a heaviest node of each adjacent-twin
+    class.  Each connected component of the live nodes is induced from
+    ``g`` (one that is all of ``g`` is ``g`` itself), so its node tuple is
+    its one id map.  The input is trusted to be {claw, net}-free; structural
     contract violations surface as ``StructuralError`` with a witness
     mapped through that map, so a claw or net witness names one in ``g``.
     A component whose ascending greedy stable set has fewer than four
@@ -386,17 +386,17 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     member sees a stable triple or a node sees three members, even if its
     stability number is at most three (see ``find_stable4``).
     """
-    reduction = remove_twins(g)
-    comps = connected_components(g, reduction.live)
+    live = remove_twins(g)
+    comps = connected_components(g, live)
     total = 0
     chosen: list[int] = []
     routes = []
     details = [] if collect_trace else None
     for comp in comps:
         if len(comp) == g.n:
-            sub = g  # all positive, twin-free and connected
+            sub = g  # all positive, no adjacent twins, connected
         else:
-            sub = induced_subgraph(g, comp, reduction.weights)[0]
+            sub = induced_subgraph(g, comp)[0]
         try:
             value, nodes, route, detail = solve_component(sub, collect=collect_trace)
         except StructuralError as exc:
@@ -407,10 +407,9 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
         routes.append(route)
         if collect_trace:
             details.append(detail)
-    lifted = reduction.lift(chosen)
-    if not g.is_stable(lifted):
+    if not g.is_stable(chosen):
         raise MWSSError("internal error: produced set is not stable")
-    if g.weight_of(lifted) != total:
+    if g.weight_of(chosen) != total:
         raise MWSSError("internal error: produced set weight mismatch")
     if not routes:
         route = ROUTE_ALPHA3
@@ -423,7 +422,8 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
         certificates = {
             "routes": tuple(routes),
             "components": len(comps),
-            "twin_steps": len(reduction.steps),
+            # the dropped adjacent twins: positive nodes that are not live
+            "twin_steps": sum(w > 0 for w in g.weights) - len(live),
             "details": details,
         }
-    return Solution(total, tuple(sorted(lifted)), route, certificates)
+    return Solution(total, tuple(sorted(chosen)), route, certificates)

@@ -191,91 +191,37 @@ def reference_find_net(g):
 
 
 def reference_remove_twins(g):
-    """Set-based twin reduction over a dict-of-sets copy, re-hashing every
-    neighborhood each round.  Non-positive twins are dropped, not merged;
+    """Set-based adjacent-twin reduction over a dict-of-sets copy: every
+    round re-hashes each closed neighborhood and keeps a heaviest node of
+    each class (the lowest id on ties), until a round drops nothing.
+    Returns the reduced graph as a copy and the input ids of its nodes;
     ``reference_positive_twins`` runs it the way ``mwss.remove_twins``
     reduces, on the positive nodes only."""
     adj = {v: set(g.adj(v)) for v in range(g.n)}
-    weight = list(g.weights)
-    steps = []
-    alive = sorted(adj)
-    while True:
-        changed = False
+    w = g.weights
+    dropped = True
+    while dropped:
+        dropped = False
         groups = {}
-        for v in alive:
-            groups.setdefault(frozenset(adj[v]), []).append(v)
+        for v in sorted(adj):
+            groups.setdefault(frozenset(adj[v] | {v}), []).append(v)
         for members in groups.values():
-            if len(members) < 2:
-                continue
-            positives = [u for u in members if weight[u] > 0]
-            if positives:
-                survivor = positives[0]
-            else:
-                survivor = max(members, key=lambda u: (weight[u], -u))
+            kept = max(members, key=lambda v: (w[v], -v))
             for u in members:
-                if u == survivor:
-                    continue
-                if weight[u] > 0:
-                    weight[survivor] += weight[u]
-                    steps.append(("merge", survivor, u))
-                else:
-                    steps.append(("drop", survivor, u))
-                for x in adj[u]:
-                    adj[x].discard(u)
-                del adj[u]
-            changed = True
-        if changed:
-            alive = sorted(adj)
-        groups = {}
-        for v in alive:
-            groups.setdefault(frozenset(adj[v]) | {v}, []).append(v)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            kept = max(members, key=lambda v: (weight[v], -v))
-            for u in members:
-                if u == kept:
-                    continue
-                for x in adj[u]:
-                    adj[x].discard(u)
-                del adj[u]
-                steps.append(("drop", kept, u))
-            changed = True
-        if not changed:
-            break
-        alive = sorted(adj)
-    to_orig = tuple(alive)
-    to_sub = {v: i for i, v in enumerate(to_orig)}
-    edges = [(to_sub[u], to_sub[v]) for u in to_orig for v in adj[u] if v > u]
-    reduced = Graph(len(to_orig), edges, [weight[v] for v in to_orig])
-    return ReferenceTwins(reduced, to_orig, tuple(steps))
-
-
-@dataclass(frozen=True)
-class ReferenceTwins:
-    """A reference twin reduction: the reduced ``graph`` as a copy whose
-    node i is ``to_orig[i]``, and the ``steps`` log, in the input's ids."""
-
-    graph: Graph
-    to_orig: tuple
-    steps: tuple
-
-    def lift(self, reduced_nodes):
-        chosen = {self.to_orig[v] for v in reduced_nodes}
-        for kind, survivor, removed in reversed(self.steps):
-            if kind == "merge" and survivor in chosen:
-                chosen.add(removed)
-        return tuple(sorted(chosen))
+                if u != kept:
+                    for x in adj.pop(u):
+                        adj[x].discard(u)
+                    dropped = True
+    return reference_induced_subgraph(g, adj)
 
 
 def reference_positive_twins(g):
     """``reference_remove_twins`` on the subgraph induced by ``g``'s
-    positive nodes, with ``to_orig`` and ``steps`` mapped back to ``g``'s
-    ids; what ``mwss.remove_twins(g)`` must match."""
+    positive nodes, with the ids mapped back to ``g``'s: the graph
+    ``mwss.remove_twins(g)`` must leave, and its live nodes."""
     positive, ids = reference_induced_subgraph(g, [v for v in range(g.n) if g.weights[v] > 0])
-    red = reference_remove_twins(positive)
-    steps = tuple((kind, ids[a], ids[b]) for kind, a, b in red.steps)
-    return ReferenceTwins(red.graph, tuple(ids[v] for v in red.to_orig), steps)
+    reduced, live = reference_remove_twins(positive)
+    return reduced, [ids[v] for v in live]
 
 
 def reference_solve(g):
@@ -285,25 +231,24 @@ def reference_solve(g):
     are mapped back through all three.  Returns the ``Solution`` with
     ``routes``, ``twin_steps`` and ``components`` as certificates."""
     g1, keep = reference_induced_subgraph(g, [v for v in range(g.n) if g.weights[v] > 0])
-    red = reference_remove_twins(g1)
-    comps = connected_components(red.graph)
+    reduced, live = reference_remove_twins(g1)
+    comps = connected_components(reduced)
     total = 0
     chosen = []
     routes = []
     for comp in comps:
-        sub, _ = reference_induced_subgraph(red.graph, comp)
+        sub, _ = reference_induced_subgraph(reduced, comp)
         try:
             value, nodes, route, _ = solve_component(sub)
         except StructuralError as exc:
-            witness = tuple(keep[red.to_orig[comp[v]]] for v in exc.witness)
+            witness = tuple(keep[live[comp[v]]] for v in exc.witness)
             raise StructuralError(exc.kind, witness, exc.detail) from exc
         total += value
-        chosen.extend(comp[v] for v in nodes)
+        chosen.extend(keep[live[comp[v]]] for v in nodes)
         routes.append(route)
-    lifted = tuple(sorted(keep[v] for v in red.lift(chosen)))
     route = routes[0] if len(routes) == 1 else (ROUTE_MERGE if routes else ROUTE_ALPHA3)
-    certificates = {"routes": tuple(routes), "twin_steps": len(red.steps), "components": len(comps)}
-    return Solution(total, lifted, route, certificates)
+    certificates = {"routes": tuple(routes), "twin_steps": g1.n - reduced.n, "components": len(comps)}
+    return Solution(total, tuple(sorted(chosen)), route, certificates)
 
 
 def twin_augmented(g, rng, clones):

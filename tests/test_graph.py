@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from mwss import (
     is_regular_node,
     neighborhood,
     remove_twins,
+    solve,
 )
 from mwss.oracle import mwss_enumerate
 
@@ -224,11 +226,6 @@ class TestRowsConstructor:
             ref, ref_keep = reference_induced_subgraph(g, keep)
             assert sub == ref and sub.m == ref.m and hash(sub) == hash(ref)
             assert m.to_orig == tuple(ref_keep)
-            # under other weights, only the weights change
-            weights = [rng.randint(-3, 9) for _ in range(n)]
-            reweighed, m2 = induced_subgraph(g, keep, weights)
-            ref_reweighed, _ = reference_induced_subgraph(Graph(n, g.edges(), weights), keep)
-            assert reweighed == ref_reweighed and m2 == m
 
 
 class TestInducedSubgraph:
@@ -279,73 +276,63 @@ class TestComponents:
             assert connected_components(g, keep) == expected
 
 
-def reduced_graph(g, red):
-    """The graph a twin reduction leaves: ``g`` induced by the live nodes,
-    under the merged weights."""
-    return induced_subgraph(g, red.live, red.weights)[0]
+def adjacent_twin_pair(g):
+    """The first pair of nodes with equal closed neighborhoods, or None."""
+    closed = [g.adj(v) | {v} for v in range(g.n)]
+    return next(
+        ((u, v) for u in range(g.n) for v in range(u + 1, g.n) if closed[u] == closed[v]),
+        None,
+    )
 
 
 class TestTwins:
     def test_adjacent_twins_keep_heavier(self):
-        g = Graph(2, [(0, 1)], [3, 5])
-        red = remove_twins(g)
-        assert red.live == (1,)
-        assert reduced_graph(g, red) == Graph(1, [], [5])
-        assert red.steps == (("drop", 1, 0),)
+        assert remove_twins(Graph(2, [(0, 1)], [3, 5])) == (1,)
+        assert remove_twins(Graph(2, [(0, 1)], [4, 4])) == (0,)  # lower id on ties
 
-    def test_isolated_twins_merge_weights(self):
-        g = Graph(2, [], [2, 4])
-        red = remove_twins(g)
-        assert red.live == (0,)
-        assert reduced_graph(g, red) == Graph(1, [], [6])
-        assert red.lift([0]) == (0, 1)
+    def test_isolated_twins_stay_live(self):
+        # non-adjacent twins are neither merged nor dropped
+        assert remove_twins(Graph(2, [], [2, 4])) == (0, 1)
 
     def test_twin_free_graph_unchanged(self):
-        g = path_graph(5)
-        red = remove_twins(g)
-        assert red.live == tuple(range(5))
-        assert red.weights == g.weights
-        assert red.steps == ()
+        assert remove_twins(path_graph(5)) == tuple(range(5))
 
-    def test_p3_cascade(self):
-        # the leaves merge, then the merged leaf and the centre are
-        # adjacent twins found in a later pass
-        g = path_graph(3)
-        red = remove_twins(g)
-        assert red.steps == (("merge", 0, 2), ("drop", 0, 1))
-        assert reduced_graph(g, red) == Graph(1, [], [2])
-        assert red.live == (0,)
-        assert red.lift([0]) == (0, 2)
+    def test_p3_leaves_stay_live(self):
+        # the leaves of a P3 are non-adjacent twins and all three stay; with
+        # the centre doubled into the adjacent twins 1 and 3, one pass drops
+        # the later of the two and leaves the P3
+        assert remove_twins(path_graph(3)) == (0, 1, 2)
+        g = Graph(4, [(0, 1), (1, 2), (0, 3), (2, 3), (1, 3)])
+        assert remove_twins(g) == (0, 1, 2)
 
     def test_non_positive_nodes_dead_without_steps(self):
-        # 1, 3 and 4 are dead, so 0 and 2 have no live neighbour and merge;
-        # with 1 and 3 live they would not be twins
+        # 1, 3 and 4 are dead, so 0 and 2 are isolated non-adjacent twins
+        # and both stay
         g = Graph(5, [(0, 1), (2, 3)], [2, 0, 3, -1, -4])
-        red = remove_twins(g)
-        assert red.live == (0,)
-        assert red.steps == (("merge", 0, 2),)
-        assert red.weights[0] == 5
-        assert red.lift([0]) == (0, 2)
+        assert remove_twins(g) == (0, 2)
+        assert solve(g, collect_trace=True).certificates["twin_steps"] == 0
+        # with the dead node 2 gone, 0 and 1 are adjacent twins
+        g = Graph(3, [(0, 1), (1, 2)], [1, 1, 0])
+        assert remove_twins(g) == (0,)
+        assert solve(g, collect_trace=True).certificates["twin_steps"] == 1
 
     @given(small_graphs())
     @settings(max_examples=80, deadline=None)
     def test_output_twin_free_and_value_preserved(self, g):
-        red = remove_twins(g)
-        h = reduced_graph(g, red)
+        live = remove_twins(g)
+        h = induced_subgraph(g, live)[0]
         assert all(w > 0 for w in h.weights)
-        for u in range(h.n):
-            for v in range(u + 1, h.n):
-                assert h.adj(u) - {v} != h.adj(v) - {u}
+        assert adjacent_twin_pair(h) is None
         assert mwss_enumerate(g)[0] == mwss_enumerate(h)[0]
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
-    def test_lift_is_stable_and_weight_equal(self, g):
-        red = remove_twins(g)
-        value, nodes = mwss_enumerate(reduced_graph(g, red))
-        lifted = red.lift(red.live[v] for v in nodes)
-        assert g.is_stable(lifted)
-        assert g.weight_of(lifted) == value
+    def test_live_optimum_is_an_input_optimum(self, g):
+        live = remove_twins(g)
+        value, nodes = mwss_enumerate(induced_subgraph(g, live)[0])
+        picked = [live[v] for v in nodes]
+        assert g.is_stable(picked)
+        assert g.weight_of(picked) == value == mwss_enumerate(g)[0]
 
 
 class TestRegularNodes:
@@ -374,44 +361,42 @@ class TestRegularNodes:
 
 
 class TestTwinsMatchReference:
-    """remove_twins gives the same reduction as the set-based reference
-    run on the positive nodes' subgraph, mapped back to the input's ids."""
+    """remove_twins leaves the same live nodes as the set-based reference,
+    which re-hashes until a round drops nothing, run on the positive
+    nodes' subgraph and mapped back to the input's ids."""
 
     @staticmethod
-    def _check(g, rng):
-        red = remove_twins(g)
-        ref = reference_positive_twins(g)
-        h = reduced_graph(g, red)
-        assert h == ref.graph and h.m == ref.graph.m
-        assert red.live == ref.to_orig
-        assert red.steps == ref.steps
-        for picked in ([], list(range(h.n)), [v for v in range(h.n) if rng.random() < 0.5]):
-            assert red.lift(red.live[v] for v in picked) == ref.lift(picked)
-        return red
+    def _check(g):
+        live = remove_twins(g)
+        ref_graph, ref_live = reference_positive_twins(g)
+        h = induced_subgraph(g, live)[0]
+        assert h == ref_graph and h.m == ref_graph.m
+        assert live == tuple(ref_live)
+        return live
 
     def test_random_graphs(self):
         rng = random.Random(7)
         for trial in range(600):
             n = rng.randint(0, 14)
             weights = [rng.randint(-2, 4) for _ in range(n)]
-            self._check(random_graph(n, rng.random(), rng, weights), rng)
+            self._check(random_graph(n, rng.random(), rng, weights))
 
     def test_twin_augmented_strips(self):
         rng = random.Random(8)
-        merges = late_merges = 0
+        drops = open_twins = 0
         for seed in range(60):
             base = gen_strip_instance(
                 GenSpec(seed=300 + seed, nodes=rng.randint(20, 80), clique_min=2,
                         clique_max=5, density=0.5, weights="unit")
             )
             g = twin_augmented(base, rng, rng.randint(3, 25))
-            red = self._check(g, rng)
-            merges += any(kind == "merge" for kind, _, _ in red.steps)
-            # a merged pair that were not twins in g became twins in a later round
-            late_merges += any(
-                kind == "merge" and g.adj(u) != g.adj(v) for kind, u, v in red.steps
-            )
-        assert merges > 0 and late_merges > 0
+            live = self._check(g)
+            positive = sum(w > 0 for w in g.weights)
+            drops += len(live) < positive
+            # two live nodes with equal live open neighborhoods both stay
+            rows = Counter(frozenset(g.neighbors(v)).intersection(live) for v in live)
+            open_twins += any(c > 1 for c in rows.values())
+        assert drops > 0 and open_twins > 0
 
     def test_strip_4k_under_pricing_weights(self):
         base = gen_strip_instance(
@@ -426,6 +411,6 @@ class TestTwinsMatchReference:
                 for _ in range(base.n)
             ]
             g = Graph(base.n, edges, weights)
-            self._check(g, rng)
+            self._check(g)
             positive, _ = induced_subgraph(g, [v for v in range(g.n) if weights[v] > 0])
-            self._check(positive, rng)
+            self._check(positive)

@@ -58,14 +58,13 @@ def matches_reference(g):
 
 @pytest.mark.parametrize("block", range(BLOCKS))
 def test_strip_instances_and_twin_variants_match_reference(block):
-    # the solver runs the pipeline on twin-free components; with twins
-    # added back, the stages must still agree
+    # the solver runs the pipeline on components without adjacent twins;
+    # with twins added back, the stages must still agree
     strips, twins = Counter(), Counter()
     for seed in range(block * PER_BLOCK, (block + 1) * PER_BLOCK):
         g = strip_instance(seed)
-        red = remove_twins(g)
-        reduced = induced_subgraph(g, red.live, red.weights)[0]
-        assert reduced == reference_positive_twins(g).graph
+        reduced = induced_subgraph(g, remove_twins(g))[0]
+        assert reduced == reference_positive_twins(g)[0]
         strips[matches_reference(reduced)] += 1
         twins[matches_reference(twin_augmented(g, random.Random(seed), 1 + seed % 2))] += 1
     assert strips["ok"] >= PER_BLOCK // 2, strips

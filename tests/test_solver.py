@@ -11,16 +11,20 @@ from mwss import (
     Graph,
     StructuralError,
     alpha3_fallback,
+    connected_components,
     find_claw,
     find_net,
     find_stable4,
     gen_rejection,
     gen_strip_instance,
+    induced_subgraph,
     oracle_mwss,
+    remove_twins,
     solve,
 )
 from mwss.canonical import greedy_members
 from mwss.patterns import PatternWitness, validate_witness
+from mwss.solver import ROUTE_ALPHA3
 
 from helpers import (
     clique_chain_value,
@@ -334,7 +338,7 @@ class TestSolve:
             assert solve(g).value == oracle_mwss(g)[0]
 
     def test_twin_lift_on_twin_heavy_graph(self):
-        # two disjoint triangles with matching weights produce twin cascades
+        # each of two disjoint triangles is one class of adjacent twins
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], [2, 2, 2, 5, 5, 5])
         s = solve(g)
         assert s.value == 7
@@ -412,9 +416,9 @@ def induced_calls(monkeypatch):
     calls = []
     real = mwss.solver.induced_subgraph
 
-    def counting(g, keep, *args):
+    def counting(g, keep):
         calls.append(tuple(keep))
-        return real(g, keep, *args)
+        return real(g, keep)
 
     monkeypatch.setattr(mwss.solver, "induced_subgraph", counting)
     return calls
@@ -475,6 +479,71 @@ class TestReferenceSolve:
         # a dead node makes the rest a component of its own, which is copied
         solve(path_graph(9, [0] + [1] * 8))
         assert induced_calls == [tuple(range(1, 9))]
+
+
+def joined_twins(k, k_edges, weights):
+    """The graph K on nodes 0..k-1 with edges ``k_edges``, joined to two
+    non-adjacent twins k and k + 1."""
+    edges = list(k_edges) + [(x, t) for x in range(k) for t in (k, k + 1)]
+    return Graph(k + 2, edges, weights)
+
+
+class TestNonAdjacentTwins:
+    """``remove_twins`` keeps non-adjacent twins.  In a claw-free graph a
+    live pair of them is either two isolated nodes or lies in a component
+    of stability number at most 2, which the alpha <= 3 route solves
+    exactly; so merging them would gain nothing."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(23)
+
+        def w(n):
+            return [rng.randint(1, 9) for _ in range(n)]
+
+        yield Graph(3, [], w(3))
+        yield Graph(10, [(i, i + 1) for i in range(6)], w(10))  # P7 and 3 isolated nodes
+        yield joined_twins(1, [], w(3))  # P3
+        yield joined_twins(2, [(0, 1)], w(4))  # diamond
+        yield joined_twins(3, [(0, 1), (1, 2), (0, 2)], w(5))
+        yield joined_twins(4, [(0, 1), (2, 3)], w(6))  # K = 2K2
+        yield joined_twins(5, [(i, (i + 1) % 5) for i in range(5)], w(7))  # K = C5
+        kept = 0
+        while kept < 400:
+            n = rng.randint(2, 14)
+            g = random_graph(n, rng.uniform(0.2, 0.9), rng, [rng.randint(-2, 6) for _ in range(n)])
+            if find_claw(g) is None and find_net(g) is None:
+                kept += 1
+                yield g
+
+    def test_live_open_twins_only_in_alpha_two_components(self):
+        isolated = joined = 0
+        for g in self.graphs():
+            live = remove_twins(g)
+            s = solve(g, collect_trace=True)
+            assert s.value == oracle_mwss(g)[0]
+            comps = connected_components(g, live)
+            route_of = {}
+            for comp, route in zip(comps, s.certificates["routes"]):
+                route_of.update(dict.fromkeys(comp, (comp, route)))
+            classes = {}
+            for v in live:
+                row = tuple(u for u in g.neighbors(v) if u in route_of)
+                classes.setdefault(row, []).append(v)
+            for row, members in classes.items():
+                if len(members) < 2:
+                    continue
+                for v in members:
+                    comp, route = route_of[v]
+                    assert route == ROUTE_ALPHA3
+                    if row:
+                        sub = induced_subgraph(g, comp)[0]
+                        assert oracle_mwss(Graph(sub.n, sub.edges()))[0] <= 2, (g, comp)
+                    else:
+                        assert comp == (v,)
+                isolated += not row
+                joined += bool(row)
+        assert isolated >= 50 and joined >= 50, (isolated, joined)
 
 
 class TestWitnessIds:
