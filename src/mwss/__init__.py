@@ -16,7 +16,6 @@ from .checks import (
 )
 from .decomposition import (
     Anchor,
-    CliqueStrip,
     Decomposition,
     build_strips,
     classify_q,
@@ -56,6 +55,6 @@ from .patterns import (
 )
 from .square_elimination import EliminationState, IntervalResult, interval_transform
 from .solver import Solution, alpha3_fallback, find_stable4, solve, solve_component
-from .wings import Wing, WingGraph, WingTable, build_wing_graph, build_wing_table
+from .wings import WingGraph, build_wing_graph, build_wing_table
 
 __version__ = "0.1.0"

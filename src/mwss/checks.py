@@ -76,7 +76,7 @@ def strip_violation(g: Graph, dec) -> tuple | None:
     is not square-semi-homogeneous in ``g``: its square and the node
     breaking semi-homogeneity."""
     for strip in dec.strips:
-        for lo, hi in zip(strip.cliques, strip.cliques[1:]):
+        for lo, hi in zip(strip, strip[1:]):
             bad = square_semi_homogeneous_check(g, lo, hi)
             if bad is not None:
                 sq, v = bad

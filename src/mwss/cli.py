@@ -131,7 +131,7 @@ def cmd_decompose(args) -> int:
             "anchor": {"case": dec.anchor.case, "position": dec.anchor.position},
             "removal_clique": _ext(dec.removal),
             "companion": _ext(dec.companion),
-            "strips": [[_ext(k) for k in strip.cliques] for strip in dec.strips],
+            "strips": [[_ext(k) for k in strip] for strip in dec.strips],
         }
     )
     if args.trace:
@@ -140,7 +140,7 @@ def cmd_decompose(args) -> int:
         order = detail.order.order
         payload["orders"] = []
         for strip in dec.strips:
-            size = len(strip.nodes)
+            size = sum(map(len, strip))
             payload["orders"].append(_ext(order[:size]))
             order = order[size:]
     _emit_json(payload)

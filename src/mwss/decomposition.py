@@ -1,13 +1,15 @@
 """Bisimplicial clique selection and clique-strip construction.
 
 Given a canonical stable set of size at least four, the wing graph is a
-path or cycle s1...st.  A maximal clique anchored at s2 or s3 (chosen by
-which of four wing-cover intersections is empty) is bisimplicial: its
-neighborhood splits into cliques X and Y.  Removing X leaves at most two
-clique-strips, built here as BFS layers away from X and Y in G - Q, or as
-(Q, Y, V - N[Q]) in the dominating case.  That the strips partition
-V - X and touch only between consecutive cliques is checked where their
-rows are built, in ``interval_transform``.
+path or cycle s1...st, and each wing is the tuple of its members.  A
+maximal clique anchored at s2 or s3 (chosen by which of four wing-cover
+intersections is empty) is bisimplicial: its neighborhood splits into
+cliques X and Y.  Removing X leaves at most two clique-strips, each a
+tuple of cliques (sorted tuples of node ids), built here as BFS layers
+away from X and Y in G - Q, or as (Q, Y, V - N[Q]) in the dominating
+case.  That the strips partition V - X and touch only between
+consecutive cliques is checked where their rows are built, in
+``interval_transform``.
 """
 
 from __future__ import annotations
@@ -16,25 +18,8 @@ from dataclasses import dataclass
 
 from .canonical import CanonicalState
 from .errors import GraphInputError, StructuralError
-from .graph import Graph, closed_neighborhood, is_regular_node, neighborhood
-from .wings import WingGraph, WingTable, build_wing_graph, build_wing_table
-
-
-@dataclass(frozen=True)
-class CliqueStrip:
-    """An ordered clique family in which only consecutive cliques touch."""
-
-    cliques: tuple[tuple[int, ...], ...]
-
-    @property
-    def nodes(self) -> frozenset:
-        out: set[int] = set()
-        for k in self.cliques:
-            out.update(k)
-        return frozenset(out)
-
-    def __len__(self) -> int:
-        return len(self.cliques)
+from .graph import Graph, _extend_clique, closed_neighborhood, is_regular_node, neighborhood
+from .wings import WingGraph, build_wing_graph, build_wing_table
 
 
 @dataclass(frozen=True)
@@ -45,14 +30,17 @@ class Anchor:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Q, the cliques X and Y splitting N(Q), and the one or two strips
+    covering V - X, each strip a tuple of cliques in which only
+    consecutive cliques touch."""
+
     core: tuple[int, ...]  # the bisimplicial clique
     removal: tuple[int, ...]  # X, deleted before the strip solve
     companion: tuple[int, ...]  # Y, the other side of N(core)
     kind: str  # "dominating" | "strongly_bisimplicial"
     anchor: Anchor
-    strips: tuple[CliqueStrip, ...]
+    strips: tuple[tuple[tuple[int, ...], ...], ...]
     wing_order: tuple[int, ...]
-    covers: tuple  # ((C_s2, C'_s2), (C_s3, C'_s3)) clique covers used
 
 
 def _cover(g: Graph, s: int):
@@ -64,59 +52,48 @@ def _cover(g: Graph, s: int):
     return res.cliques
 
 
-def select_q(
-    g: Graph, st: CanonicalState, wg: WingGraph, wt: WingTable
-) -> tuple[tuple[int, ...], Anchor, tuple]:
+def select_q(g: Graph, wg: WingGraph, wings: dict) -> tuple[tuple[int, ...], Anchor]:
     """Pick the bisimplicial clique and the anchor case it certifies.
 
-    The four sets A, A', B, B' intersect the wing of (s1, s2) with the
-    clique cover of s2 and the wing of (s3, s4) with the cover of s3.
-    The first empty one fixes the clique directly; when all four are
-    non-empty, the wing between s2 and s3 restricted to N(s2) is itself a
-    clique and is grown to a maximal one.
+    ``wings`` is the ``build_wing_table`` dict.  The four sets A, A', B,
+    B' intersect the wing of (s1, s2) with the clique cover of s2 and the
+    wing of (s3, s4) with the cover of s3.  The first empty one fixes the
+    clique directly; when all four are non-empty, the wing between s2 and
+    s3 restricted to N(s2) is itself a clique and is grown to a maximal
+    one.
     """
     order = wg.order
     s1, s2, s3, s4 = order[0], order[1], order[2], order[3]
     cov2 = _cover(g, s2)
     cov3 = _cover(g, s3)
-    w12 = wt.wing_between(s1, s2)
-    w34 = wt.wing_between(s3, s4)
+    w12 = wings.get(tuple(sorted((s1, s2))))
+    w34 = wings.get(tuple(sorted((s3, s4))))
     if w12 is None or w34 is None:
         raise StructuralError("wing_missing", (s1, s2, s3, s4), "expected wings absent")
-    m12 = set(w12.members)
-    m34 = set(w34.members)
-    a_set = [u for u in cov2[0] if u in m12]
-    abar_set = [u for u in cov2[1] if u in m12]
-    b_set = [u for u in cov3[0] if u in m34]
-    bbar_set = [u for u in cov3[1] if u in m34]
-    covers = (cov2, cov3)
-    if not a_set:
-        return cov2[1], Anchor("a", 1), covers
-    if not abar_set:
-        return cov2[0], Anchor("a", 1), covers
-    if not b_set:
-        return cov3[1], Anchor("b", 2), covers
-    if not bbar_set:
-        return cov3[0], Anchor("b", 2), covers
-    w23 = wt.wing_between(s2, s3)
+    m12 = set(w12)
+    m34 = set(w34)
+    if m12.isdisjoint(cov2[0]):
+        return cov2[1], Anchor("a", 1)
+    if m12.isdisjoint(cov2[1]):
+        return cov2[0], Anchor("a", 1)
+    if m34.isdisjoint(cov3[0]):
+        return cov3[1], Anchor("b", 2)
+    if m34.isdisjoint(cov3[1]):
+        return cov3[0], Anchor("b", 2)
+    w23 = wings.get(tuple(sorted((s2, s3))))
     if w23 is None:
         raise StructuralError("wing_missing", (s2, s3), "expected wing absent")
-    core = [s2] + sorted(set(w23.members).intersection(g.neighbors(s2)))
+    core = [s2] + sorted(set(w23).intersection(g.neighbors(s2)))
     bad = g.non_edge(core)
     if bad is not None:
         raise StructuralError(
             "non_clique", bad, "wing restriction to N(s2) is not a clique"
         )
-    members = set(core)
-    for u in g.neighbors(s2):
-        if u not in members and len(members.intersection(g.neighbors(u))) == len(core):
-            core.append(u)
-            members.add(u)
-    return tuple(sorted(core)), Anchor("b", 1), covers
+    return _extend_clique(g, core, g.neighbors(s2)), Anchor("b", 1)
 
 
 def classify_q(
-    g: Graph, q, st: CanonicalState, wg: WingGraph, anchor: Anchor
+    g: Graph, q, wg: WingGraph, anchor: Anchor
 ) -> tuple[tuple[int, ...], tuple[int, ...], str]:
     """Split N(Q) into the cliques X and Y prescribed by the anchor case."""
     order = wg.order
@@ -191,13 +168,18 @@ def build_strips(
     kind: str,
     anchor: Anchor,
     wg: WingGraph,
-    covers,
 ) -> Decomposition:
-    """Fill in the clique-strips covering G - X and package the result."""
+    """Fill in the clique-strips covering G - X and package the result.
+
+    Each strip is a tuple of sorted clique tuples: (Q, Y, V - N[Q]) in
+    the dominating case.  Otherwise Q is followed by the BFS layers from
+    Y in G - Q, less X when that search reaches X; when it does not, the
+    BFS layers from X past X itself form a second strip.  An empty Y
+    has no layers.
+    """
     q = tuple(sorted(q))
     x = tuple(sorted(x))
     y = tuple(sorted(y))
-    strips: list[CliqueStrip]
     if kind == "dominating":
         outside = set(range(g.n)) - set(closed_neighborhood(g, q))
         p = tuple(sorted(outside))
@@ -206,55 +188,43 @@ def build_strips(
             raise StructuralError(
                 "non_clique", bad, "V minus N[Q] is not a clique in the dominating case"
             )
-        family = [q, y] + ([p] if p else [])
-        strips = [CliqueStrip(tuple(family))]
+        strips = [(q, y, p) if p else (q, y)]
     else:
         x_layers = _clique_layers(g, x, q, "X")
-        if not y:
-            strips = [CliqueStrip((q,))]
-            if len(x_layers) > 1:
-                strips.append(CliqueStrip(tuple(x_layers[1:])))
+        x_nodes = set().union(*x_layers)
+        y_layers = _clique_layers(g, y, q, "Y")
+        if y and y[0] in x_nodes:
+            # One shared component: X sits inside the last two Y layers.
+            last = len(y_layers) - 1
+            xs = set(x)
+            allowed = set(y_layers[last]) | (set(y_layers[last - 1]) if last >= 1 else set())
+            if not xs <= allowed:
+                raise StructuralError(
+                    "strip_overlap",
+                    tuple(sorted(xs - allowed)),
+                    "X reaches beyond the last two Y layers",
+                )
+            if last >= 1 and (xs & set(y_layers[last - 1])) and (set(y_layers[last]) - xs):
+                raise StructuralError(
+                    "strip_overlap",
+                    tuple(sorted(set(y_layers[last]) - xs)),
+                    "X meets the second-to-last layer but not all of the last",
+                )
+            family = [q] + [tuple(sorted(set(layer) - xs)) for layer in y_layers]
+            strips = [tuple(k for k in family if k)]
         else:
-            x_nodes = set()
-            for layer in x_layers:
-                x_nodes.update(layer)
-            if y[0] in x_nodes:
-                # One shared component: X sits inside the last two Y layers.
-                y_layers = _clique_layers(g, y, q, "Y")
-                last = len(y_layers) - 1
-                xs = set(x)
-                allowed = set(y_layers[last]) | (set(y_layers[last - 1]) if last >= 1 else set())
-                if not xs <= allowed:
-                    raise StructuralError(
-                        "strip_overlap",
-                        tuple(sorted(xs - allowed)),
-                        "X reaches beyond the last two Y layers",
-                    )
-                if last >= 1 and (xs & set(y_layers[last - 1])) and (set(y_layers[last]) - xs):
-                    raise StructuralError(
-                        "strip_overlap",
-                        tuple(sorted(set(y_layers[last]) - xs)),
-                        "X meets the second-to-last layer but not all of the last",
-                    )
-                family = [q] + [
-                    tuple(sorted(set(layer) - xs)) for layer in y_layers
-                ]
-                family = [k for k in family if k]
-                strips = [CliqueStrip(tuple(family))]
-            else:
-                y_layers = _clique_layers(g, y, q, "Y")
-                strips = [CliqueStrip(tuple([q] + y_layers))]
-                if len(x_layers) > 1:
-                    strips.append(CliqueStrip(tuple(x_layers[1:])))
-    return Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order, covers)
+            strips = [(q, *y_layers)]
+            if len(x_layers) > 1:
+                strips.append(tuple(x_layers[1:]))
+    return Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order)
 
 
 def decompose(g: Graph, st: CanonicalState) -> Decomposition:
     """Full pipeline from a canonical stable set to the strip decomposition."""
     if len(st.members) < 4:
         raise GraphInputError("decomposition needs a canonical set of size >= 4")
-    wt = build_wing_table(g, st)
-    wg = build_wing_graph(wt, st)
-    q, anchor, covers = select_q(g, st, wg, wt)
-    x, y, kind = classify_q(g, q, st, wg, anchor)
-    return build_strips(g, q, x, y, kind, anchor, wg, covers)
+    wings = build_wing_table(g, st)
+    wg = build_wing_graph(wings, st)
+    q, anchor = select_q(g, wg, wings)
+    x, y, kind = classify_q(g, q, wg, anchor)
+    return build_strips(g, q, x, y, kind, anchor, wg)

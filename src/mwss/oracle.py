@@ -102,7 +102,3 @@ def mwss_enumerate(g: Graph, limit: int = 20) -> tuple[int, tuple[int, ...]]:
                 best_mask = mask
     chosen = tuple(v for v in range(n) if best_mask >> v & 1)
     return best_value, chosen
-
-
-def oracle_value(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    return oracle_mwss(g, limit)[0]

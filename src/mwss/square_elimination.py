@@ -201,7 +201,7 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
     (|K_t| - 1) + |before| + |after| + |N(v) & X|.  Each strip's
     consecutive pairs then add their diagonals to those rows.
     """
-    families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
+    families = [tuple(map(tuple, s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
     _check_cover(g.n, cliques, removal)
     nbrs = g._nbrs

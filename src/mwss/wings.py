@@ -1,53 +1,25 @@
 """Wings and the wing graph.
 
 With respect to a maximal stable set, every bound node sees exactly two
-stable nodes and lands in the bound-wing of that pair.  A free node joins
-the wing of (its stable neighbor, t) when it has a free neighbor anchored
-at t; a free node with no dissimilar free neighbor belongs to no wing,
-which is harmless downstream and reported as ``unassigned``.  A free node
-reaching two different wings certifies a claw or a net.
+stable nodes and lands in the wing of that pair.  A free node joins the
+wing of (its stable neighbor, t) when it has a free neighbor anchored at
+t; a free node with no dissimilar free neighbor belongs to no wing.  A
+free node reaching two different wings certifies a claw or a net.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .canonical import CanonicalState
 from .errors import GraphInputError, StructuralError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class Wing:
-    """W(s, t): bound members plus the two directed free sides."""
-
-    ends: tuple[int, int]
-    bound: tuple[int, ...]
-    free_lo: tuple[int, ...]  # free nodes anchored at min(ends)
-    free_hi: tuple[int, ...]  # free nodes anchored at max(ends)
-
-    @cached_property
-    def members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.bound + self.free_lo + self.free_hi))
-
-
-@dataclass(frozen=True)
-class WingTable:
-    wings: tuple[Wing, ...]
-    unassigned_free: tuple[int, ...]
-
-    @cached_property
-    def _by_ends(self) -> dict:
-        return {w.ends: w for w in self.wings}
-
-    def wing_between(self, s: int, t: int) -> Wing | None:
-        return self._by_ends.get((s, t) if s < t else (t, s))
-
-
-def build_wing_table(g: Graph, st: CanonicalState) -> WingTable:
-    """Assign every bound node, and each free node that has one, to its wing.
+def build_wing_table(g: Graph, st: CanonicalState) -> dict:
+    """W(s, t) for every non-empty wing: a dict from ``(s, t)``, s < t, to
+    the ascending tuple of its bound nodes and free nodes with a partner.
 
     One walk over the stable nodes' rows, in ascending order, gives every
     other node its one or two stable neighbors, lower id first.  A free
@@ -67,29 +39,25 @@ def build_wing_table(g: Graph, st: CanonicalState) -> WingTable:
             else:
                 second[u] = s
     anchor = [a if b < 0 else -1 for a, b in zip(first, second)]  # free nodes only
-    buckets: dict[tuple[int, int], tuple[list, list, list]] = {}
-    unassigned = []
+    wings: dict[tuple[int, int], list[int]] = {}
     for u, (s, t) in enumerate(zip(first, second)):
         if s < 0:
             continue  # a stable node
-        if t >= 0:
-            key, side = (s, t), 0
-        else:
+        if t < 0:
             partners = set(map(anchor.__getitem__, nbrs[u]))
             partners.discard(-1)
             partners.discard(s)
             if not partners:
-                unassigned.append(u)
                 continue
             if len(partners) > 1:
                 _raise_two_wings(g, anchor, u)
             (t,) = partners
-            key, side = ((s, t), 1) if s < t else ((t, s), 2)
-        if key not in buckets:
-            buckets[key] = ([], [], [])
-        buckets[key][side].append(u)
-    wings = tuple(Wing(key, *map(tuple, buckets[key])) for key in sorted(buckets))
-    return WingTable(wings, tuple(unassigned))
+        key = (s, t) if s < t else (t, s)
+        if key in wings:
+            wings[key].append(u)
+        else:
+            wings[key] = [u]
+    return {key: tuple(members) for key, members in wings.items()}
 
 
 def _raise_two_wings(g: Graph, anchor: list, u: int):
@@ -125,16 +93,16 @@ class WingGraph:
 
     order: tuple[int, ...]
     shape: str  # "path" | "cycle"
-    edges: tuple[tuple[int, int], ...]
 
 
-def build_wing_graph(wt: WingTable, st: CanonicalState) -> WingGraph:
+def build_wing_graph(wings: dict, st: CanonicalState) -> WingGraph:
+    """The wing graph on ``st``'s stable nodes, one edge per key of the
+    ``build_wing_table`` dict ``wings``."""
     stable = st.stable_set
     if len(stable) < 4:
         raise GraphInputError("wing graph needs a stable set of size at least 4")
     nbrs: dict[int, list[int]] = {s: [] for s in stable}
-    for wing in wt.wings:
-        s, t = wing.ends
+    for s, t in wings:
         nbrs[s].append(t)
         nbrs[t].append(s)
     for s in stable:
@@ -185,5 +153,4 @@ def build_wing_graph(wt: WingTable, st: CanonicalState) -> WingGraph:
             raise StructuralError("wing_shape", tuple(order), "wing graph walk failed")
     if len(order) != len(stable):
         raise StructuralError("wing_shape", tuple(order), "wing graph is not a single path or cycle")
-    edges = tuple(w.ends for w in wt.wings)
-    return WingGraph(tuple(order), shape, edges)
+    return WingGraph(tuple(order), shape)

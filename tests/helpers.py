@@ -4,15 +4,12 @@ from dataclasses import dataclass
 
 from mwss import (
     CanonicalState,
-    CliqueStrip,
     Decomposition,
     GenSpec,
     Graph,
     IntervalResult,
     PatternWitness,
     StructuralError,
-    Wing,
-    WingTable,
     build_wing_graph,
     build_wing_table,
     canonicalize,
@@ -346,7 +343,8 @@ def perturbed_strip(seed):
 def reference_build_wing_table(g, st):
     """Wing table through per-node ``CanonicalState`` predicates and a
     per-node scan of every free node's row; the reference for
-    ``mwss.build_wing_table``."""
+    ``mwss.build_wing_table``: a dict from (s, t), s < t, to the sorted
+    members of W(s, t)."""
     anchor = {}
     for u in range(g.n):
         if st.is_free(u):
@@ -354,14 +352,12 @@ def reference_build_wing_table(g, st):
     buckets = {}
 
     def bucket(s, t):
-        key = (s, t) if s < t else (t, s)
-        return buckets.setdefault(key, {"bound": [], "lo": [], "hi": []})
+        return buckets.setdefault((min(s, t), max(s, t)), set())
 
-    unassigned = []
     for u in range(g.n):
         if st.is_bound(u):
             s, t = (v for v in g.neighbors(u) if st.is_stable_node(v))
-            bucket(s, t)["bound"].append(u)
+            bucket(s, t).add(u)
         elif st.is_free(u):
             s = anchor[u]
             partner = None
@@ -382,23 +378,9 @@ def reference_build_wing_table(g, st):
                     raise StructuralError(
                         "claw", (u, s, witness_nbr, v), "free node in two wings"
                     )
-            if partner is None:
-                unassigned.append(u)
-            else:
-                side = "lo" if s == min(s, partner) else "hi"
-                bucket(s, partner)[side].append(u)
-    wings = []
-    for key in sorted(buckets):
-        data = buckets[key]
-        wings.append(
-            Wing(
-                key,
-                tuple(sorted(data["bound"])),
-                tuple(sorted(data["lo"])),
-                tuple(sorted(data["hi"])),
-            )
-        )
-    return WingTable(tuple(wings), tuple(unassigned))
+            if partner is not None:
+                bucket(s, partner).add(u)
+    return {key: tuple(sorted(members)) for key, members in buckets.items()}
 
 
 def reference_bfs_layers(g, sources, removed):
@@ -431,7 +413,7 @@ def _reference_clique_layers(g, layers, label):
             raise StructuralError("non_clique_layer", bad, f"{label} layer is not a clique")
 
 
-def reference_build_strips(g, q, x, y, kind, anchor, wg, covers):
+def reference_build_strips(g, q, x, y, kind, anchor, wg):
     """``mwss.build_strips`` over ``reference_bfs_layers``, followed by
     ``reference_validate_cover``."""
     q = tuple(sorted(q))
@@ -445,15 +427,15 @@ def reference_build_strips(g, q, x, y, kind, anchor, wg, covers):
             raise StructuralError(
                 "non_clique", bad, "V minus N[Q] is not a clique in the dominating case"
             )
-        strips = [CliqueStrip(tuple([q, y] + ([p] if p else [])))]
+        strips = [tuple([q, y] + ([p] if p else []))]
     else:
         removed = set(q)
         x_layers = reference_bfs_layers(g, x, removed)
         _reference_clique_layers(g, x_layers, "X")
         if not y:
-            strips = [CliqueStrip((q,))]
+            strips = [(q,)]
             if len(x_layers) > 1:
-                strips.append(CliqueStrip(tuple(x_layers[1:])))
+                strips.append(tuple(x_layers[1:]))
         elif y[0] in {v for layer in x_layers for v in layer}:
             y_layers = reference_bfs_layers(g, y, removed)
             _reference_clique_layers(g, y_layers, "Y")
@@ -473,14 +455,14 @@ def reference_build_strips(g, q, x, y, kind, anchor, wg, covers):
                     "X meets the second-to-last layer but not all of the last",
                 )
             family = [q] + [tuple(sorted(set(layer) - xs)) for layer in y_layers]
-            strips = [CliqueStrip(tuple(k for k in family if k))]
+            strips = [tuple(k for k in family if k)]
         else:
             y_layers = reference_bfs_layers(g, y, removed)
             _reference_clique_layers(g, y_layers, "Y")
-            strips = [CliqueStrip(tuple([q] + y_layers))]
+            strips = [tuple([q] + y_layers)]
             if len(x_layers) > 1:
-                strips.append(CliqueStrip(tuple(x_layers[1:])))
-    dec = Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order, covers)
+                strips.append(tuple(x_layers[1:]))
+    dec = Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order)
     reference_validate_cover(g, dec.strips, dec.removal)
     return dec
 
@@ -490,7 +472,7 @@ def reference_validate_cover(g, strips, removal):
     the reference for the cover check in ``mwss.interval_transform``."""
     seen = {}
     for si, strip in enumerate(strips):
-        for ki, clique in enumerate(getattr(strip, "cliques", strip)):
+        for ki, clique in enumerate(strip):
             for v in clique:
                 if v in seen:
                     raise StructuralError("strip_cover", (v,), "node in two cliques")
@@ -516,11 +498,11 @@ def reference_validate_cover(g, strips, removal):
 def reference_decompose(g, st):
     """(wing table, decomposition) through the reference wing table and
     strip construction; the reference for ``mwss.decompose``."""
-    wt = reference_build_wing_table(g, st)
-    wg = build_wing_graph(wt, st)
-    q, anchor, covers = select_q(g, st, wg, wt)
-    x, y, kind = classify_q(g, q, st, wg, anchor)
-    return wt, reference_build_strips(g, q, x, y, kind, anchor, wg, covers)
+    wings = reference_build_wing_table(g, st)
+    wg = build_wing_graph(wings, st)
+    q, anchor = select_q(g, wg, wings)
+    x, y, kind = classify_q(g, q, wg, anchor)
+    return wings, reference_build_strips(g, q, x, y, kind, anchor, wg)
 
 
 class ReferenceEliminationState:
@@ -600,7 +582,7 @@ def reference_interval_transform(g, strips):
     for ``mwss.interval_transform`` (its cover check aside).  Returns the
     overlay and the result, whose rows are the overlay restricted to the
     clique before and after each node's own."""
-    families = [tuple(tuple(k) for k in getattr(s, "cliques", s)) for s in strips]
+    families = [tuple(map(tuple, s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
     adj = {v: set(g.neighbors(v)) for k in cliques for v in k}
     for x in range(g.n):
@@ -667,18 +649,18 @@ def strip_pipeline_outcome(g, reference=False):
             return None
         st, _ = canonicalize(g, CanonicalState(g, greedy_members(g, seed)))
         if reference:
-            wt, dec = reference_decompose(g, st)
+            wings, dec = reference_decompose(g, st)
             adj, interval = reference_interval_transform(g, dec.strips)
             co = reference_consistent_order(adj, interval.cliques)
         else:
-            wt = build_wing_table(g, st)
+            wings = build_wing_table(g, st)
             dec = decompose(g, st)
             interval = interval_transform(g, dec.strips, dec.removal)
             co = consistent_order(interval.before, interval.after, interval.cliques)
     except StructuralError as err:
         return ("error", err.kind, err.witness)
     return (
-        wt,
+        wings,
         dec,
         interval.before,
         interval.after,

@@ -188,8 +188,7 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
     for g, detail in pipeline_details:
         st = detail.state
         assert _wing_uniqueness_violation(g, st) is None
-        wt = build_wing_table(g, st)
-        wg = build_wing_graph(wt, st)  # raises on degree > 2 or disconnection
+        wg = build_wing_graph(build_wing_table(g, st), st)  # raises on degree > 2 or disconnection
         assert wg.shape in ("path", "cycle")
         wing_checked += 1
         for v in range(g.n):
@@ -200,7 +199,7 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
         # strip adjacency: edges stay within a strip, one layer apart
         layer = {}
         for si, strip in enumerate(dec.strips):
-            for ki, clique in enumerate(strip.cliques):
+            for ki, clique in enumerate(strip):
                 assert g.is_clique(clique)
                 for v in clique:
                     layer[v] = (si, ki)

@@ -16,6 +16,7 @@ from mwss import (
     gen_strip_instance,
     greedy_maximal_stable_set,
     canonicalize,
+    is_regular_node,
     select_q,
 )
 from mwss.checks import strip_violation
@@ -64,29 +65,29 @@ class TestSelectQ:
     def test_p7_anchor_and_clique(self):
         g = path_graph(7)
         st = canonical_state(g)
-        wt = build_wing_table(g, st)
-        wg = build_wing_graph(wt, st)
-        q, anchor, covers = select_q(g, st, wg, wt)
+        wings = build_wing_table(g, st)
+        wg = build_wing_graph(wings, st)
+        q, anchor = select_q(g, wg, wings)
         assert q == (1, 2)
         assert anchor.case == "a" and anchor.position == 1
-        assert covers[0] == ((1, 2), (2, 3))
+        assert is_regular_node(g, 2).cliques == ((1, 2), (2, 3))
 
     def test_c8_deterministic_choice(self):
         g = cycle_graph(8)
         st = canonical_state(g)
-        wt = build_wing_table(g, st)
-        wg = build_wing_graph(wt, st)
-        q, anchor, _ = select_q(g, st, wg, wt)
+        wings = build_wing_table(g, st)
+        wg = build_wing_graph(wings, st)
+        q, anchor = select_q(g, wg, wings)
         assert q == (1, 2)
 
     def test_all_nonempty_grows_maximal_clique(self):
         g = all_nonempty_graph()
         assert find_claw(g) is None and find_net(g) is None
         st = CanonicalState(g, {0, 3, 5, 8})
-        wt = build_wing_table(g, st)
-        wg = build_wing_graph(wt, st)
+        wings = build_wing_table(g, st)
+        wg = build_wing_graph(wings, st)
         assert wg.order == (0, 3, 5, 8)
-        q, anchor, covers = select_q(g, st, wg, wt)
+        q, anchor = select_q(g, wg, wings)
         assert anchor.case == "b" and anchor.position == 1
         assert q == (1, 3, 4)  # {a, s2, b}: maximal clique containing {s2, b}
 
@@ -99,10 +100,10 @@ class TestDecomposeP7:
         assert dec.removal == (3,)
         assert dec.companion == (0,)
         assert dec.kind == "strongly_bisimplicial"
-        assert [s.cliques for s in dec.strips] == [
+        assert dec.strips == (
             ((1, 2), (0,)),
             ((4,), (5,), (6,)),
-        ]
+        )
 
     def test_c8_single_wrapped_strip(self):
         g = cycle_graph(8)
@@ -110,8 +111,8 @@ class TestDecomposeP7:
         assert dec.kind == "strongly_bisimplicial"
         assert len(dec.strips) == 1
         strip = dec.strips[0]
-        assert strip.cliques[0] == dec.core
-        covered = set().union(*[set(k) for k in strip.cliques])
+        assert strip[0] == dec.core
+        covered = set().union(*[set(k) for k in strip])
         assert covered == set(range(8)) - set(dec.removal)
 
 
@@ -124,7 +125,7 @@ class TestDominatingCase:
         assert dec.kind == "dominating"
         # V minus N[Q] must be a clique (single node here)
         assert len(dec.strips) == 1
-        family = dec.strips[0].cliques
+        family = dec.strips[0]
         assert family[0] == dec.core
         covered = set().union(*[set(k) for k in family])
         assert covered == set(range(8)) - set(dec.removal)
@@ -137,23 +138,20 @@ class TestDominatingCase:
 
         g = path_graph(7)
         st = canonical_state(g)
-        wt = build_wing_table(g, st)
-        wg = build_wing_graph(wt, st)
-        dec = build_strips(
-            g, (0, 1), (2,), (), "strongly_bisimplicial", Anchor("a", 1), wg, ()
-        )
-        assert [s.cliques for s in dec.strips] == [
+        wg = build_wing_graph(build_wing_table(g, st), st)
+        dec = build_strips(g, (0, 1), (2,), (), "strongly_bisimplicial", Anchor("a", 1), wg)
+        assert dec.strips == (
             ((0, 1),),
             ((3,), (4,), (5,), (6,)),
-        ]
+        )
 
 
 class TestCliqueLayers:
     def test_non_clique_bfs_layer_raises(self):
         # from X = {1}, the second layer {2, 3} misses the edge 2-3
         g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-        wg = WingGraph((), "path", ())
-        args = (g, (0,), (1,), (), "strongly_bisimplicial", Anchor("a", 1), wg, ())
+        wg = WingGraph((), "path")
+        args = (g, (0,), (1,), (), "strongly_bisimplicial", Anchor("a", 1), wg)
         for build in (reference_build_strips, build_strips):
             with pytest.raises(StructuralError) as err:
                 build(*args)
@@ -179,14 +177,14 @@ class TestStripInvariants:
         dec = decompose(g, st)
         nodes = set()
         for strip in dec.strips:
-            for clique in strip.cliques:
+            for clique in strip:
                 assert g.is_clique(clique)
                 nodes.update(clique)
         assert nodes == set(range(g.n)) - set(dec.removal)
         # mutual nullity across strips
         if len(dec.strips) == 2:
-            s0 = dec.strips[0].nodes
-            s1 = dec.strips[1].nodes
+            s0 = {v for k in dec.strips[0] for v in k}
+            s1 = {v for k in dec.strips[1] for v in k}
             for u in s0:
                 assert not (g.adj(u) & s1)
         # consecutive-pair square-semi-homogeneity in the original graph
@@ -198,9 +196,7 @@ class TestStripInvariants:
 
         g = gen_strip_instance(GenSpec(seed=77, mode="strip", nodes=30, clique_min=2, clique_max=4))
         st = canonical_state(g)
-        wt = build_wing_table(g, st)
-        wg = build_wing_graph(wt, st)
-        order = wg.order
+        order = build_wing_graph(build_wing_table(g, st), st).order
         t = len(order)
         for i in range(1, t - 1):
             allowed = set()

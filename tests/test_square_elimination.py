@@ -87,7 +87,7 @@ class TestStage:
                 detail.decomposition.strips, detail.interval.stage_counts
             ):
                 for (ki, _kj), c in zip(
-                    zip(strip.cliques, strip.cliques[1:]), counts
+                    zip(strip, strip[1:]), counts
                 ):
                     assert c <= 3 * len(ki) + 8
 
@@ -149,11 +149,11 @@ class TestRowShape:
             cross = 0
             added = []
             for strip in detail.decomposition.strips:
-                lo, hi = strip_rows(comp, strip.cliques)
-                for v in strip.nodes:
+                lo, hi = strip_rows(comp, strip)
+                for v in {v for k in strip for v in k}:
                     before[v], after[v] = lo[v], hi[v]
                     cross += len(hi[v])
-                for ki, kj in zip(strip.cliques, strip.cliques[1:]):
+                for ki, kj in zip(strip, strip[1:]):
                     st = EliminationState(before, after, comp.weights, ki, kj)
                     st.run()
                     added.extend(st.added)
@@ -239,9 +239,9 @@ class TestCertificate:
                     strips += 1
                     # the full overlay the certificate reads, kept in step
                     # with the added diagonals
-                    adj = overlay(comp, strip.nodes)
-                    rows = strip_rows(comp, strip.cliques)
-                    for ki, kj in zip(strip.cliques, strip.cliques[1:]):
+                    adj = overlay(comp, {v for k in strip for v in k})
+                    rows = strip_rows(comp, strip)
+                    for ki, kj in zip(strip, strip[1:]):
                         st = EliminationState(*rows, comp.weights, ki, kj)
                         for _ in range(3 * len(ki) + 8):
                             if not st.a:
@@ -280,11 +280,11 @@ class TestStageBoundaryInvariant:
             )
             _, _, _, detail = solve_component(g, collect=True)
             for strip in detail.decomposition.strips:
-                nodes = sorted(v for k in strip.cliques for v in k)
+                nodes = sorted(v for k in strip for v in k)
                 node_set = set(nodes)
                 adj = {v: set(g.adj(v)) & node_set for v in nodes}
-                rows = strip_rows(g, strip.cliques)
-                for ki, kj in zip(strip.cliques, strip.cliques[1:]):
+                rows = strip_rows(g, strip)
+                for ki, kj in zip(strip, strip[1:]):
                     st = EliminationState(*rows, g.weights, ki, kj)
                     guard = 0
                     while st.a:

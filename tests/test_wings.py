@@ -22,33 +22,25 @@ class TestWingTable:
     def test_p7_bound_wings(self):
         g = path_graph(7)
         st = CanonicalState(g, {0, 2, 4, 6})
-        wt = build_wing_table(g, st)
-        ends = {w.ends: w.bound for w in wt.wings}
-        assert ends == {(0, 2): (1,), (2, 4): (3,), (4, 6): (5,)}
-        assert wt.unassigned_free == ()
+        assert build_wing_table(g, st) == {(0, 2): (1,), (2, 4): (3,), (4, 6): (5,)}
 
     def test_c8_four_bound_wings(self):
         g = cycle_graph(8)
         st = CanonicalState(g, {0, 2, 4, 6})
-        wt = build_wing_table(g, st)
-        assert {w.ends for w in wt.wings} == {(0, 2), (2, 4), (4, 6), (0, 6)}
-        assert all(len(w.members) == 1 for w in wt.wings)
+        wings = build_wing_table(g, st)
+        assert set(wings) == {(0, 2), (2, 4), (4, 6), (0, 6)}
+        assert all(len(members) == 1 for members in wings.values())
 
     def test_square_with_opposite_stable_pair(self):
         g = cycle_graph(4)
         st = CanonicalState(g, {0, 2})
-        wt = build_wing_table(g, st)
-        assert len(wt.wings) == 1
-        assert wt.wings[0].ends == (0, 2)
-        assert wt.wings[0].bound == (1, 3)
+        assert build_wing_table(g, st) == {(0, 2): (1, 3)}
 
     def test_free_wings_on_c9(self):
         g = cycle_graph(9)
         st = CanonicalState(g, {0, 2, 4, 6})
-        wt = build_wing_table(g, st)
-        w = wt.wing_between(0, 6)
-        assert w is not None
-        assert w.free_lo == (8,) and w.free_hi == (7,)
+        assert build_wing_table(g, st)[(0, 6)] == (7, 8)
+        assert st.stable_neighbor(7) == 6 and st.stable_neighbor(8) == 0  # both free
 
     def test_free_node_in_two_wings_raises_claw(self):
         # hub 1 anchored at 0, with free neighbors in two other classes
@@ -98,12 +90,12 @@ class TestWingPartition:
         for i in range(60):
             g = gen_rejection(GenSpec(seed=900 + i, mode="rejection", nodes=5 + i % 14))
             st, _ = canonicalize(g, greedy_maximal_stable_set(g))
-            wt = build_wing_table(g, st)
             seen = {}
-            for w_idx, wing in enumerate(wt.wings):
-                for v in wing.members:
-                    assert v not in seen or seen[v] == w_idx
-                    seen[v] = w_idx
+            for ends, members in build_wing_table(g, st).items():
+                assert members == tuple(sorted(set(members)))
+                for v in members:
+                    assert v not in seen or seen[v] == ends
+                    seen[v] = ends
             for v in range(g.n):
                 if st.is_bound(v):
                     assert v in seen  # every bound node is in exactly one wing
