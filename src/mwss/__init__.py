@@ -6,8 +6,9 @@ every square inside the strips while preserving optimal weights, and
 finishes with a linear dynamic program along a consistent ordering.
 """
 
-from .canonical import CanonicalState, canonicalize, greedy_maximal_stable_set
+from .canonical import canonicalize, greedy_members
 from .checks import (
+    CanonicalState,
     find_augmenting_p3,
     find_dominating_free,
     is_canonical,

@@ -6,7 +6,9 @@ neighborhood strictly contains that of its unique stable neighbor (a
 dominating free node).  ``canonicalize`` reaches that state in two
 sequential phases over the seed set, mirroring the constructive proof:
 augmentations first, then alternations, never re-scanning nodes that the
-operations introduced.
+operations introduced, and hands the set on as an ascending tuple.
+Members' neighbor counts come from ``stable_counts``; the per-node
+classification built on them (``CanonicalState``) is in ``mwss.checks``.
 """
 
 from __future__ import annotations
@@ -16,96 +18,36 @@ from dataclasses import dataclass
 from .errors import GraphInputError, StructuralError
 from .graph import Graph
 
-STABLE = "stable"
-FREE = "free"
-BOUND = "bound"
-SUPERFREE = "superfree"
 
+def stable_counts(g: Graph, members) -> list[int]:
+    """Per node, its number of neighbors in the set ``members``.
 
-class CanonicalState:
-    """A stable set plus the derived per-node classification.
-
-    Non-members are classified by their number of stable neighbors:
-    0 superfree, 1 free, 2 bound.  Three or more stable neighbors of one
-    node form a claw with it, so that raises ``StructuralError``.
+    Checks that ``members`` is a maximal stable set of ``g`` in which no
+    node has three or more members as neighbors: such a node forms a claw
+    with three of them, so that raises ``StructuralError``.
     """
-
-    __slots__ = ("graph", "members", "_count")
-
-    def __init__(self, graph: Graph, members):
-        members = frozenset(members)
-        for v in members:
-            if not (0 <= v < graph.n):
-                raise GraphInputError(f"node id {v} out of range")
-        count = [0] * graph.n
-        for s in members:
-            for u in graph._nbrs[s]:
-                if u in members:
-                    raise GraphInputError(f"set is not stable: edge ({s}, {u})")
-                count[u] += 1
-        for u in range(graph.n):
+    for v in members:
+        if not (0 <= v < g.n):
+            raise GraphInputError(f"node id {v} out of range")
+    count = [0] * g.n
+    for s in members:
+        for u in g._nbrs[s]:
             if u in members:
-                continue
-            if count[u] >= 3:
-                stable_nbrs = [s for s in graph.neighbors(u) if s in members]
-                raise StructuralError(
-                    "claw",
-                    (u, *stable_nbrs[:3]),
-                    "node with three stable neighbors (input contains a claw)",
-                )
-            if count[u] == 0:
-                raise GraphInputError(f"set is not maximal: node {u} is uncovered")
-        self.graph = graph
-        self.members = members
-        self._count = tuple(count)
-
-    @classmethod
-    def _from_counts(cls, graph: Graph, members, count) -> CanonicalState:
-        """The state of a stable set ``members`` whose stable-neighbor
-        counts ``count`` the caller already holds.  Stability is the
-        caller's to guarantee; a node with three or more stable neighbors,
-        or a non-member with none, is reported as the constructor would."""
-        members = frozenset(members)
-        if max(count, default=0) >= 3 or count.count(0) != len(members):
-            return cls(graph, members)
-        st = cls.__new__(cls)
-        st.graph = graph
-        st.members = members
-        st._count = tuple(count)
-        return st
-
-    @property
-    def stable_set(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def classification(self, v: int) -> str:
-        if v in self.members:
-            return STABLE
-        c = self._count[v]
-        return (SUPERFREE, FREE, BOUND)[c]
-
-    def is_stable_node(self, v: int) -> bool:
-        return v in self.members
-
-    def is_free(self, v: int) -> bool:
-        return v not in self.members and self._count[v] == 1
-
-    def is_bound(self, v: int) -> bool:
-        return v not in self.members and self._count[v] == 2
-
-    def stable_neighbor(self, v: int) -> int:
-        """S(u): the unique stable neighbor of a free node."""
-        if not self.is_free(v):
-            raise GraphInputError(f"node {v} is not free")
-        for s in self.graph.neighbors(v):
-            if s in self.members:
-                return s
-        raise AssertionError("free node without stable neighbor")
-
-    def free_nodes(self) -> tuple[int, ...]:
-        return tuple(
-            v for v in range(self.graph.n) if v not in self.members and self._count[v] == 1
-        )
+                raise GraphInputError(f"set is not stable: edge ({s}, {u})")
+            count[u] += 1
+    for u in range(g.n):
+        if u in members:
+            continue
+        if count[u] >= 3:
+            stable_nbrs = [s for s in g.neighbors(u) if s in members]
+            raise StructuralError(
+                "claw",
+                (u, *stable_nbrs[:3]),
+                "node with three stable neighbors (input contains a claw)",
+            )
+        if count[u] == 0:
+            raise GraphInputError(f"set is not maximal: node {u} is uncovered")
+    return count
 
 
 @dataclass
@@ -133,27 +75,21 @@ def greedy_members(g: Graph, seed: tuple[int, ...] = ()) -> list[int]:
     return members
 
 
-def greedy_maximal_stable_set(g: Graph) -> CanonicalState:
-    """Deterministic seed set: take nodes in ascending id when possible."""
-    return CanonicalState(g, greedy_members(g))
-
-
-def canonicalize(
-    g: Graph, seed: CanonicalState
-) -> tuple[CanonicalState, CanonicalizeStats]:
-    """Grow a maximal stable set into a canonical one.
+def canonicalize(g: Graph, seed) -> tuple[tuple[int, ...], CanonicalizeStats]:
+    """Grow the maximal stable set ``seed`` (any iterable of its members)
+    into a canonical one, returned as an ascending tuple.
 
     Phase one scans the seed's stable nodes in ascending id and applies
     augmentations; phase two scans the surviving set and applies
     alternations.  Nodes added by either operation are never re-scanned;
     no new augmenting P3 or dominating free node can appear at them, so a
     single pass per phase suffices and total work stays linear in the
-    edge count (tracked by ``stats.steps``).
+    edge count (tracked by ``stats.steps``).  The seed is checked as
+    ``stable_counts`` checks it; so is the result when an augmentation
+    left a node with three members as neighbors (a claw) or none.
     """
-    if seed.graph is not g:
-        seed = CanonicalState(g, seed.members)
-    members = set(seed.members)
-    count = list(seed._count)
+    members = set(seed)
+    count = stable_counts(g, members)
     stats = CanonicalizeStats()
     nbrs = g._nbrs
 
@@ -163,7 +99,7 @@ def canonicalize(
         stats.steps += len(nbrs[v])
 
     # Phase one: augmentations at the original stable nodes.
-    for s in sorted(seed.members):
+    for s in sorted(members):
         if s not in members:
             continue
         free = [u for u in nbrs[s] if u not in members and count[u] == 1]
@@ -223,4 +159,6 @@ def canonicalize(
         shift(best, +1)
         stats.alternations += 1
 
-    return CanonicalState._from_counts(g, members, count), stats
+    if max(count, default=0) >= 3 or count.count(0) != len(members):
+        stable_counts(g, members)  # raises the claw or the uncovered node
+    return tuple(sorted(members)), stats

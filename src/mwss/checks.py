@@ -1,18 +1,64 @@
 """The pipeline's structural invariants, each defined once.
 
 Every check returns ``None`` when its invariant holds and otherwise a
-witness tuple that starts with the violation's name.  ``mwss selftest``,
-the acceptance suite and the unit tests call these; no solver module
-imports this one, so none of it runs on the solve path.
+witness tuple that starts with the violation's name.  ``CanonicalState``
+classifies each node by its stable neighbors, for the canonical-set
+checks; the solver hands its stable set on as a plain tuple.
+``mwss selftest``, the acceptance suite and the unit tests call these;
+no solver module imports this one, so none of it runs on the solve path.
 """
 
 from __future__ import annotations
 
-from .canonical import CanonicalState
+from .canonical import stable_counts
 from .errors import GraphInputError
 from .graph import Graph
 from .interval_mwss import ConsistentOrder
 from .patterns import find_claw, find_square_in, square_semi_homogeneous_check
+
+
+class CanonicalState:
+    """A maximal stable set of ``graph`` plus the per-node classification.
+
+    Non-members are classified by their number of stable neighbors:
+    0 superfree, 1 free, 2 bound.  The set is checked by
+    ``stable_counts``, so three or more stable neighbors of one node
+    raise ``StructuralError`` (a claw).
+    """
+
+    __slots__ = ("graph", "members", "_count")
+
+    def __init__(self, graph: Graph, members):
+        self.members = frozenset(members)
+        self._count = stable_counts(graph, self.members)
+        self.graph = graph
+
+    @property
+    def stable_set(self) -> tuple[int, ...]:
+        return tuple(sorted(self.members))
+
+    def classification(self, v: int) -> str:
+        if v in self.members:
+            return "stable"
+        return ("superfree", "free", "bound")[self._count[v]]
+
+    def is_stable_node(self, v: int) -> bool:
+        return v in self.members
+
+    def is_free(self, v: int) -> bool:
+        return v not in self.members and self._count[v] == 1
+
+    def is_bound(self, v: int) -> bool:
+        return v not in self.members and self._count[v] == 2
+
+    def stable_neighbor(self, v: int) -> int:
+        """S(u): the unique stable neighbor of a free node."""
+        if not self.is_free(v):
+            raise GraphInputError(f"node {v} is not free")
+        return next(s for s in self.graph.neighbors(v) if s in self.members)
+
+    def free_nodes(self) -> tuple[int, ...]:
+        return tuple(filter(self.is_free, range(self.graph.n)))
 
 
 def find_augmenting_p3(st: CanonicalState, s: int) -> tuple[int, int] | None:
@@ -86,8 +132,8 @@ def strip_violation(g: Graph, dec) -> tuple | None:
 
 def verify_consistent(gbar: Graph, co: ConsistentOrder) -> tuple[int, int, int] | None:
     """Exhaustive consistency check; returns a violating triple or None."""
-    pos = co.pos
     order = co.order
+    pos = {v: k for k, v in enumerate(order)}
     for k, v in enumerate(order):
         av = set(gbar.neighbors(v))
         for u in gbar.neighbors(v):

@@ -8,6 +8,7 @@ witness on stderr), 2 usage or parse errors.  External node ids are
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import statistics
@@ -15,7 +16,7 @@ import sys
 import time
 import tracemalloc
 
-from .canonical import canonicalize, greedy_maximal_stable_set
+from .canonical import canonicalize, greedy_members
 from .errors import GraphInputError, GraphParseError, MWSSError, StructuralError
 from .generators import GenSpec, generate
 from .graph import Graph, connected_components
@@ -124,7 +125,7 @@ def cmd_decompose(args) -> int:
     dec = detail.decomposition
     payload.update(
         {
-            "stable_set": _ext(detail.state.stable_set),
+            "stable_set": _ext(detail.stable_set),
             "wing_order": _ext(dec.wing_order),
             "core": _ext(dec.core),
             "kind": dec.kind,
@@ -149,21 +150,21 @@ def cmd_decompose(args) -> int:
 
 def cmd_canonicalize(args) -> int:
     g = _load(args.graph)
-    state, stats = canonicalize(g, greedy_maximal_stable_set(g))
+    stable, stats = canonicalize(g, greedy_members(g))
     if args.json:
         _emit_json(
             {
                 "n": g.n,
                 "m": g.m,
-                "stable_set": _ext(state.stable_set),
-                "size": len(state.members),
+                "stable_set": _ext(stable),
+                "size": len(stable),
                 "augmentations": stats.augmentations,
                 "alternations": stats.alternations,
                 "steps": stats.steps,
             }
         )
     else:
-        print("set " + " ".join(str(v) for v in _ext(state.stable_set)))
+        print("set " + " ".join(str(v) for v in _ext(stable)))
     return 0
 
 
@@ -218,7 +219,10 @@ def _median_seconds(fn, repeats: int):
 
 
 def _peak_mb(fn) -> float:
-    """Peak traced allocation of one ``fn()`` call, in MB (10^6 bytes)."""
+    """Peak traced allocation of one ``fn()`` call, in MB (10^6 bytes).
+    Garbage is collected first, so the peak does not depend on when the
+    cyclic collector last ran."""
+    gc.collect()
     tracemalloc.start()
     try:
         fn()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import CanonicalState
 from .errors import GraphInputError, StructuralError
 from .graph import Graph, _extend_clique, closed_neighborhood, is_regular_node, neighborhood
 from .wings import WingGraph, build_wing_graph, build_wing_table
@@ -103,9 +102,9 @@ def classify_q(
     s_here = order[i]
     s_next = order[(i + 1) % t]
     nq = neighborhood(g, q)
-    close_prev = set(closed_neighborhood(g, (s_prev,)))
-    close_here = set(closed_neighborhood(g, (s_here,)))
-    close_next = set(closed_neighborhood(g, (s_next,)))
+    close_prev = {s_prev, *g.neighbors(s_prev)}
+    close_here = {s_here, *g.neighbors(s_here)}
+    close_next = {s_next, *g.neighbors(s_next)}
     if anchor.case == "a":
         x = tuple(u for u in nq if u in close_here or u in close_next)
         y = tuple(u for u in nq if u in close_prev)
@@ -219,12 +218,13 @@ def build_strips(
     return Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order)
 
 
-def decompose(g: Graph, st: CanonicalState) -> Decomposition:
-    """Full pipeline from a canonical stable set to the strip decomposition."""
-    if len(st.members) < 4:
+def decompose(g: Graph, stable: tuple[int, ...]) -> Decomposition:
+    """Full pipeline from a canonical stable set, an ascending tuple, to
+    the strip decomposition."""
+    if len(stable) < 4:
         raise GraphInputError("decomposition needs a canonical set of size >= 4")
-    wings = build_wing_table(g, st)
-    wg = build_wing_graph(wings, st)
+    wings = build_wing_table(g, stable)
+    wg = build_wing_graph(wings, stable)
     q, anchor = select_q(g, wg, wings)
     x, y, kind = classify_q(g, q, wg, anchor)
     return build_strips(g, q, x, y, kind, anchor, wg)

@@ -164,18 +164,11 @@ def sort_rows(lists: list[list[int]]) -> tuple[int, int] | None:
     return None
 
 
-def _check_subset(g: Graph, nodes: Iterable[int]) -> list[int]:
-    out = []
-    for v in nodes:
-        if not (0 <= v < g.n):
-            raise GraphInputError(f"node id {v} out of range for n={g.n}")
-        out.append(v)
-    return out
-
-
 def neighborhood(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     """N(W): nodes outside W adjacent to some node of W."""
-    inside = set(_check_subset(g, nodes))
+    nodes = list(nodes)
+    g._check_ids(nodes)
+    inside = set(nodes)
     out: set[int] = set()
     for v in inside:
         out.update(g._nbrs[v])
@@ -184,37 +177,26 @@ def neighborhood(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
 
 def closed_neighborhood(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
     """N[W] = N(W) ∪ W."""
-    nodes = _check_subset(g, nodes)
+    nodes = list(nodes)
     return tuple(sorted(set(neighborhood(g, nodes)).union(nodes)))
 
 
-@dataclass(frozen=True)
-class SubgraphMap:
-    """Id mapping produced by :func:`induced_subgraph`: subgraph node i is
-    ``to_orig[i]``."""
-
-    to_orig: tuple
-
-    def lift(self, sub_nodes: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.to_orig[v] for v in sub_nodes))
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, SubgraphMap]:
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph induced by ``keep``, with ``g``'s weights.
 
-    New ids are dense, assigned in ascending order of the original ids;
-    each row is filtered and renumbered from ``g``'s and stays sorted.
+    New ids are dense, assigned in ascending order of the original ids,
+    so subgraph node i is ``sorted(set(keep))[i]``; each row is filtered
+    and renumbered from ``g``'s and stays sorted.
     """
     keep_sorted = sorted(set(keep))
     g._check_ids(keep_sorted)
     # a dict, not n-long arrays: solve induces many small components of g
     new_id = dict(zip(keep_sorted, range(len(keep_sorted))))
     inside, renumber = new_id.__contains__, new_id.__getitem__
-    sub = Graph._from_rows(
+    return Graph._from_rows(
         [tuple(map(renumber, filter(inside, g._nbrs[v]))) for v in keep_sorted],
         [g.weights[v] for v in keep_sorted],
     )
-    return sub, SubgraphMap(tuple(keep_sorted))
 
 
 def connected_components(
@@ -341,7 +323,6 @@ def is_regular_node(g: Graph, v: int) -> RegularityResult:
     complement component, seeded at the lowest id, seed on side one), and
     each side is then extended to a maximal clique containing ``v``.
     """
-    _check_subset(g, (v,))
     nb = g.neighbors(v)
     color = {}
     side_one: list[int] = []

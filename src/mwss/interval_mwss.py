@@ -18,17 +18,14 @@ from .errors import GraphInputError, StructuralError
 
 @dataclass(frozen=True)
 class ConsistentOrder:
-    """Node order, inverse positions, and per-node prefix pointers.
+    """Node order and per-node prefix pointers.
 
-    ``pos[v]`` is the position of node v; it is a list indexed by node
-    id, and reads -1 for ids outside the order.  ``prefix[k]`` is the
-    last position whose node may be combined with the node at position k:
-    one less than the position of its earliest earlier neighbor, or k-1
-    when it has none.
+    ``prefix[k]`` is the last position whose node may be combined with
+    the node at position k: one less than the position of its earliest
+    earlier neighbor, or k-1 when it has none.
     """
 
     order: tuple[int, ...]
-    pos: list
     prefix: tuple[int, ...]
 
 
@@ -80,10 +77,7 @@ def consistent_order(before, after, cliques) -> ConsistentOrder:
         for v in ranked:
             order.append(v)
             prefix.append(start - len(before[v]) - 1)
-    pos = [-1] * (max(members, default=-1) + 1)
-    for k, v in enumerate(order):
-        pos[v] = k
-    return ConsistentOrder(tuple(order), pos, tuple(prefix))
+    return ConsistentOrder(tuple(order), tuple(prefix))
 
 
 def mwss_on_order(

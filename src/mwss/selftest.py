@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .checks import canonical_violation, interval_violation, strip_violation
+from .checks import CanonicalState, canonical_violation, interval_violation, strip_violation
 from .generators import GenSpec, gen_rejection, gen_strip_instance
 from .oracle import oracle_mwss
 from .patterns import find_claw, find_net
@@ -73,7 +73,8 @@ def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
     report("solve-equals-oracle", bad)
 
     bad = sum(
-        1 for d in details if canonical_violation(d.state, d.canonical_steps) is not None
+        canonical_violation(CanonicalState(d.graph, d.stable_set), d.canonical_steps) is not None
+        for d in details
     )
     report("canonical-fixpoint", bad, f"{len(details)} pipeline components")
 

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
-from .canonical import CanonicalState, canonicalize, greedy_members
+from .canonical import canonicalize, greedy_members
 from .decomposition import Decomposition, decompose
 from .errors import MWSSError, StructuralError
 from .graph import Graph, connected_components, induced_subgraph, remove_twins
@@ -42,12 +42,11 @@ class PipelineDetail:
     """Intermediate artifacts of one component's pipeline run (trace/tests)."""
 
     graph: Graph
-    state: CanonicalState
+    stable_set: tuple[int, ...]  # the canonical stable set, ascending
     decomposition: Decomposition
     interval: IntervalResult
     order: ConsistentOrder  # over V - X, strip after strip
     base_value: int
-    base_nodes: tuple[int, ...]
     per_vertex: tuple[tuple[int, int, tuple[int, ...]], ...]
     canonical_steps: int
     dp_passes: int
@@ -333,8 +332,8 @@ def solve_component(
     if seed4 is None:
         value, nodes = alpha3_fallback(g)
         return value, nodes, ROUTE_ALPHA3, None
-    state, stats = canonicalize(g, CanonicalState(g, greedy_members(g, seed4)))
-    dec = decompose(g, state)
+    stable, stats = canonicalize(g, greedy_members(g, seed4))
+    dec = decompose(g, stable)
     removal = dec.removal
     if len(removal) > math.isqrt(2 * g.m) + 1:
         raise StructuralError(
@@ -358,12 +357,11 @@ def solve_component(
     if collect:
         detail = PipelineDetail(
             graph=g,
-            state=state,
+            stable_set=stable,
             decomposition=dec,
             interval=interval,
             order=co,
             base_value=base_value,
-            base_nodes=base_nodes,
             per_vertex=tuple(per_vertex),
             canonical_steps=stats.steps,
             dp_passes=len(removal) + 1,
@@ -396,7 +394,7 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
         if len(comp) == g.n:
             sub = g  # all positive, no adjacent twins, connected
         else:
-            sub = induced_subgraph(g, comp)[0]
+            sub = induced_subgraph(g, comp)
         try:
             value, nodes, route, detail = solve_component(sub, collect=collect_trace)
         except StructuralError as exc:

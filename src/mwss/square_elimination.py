@@ -42,7 +42,7 @@ class EliminationState:
 
     __slots__ = (
         "before", "after", "weights", "a", "b", "d", "a_sets", "b_sets",
-        "added", "actions", "limit",
+        "added", "limit",
     )
 
     def __init__(self, before, after, weights, ki, kj):
@@ -66,7 +66,6 @@ class EliminationState:
         self.a_sets: dict[int, set] = {}
         self.b_sets: dict[int, set] = {}
         self.added: list[tuple[int, int]] = []
-        self.actions: list[str] = []
 
     def _rank_a(self):
         """Keep A in stage order: most neighbors in B first, then lowest id
@@ -110,7 +109,6 @@ class EliminationState:
                 if not d[v]:
                     dead.append(v)
             b.difference_update(dead)
-            self.actions.append("remove")
             return "remove"
         if d[a_max] == len(b) - 1:
             (b1,) = b - self._a_set(a_max)
@@ -135,7 +133,6 @@ class EliminationState:
             self._kill_diags(a_max)
             action = "kill_diags"
         self._rank_a()
-        self.actions.append(action)
         return action
 
     def _kill_diags(self, abar: int):

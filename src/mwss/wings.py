@@ -12,14 +12,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .canonical import CanonicalState
 from .errors import GraphInputError, StructuralError
 from .graph import Graph
 
 
-def build_wing_table(g: Graph, st: CanonicalState) -> dict:
-    """W(s, t) for every non-empty wing: a dict from ``(s, t)``, s < t, to
-    the ascending tuple of its bound nodes and free nodes with a partner.
+def build_wing_table(g: Graph, stable: tuple[int, ...]) -> dict:
+    """W(s, t) for every non-empty wing of the canonical stable set
+    ``stable`` (ascending): a dict from ``(s, t)``, s < t, to the
+    ascending tuple of its bound nodes and free nodes with a partner.
 
     One walk over the stable nodes' rows, in ascending order, gives every
     other node its one or two stable neighbors, lower id first.  A free
@@ -27,12 +27,10 @@ def build_wing_table(g: Graph, st: CanonicalState) -> dict:
     own; two or more of them raise a claw or net, found by a scan of its
     row in order.
     """
-    if st.graph is not g:
-        raise GraphInputError("state was built for a different graph")
     nbrs = g._nbrs
     first = [-1] * g.n  # lowest stable neighbor of each non-stable node
     second = [-1] * g.n  # the other one of a bound node
-    for s in st.stable_set:
+    for s in stable:
         for u in nbrs[s]:
             if first[u] < 0:
                 first[u] = s
@@ -95,10 +93,9 @@ class WingGraph:
     shape: str  # "path" | "cycle"
 
 
-def build_wing_graph(wings: dict, st: CanonicalState) -> WingGraph:
-    """The wing graph on ``st``'s stable nodes, one edge per key of the
-    ``build_wing_table`` dict ``wings``."""
-    stable = st.stable_set
+def build_wing_graph(wings: dict, stable: tuple[int, ...]) -> WingGraph:
+    """The wing graph on the ascending stable nodes ``stable``, one edge
+    per key of the ``build_wing_table`` dict ``wings``."""
     if len(stable) < 4:
         raise GraphInputError("wing graph needs a stable set of size at least 4")
     nbrs: dict[int, list[int]] = {s: [] for s in stable}

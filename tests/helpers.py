@@ -499,7 +499,7 @@ def reference_decompose(g, st):
     """(wing table, decomposition) through the reference wing table and
     strip construction; the reference for ``mwss.decompose``."""
     wings = reference_build_wing_table(g, st)
-    wg = build_wing_graph(wings, st)
+    wg = build_wing_graph(wings, st.stable_set)
     q, anchor = select_q(g, wg, wings)
     x, y, kind = classify_q(g, q, wg, anchor)
     return wings, reference_build_strips(g, q, x, y, kind, anchor, wg)
@@ -630,10 +630,9 @@ def reference_consistent_order(adj, cliques):
                     "cross-neighborhoods not nested (square present)",
                 )
         order.extend(ranked)
-    pos = {v: k for k, v in enumerate(order)}
-    at = pos.__getitem__
+    at = {v: k for k, v in enumerate(order)}.__getitem__
     prefix = tuple(min(k, min(map(at, adj[v]), default=k)) - 1 for k, v in enumerate(order))
-    return ConsistentOrder(tuple(order), pos, prefix)
+    return ConsistentOrder(tuple(order), prefix)
 
 
 def strip_pipeline_outcome(g, reference=False):
@@ -647,14 +646,14 @@ def strip_pipeline_outcome(g, reference=False):
         seed = find_stable4(g)
         if seed is None:
             return None
-        st, _ = canonicalize(g, CanonicalState(g, greedy_members(g, seed)))
+        stable, _ = canonicalize(g, greedy_members(g, seed))
         if reference:
-            wings, dec = reference_decompose(g, st)
+            wings, dec = reference_decompose(g, CanonicalState(g, stable))
             adj, interval = reference_interval_transform(g, dec.strips)
             co = reference_consistent_order(adj, interval.cliques)
         else:
-            wings = build_wing_table(g, st)
-            dec = decompose(g, st)
+            wings = build_wing_table(g, stable)
+            dec = decompose(g, stable)
             interval = interval_transform(g, dec.strips, dec.removal)
             co = consistent_order(interval.before, interval.after, interval.cliques)
     except StructuralError as err:

@@ -21,7 +21,7 @@ from mwss import (
     connected_components,
     gen_rejection,
     gen_strip_instance,
-    greedy_maximal_stable_set,
+    greedy_members,
     induced_subgraph,
     is_regular_node,
     mwss_on_order,
@@ -30,6 +30,7 @@ from mwss import (
     solve_component,
 )
 from mwss.checks import (
+    CanonicalState,
     canonical_violation,
     interval_violation,
     strip_violation,
@@ -110,7 +111,7 @@ def pipeline_details(pool, extras):
     out = []
     for g in pool + extras:
         for comp in connected_components(g):
-            sub = g if len(comp) == g.n else induced_subgraph(g, comp)[0]
+            sub = g if len(comp) == g.n else induced_subgraph(g, comp)
             _, _, route, detail = solve_component(sub, collect=True)
             if detail is not None:
                 out.append((sub, detail))
@@ -149,12 +150,12 @@ def test_criterion_2_weight_preservation():
         assert detail is not None
         removal = set(detail.decomposition.removal)
         keep = [v for v in range(g.n) if v not in removal]
-        rest, _ = induced_subgraph(g, keep)
+        rest = induced_subgraph(g, keep)
         assert detail.base_value == oracle_mwss(rest)[0]
         for v, value, _nodes in detail.per_vertex:
             closed = set(closed_neighborhood(g, (v,)))
             keep_v = [u for u in range(g.n) if u not in closed]
-            sub, _ = induced_subgraph(g, keep_v)
+            sub = induced_subgraph(g, keep_v)
             assert value - g.weights[v] == oracle_mwss(sub)[0]
         checked += 1
     print(f"PASS criterion 2: weight preservation on {checked} instances")
@@ -186,9 +187,10 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
     regular_checked = 0
     kinds = {"dominating": 0, "strongly_bisimplicial": 0}
     for g, detail in pipeline_details:
-        st = detail.state
-        assert _wing_uniqueness_violation(g, st) is None
-        wg = build_wing_graph(build_wing_table(g, st), st)  # raises on degree > 2 or disconnection
+        stable = detail.stable_set
+        assert _wing_uniqueness_violation(g, CanonicalState(g, stable)) is None
+        # raises on degree > 2 or disconnection
+        wg = build_wing_graph(build_wing_table(g, stable), stable)
         assert wg.shape in ("path", "cycle")
         wing_checked += 1
         for v in range(g.n):
@@ -250,11 +252,12 @@ def test_criterion_4_post_transform(pipeline_details):
 def test_criterion_5_canonicality(pool, extras, pipeline_details):
     checked = 0
     for g in pool + extras:
-        st, stats = canonicalize(g, greedy_maximal_stable_set(g))
-        assert canonical_violation(st, stats.steps) is None
+        stable, stats = canonicalize(g, greedy_members(g))
+        assert canonical_violation(CanonicalState(g, stable), stats.steps) is None
         checked += 1
-    for _g, detail in pipeline_details:
-        assert canonical_violation(detail.state, detail.canonical_steps) is None
+    for g, detail in pipeline_details:
+        st = CanonicalState(g, detail.stable_set)
+        assert canonical_violation(st, detail.canonical_steps) is None
     print(f"PASS criterion 5: canonicality and step bound on {checked} instances")
 
 
@@ -264,7 +267,7 @@ def test_criterion_6_consistency(pipeline_details):
         gbar = transformed_graph(g, detail.interval)
         assert verify_consistent(gbar, detail.order) is None
         value, nodes = mwss_on_order(detail.order, g.weights)
-        strip_graph, _ = induced_subgraph(gbar, [v for k in detail.interval.cliques for v in k])
+        strip_graph = induced_subgraph(gbar, [v for k in detail.interval.cliques for v in k])
         assert value == oracle_mwss(strip_graph)[0]
         assert gbar.is_stable(nodes) and gbar.weight_of(nodes) == value
         strips += len(detail.decomposition.strips)

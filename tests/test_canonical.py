@@ -8,13 +8,16 @@ from mwss import (
     StructuralError,
     canonicalize,
     gen_rejection,
-    gen_strip_instance,
-    greedy_maximal_stable_set,
+    greedy_members,
 )
-from mwss.canonical import greedy_members
 from mwss.checks import find_augmenting_p3, find_dominating_free, is_canonical
 
 from helpers import complete_graph, path_graph
+
+# both check a seed set through stable_counts, with the same errors
+CHECKED = pytest.mark.parametrize(
+    "build", [CanonicalState, canonicalize], ids=["CanonicalState", "canonicalize"]
+)
 
 
 class TestState:
@@ -30,33 +33,33 @@ class TestState:
         st = CanonicalState(g, {0, 2, 4})
         assert st.is_bound(1) and st.is_bound(3)
 
-    def test_non_stable_rejected(self):
-        with pytest.raises(GraphInputError):
-            CanonicalState(path_graph(3), {0, 1})
+    @CHECKED
+    def test_non_stable_rejected(self, build):
+        with pytest.raises(GraphInputError, match="not stable"):
+            build(path_graph(3), {0, 1})
 
-    def test_non_maximal_rejected(self):
-        with pytest.raises(GraphInputError):
-            CanonicalState(path_graph(5), {0})
+    @CHECKED
+    def test_non_maximal_rejected(self, build):
+        with pytest.raises(GraphInputError, match="not maximal"):
+            build(path_graph(5), {0})
 
-    def test_three_stable_neighbors_is_a_claw(self):
+    @CHECKED
+    def test_three_stable_neighbors_is_a_claw(self, build):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(StructuralError) as err:
-            CanonicalState(g, {1, 2, 3})
-        assert err.value.kind == "claw"
+            build(g, {1, 2, 3})
+        assert (err.value.kind, err.value.witness) == ("claw", (0, 1, 2, 3))
 
 
 class TestGreedy:
     def test_clique_picks_lowest(self):
-        st = greedy_maximal_stable_set(complete_graph(4))
-        assert st.stable_set == (0,)
+        assert greedy_members(complete_graph(4)) == [0]
 
     def test_empty_graph_takes_all(self):
-        st = greedy_maximal_stable_set(Graph(3))
-        assert st.stable_set == (0, 1, 2)
+        assert greedy_members(Graph(3)) == [0, 1, 2]
 
     def test_p4_trace(self):
-        st = greedy_maximal_stable_set(path_graph(4))
-        assert st.stable_set == (0, 2)
+        assert greedy_members(path_graph(4)) == [0, 2]
 
     def test_seed_kept_then_ascending(self):
         # seed {1, 5} of P7 blocks every node but 3
@@ -116,64 +119,52 @@ class TestDominatingFree:
 class TestCanonicalize:
     def test_p7_spec_trace(self):
         g = path_graph(7)
-        seed = CanonicalState(g, {1, 4, 6})
-        out, stats = canonicalize(g, seed)
-        assert out.stable_set == (0, 2, 4, 6)
+        out, stats = canonicalize(g, {1, 4, 6})
+        assert out == (0, 2, 4, 6)
         assert stats.augmentations == 1
-        assert is_canonical(out)
+        assert is_canonical(CanonicalState(g, out))
 
     def test_p4_alternation_trace(self):
         g = path_graph(4)
-        seed = CanonicalState(g, {0, 3})
-        out, stats = canonicalize(g, seed)
-        assert out.stable_set == (1, 3)
+        out, stats = canonicalize(g, [3, 0])
+        assert out == (1, 3)
         assert stats.alternations == 1
-        assert is_canonical(out)
+        assert is_canonical(CanonicalState(g, out))
 
     def test_fixpoint_unchanged(self):
         g = path_graph(7)
-        seed = CanonicalState(g, {0, 2, 4, 6})
-        out, stats = canonicalize(g, seed)
-        assert out.stable_set == (0, 2, 4, 6)
+        out, stats = canonicalize(g, (0, 2, 4, 6))
+        assert out == (0, 2, 4, 6)
         assert stats.augmentations == 0 and stats.alternations == 0
 
     def test_size_never_decreases(self):
         for seed_id in range(40):
             g = gen_rejection(GenSpec(seed=seed_id, mode="rejection", nodes=6 + seed_id % 12))
-            st = greedy_maximal_stable_set(g)
-            out, _ = canonicalize(g, st)
-            assert len(out.members) >= len(st.members)
+            seed = greedy_members(g)
+            out, _ = canonicalize(g, seed)
+            assert len(out) >= len(seed)
 
     def test_canonical_postconditions_on_random_instances(self):
         for seed_id in range(60):
             g = gen_rejection(GenSpec(seed=100 + seed_id, mode="rejection", nodes=5 + seed_id % 14))
-            out, stats = canonicalize(g, greedy_maximal_stable_set(g))
-            assert is_canonical(out)
+            out, stats = canonicalize(g, greedy_members(g))
+            assert is_canonical(CanonicalState(g, out))
             assert stats.steps <= 50 * (g.n + g.m)
 
-    def test_result_state_equals_one_built_from_scratch(self):
-        # canonicalize hands the counts it maintains to the state it returns
-        for seed_id in range(40):
-            g = gen_strip_instance(GenSpec(seed=700 + seed_id, nodes=12 + seed_id))
-            out, _ = canonicalize(g, greedy_maximal_stable_set(g))
-            fresh = CanonicalState(g, out.members)
-            assert all(out.classification(v) == fresh.classification(v) for v in range(g.n))
-
-    def test_counts_constructor_reports_like_the_checked_one(self):
-        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    def test_exit_check_reports_claw_made_by_augmentation(self):
+        # the augmentation at 0 takes 1 and 2 in, and 3 then sees 1, 2 and 4
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
         with pytest.raises(StructuralError) as err:
-            CanonicalState._from_counts(star, {1, 2, 3}, [3, 0, 0, 0])
-        assert (err.value.kind, err.value.witness) == ("claw", (0, 1, 2, 3))
-        with pytest.raises(GraphInputError):
-            CanonicalState._from_counts(path_graph(4), {1}, [1, 0, 1, 0])
+            canonicalize(g, {0, 4})
+        assert (err.value.kind, err.value.witness) == ("claw", (3, 1, 2, 4))
 
     def test_augmentation_shrinks_free_set(self):
         # after each augmentation the free set must not gain members
         g = path_graph(7)
         seed = CanonicalState(g, {1, 4, 6})
         before = set(seed.free_nodes())
-        out, _ = canonicalize(g, seed)
-        after = set(out.free_nodes())
+        out, _ = canonicalize(g, seed.members)
+        after = set(CanonicalState(g, out).free_nodes())
         assert after <= before
 
 
@@ -183,7 +174,7 @@ class TestPhaseClaims:
         # free set is a proper subset of the previous one.
         for seed in range(30):
             g = gen_rejection(GenSpec(seed=400 + seed, mode="rejection", nodes=7 + seed % 12))
-            st = greedy_maximal_stable_set(g)
+            st = CanonicalState(g, greedy_members(g))
             found = None
             for s in st.stable_set:
                 pair = find_augmenting_p3(st, s)

@@ -14,8 +14,8 @@ from mwss import (
     find_claw,
     find_net,
     gen_strip_instance,
-    greedy_maximal_stable_set,
     canonicalize,
+    greedy_members,
     is_regular_node,
     select_q,
 )
@@ -24,9 +24,8 @@ from mwss.checks import strip_violation
 from helpers import cycle_graph, path_graph, reference_build_strips
 
 
-def canonical_state(g):
-    st, _ = canonicalize(g, greedy_maximal_stable_set(g))
-    return st
+def canonical_set(g):
+    return canonicalize(g, greedy_members(g))[0]
 
 
 def dominating_square_graph():
@@ -64,7 +63,7 @@ def all_nonempty_graph():
 class TestSelectQ:
     def test_p7_anchor_and_clique(self):
         g = path_graph(7)
-        st = canonical_state(g)
+        st = canonical_set(g)
         wings = build_wing_table(g, st)
         wg = build_wing_graph(wings, st)
         q, anchor = select_q(g, wg, wings)
@@ -74,7 +73,7 @@ class TestSelectQ:
 
     def test_c8_deterministic_choice(self):
         g = cycle_graph(8)
-        st = canonical_state(g)
+        st = canonical_set(g)
         wings = build_wing_table(g, st)
         wg = build_wing_graph(wings, st)
         q, anchor = select_q(g, wg, wings)
@@ -83,7 +82,7 @@ class TestSelectQ:
     def test_all_nonempty_grows_maximal_clique(self):
         g = all_nonempty_graph()
         assert find_claw(g) is None and find_net(g) is None
-        st = CanonicalState(g, {0, 3, 5, 8})
+        st = CanonicalState(g, {0, 3, 5, 8}).stable_set
         wings = build_wing_table(g, st)
         wg = build_wing_graph(wings, st)
         assert wg.order == (0, 3, 5, 8)
@@ -95,7 +94,7 @@ class TestSelectQ:
 class TestDecomposeP7:
     def test_full_p7_decomposition(self):
         g = path_graph(7)
-        dec = decompose(g, canonical_state(g))
+        dec = decompose(g, canonical_set(g))
         assert dec.core == (1, 2)
         assert dec.removal == (3,)
         assert dec.companion == (0,)
@@ -107,7 +106,7 @@ class TestDecomposeP7:
 
     def test_c8_single_wrapped_strip(self):
         g = cycle_graph(8)
-        dec = decompose(g, canonical_state(g))
+        dec = decompose(g, canonical_set(g))
         assert dec.kind == "strongly_bisimplicial"
         assert len(dec.strips) == 1
         strip = dec.strips[0]
@@ -120,7 +119,7 @@ class TestDominatingCase:
     def test_claim_square_instance(self):
         g = dominating_square_graph()
         assert find_claw(g) is None and find_net(g) is None
-        st = CanonicalState(g, {0, 1, 2, 3})
+        st = CanonicalState(g, {0, 1, 2, 3}).stable_set
         dec = decompose(g, st)
         assert dec.kind == "dominating"
         # V minus N[Q] must be a clique (single node here)
@@ -137,7 +136,7 @@ class TestDominatingCase:
         from mwss import Anchor, build_strips
 
         g = path_graph(7)
-        st = canonical_state(g)
+        st = canonical_set(g)
         wg = build_wing_graph(build_wing_table(g, st), st)
         dec = build_strips(g, (0, 1), (2,), (), "strongly_bisimplicial", Anchor("a", 1), wg)
         assert dec.strips == (
@@ -171,8 +170,8 @@ class TestStripInvariants:
                 density=(0.3, 0.5, 0.8)[seed % 3],
             )
         )
-        st = canonical_state(g)
-        if len(st.members) < 4:
+        st = canonical_set(g)
+        if len(st) < 4:
             pytest.skip("alpha collapsed below 4 after canonicalize")
         dec = decompose(g, st)
         nodes = set()
@@ -195,7 +194,7 @@ class TestStripInvariants:
         from mwss import closed_neighborhood
 
         g = gen_strip_instance(GenSpec(seed=77, mode="strip", nodes=30, clique_min=2, clique_max=4))
-        st = canonical_state(g)
+        st = canonical_set(g)
         order = build_wing_graph(build_wing_table(g, st), st).order
         t = len(order)
         for i in range(1, t - 1):

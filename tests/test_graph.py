@@ -222,31 +222,35 @@ class TestRowsConstructor:
             n = rng.randint(0, 30)
             g = random_graph(n, rng.random(), rng, [rng.randint(-3, 9) for _ in range(n)])
             keep = [v for v in range(n) if rng.random() < 0.6] + [0] * (n > 0)
-            sub, m = induced_subgraph(g, keep)
+            sub = induced_subgraph(g, keep)
             ref, ref_keep = reference_induced_subgraph(g, keep)
             assert sub == ref and sub.m == ref.m and hash(sub) == hash(ref)
-            assert m.to_orig == tuple(ref_keep)
+            # subgraph node i is the i-th kept id, ascending
+            ids = sorted(set(keep))
+            inside = set(ids)
+            lifted = {(ids[u], ids[v]) for u, v in sub.edges()}
+            assert lifted == {(u, v) for u, v in g.edges() if u in inside and v in inside}
 
 
 class TestInducedSubgraph:
     def test_path_pair_is_single_edge(self):
-        sub, m = induced_subgraph(path_graph(4), [0, 1])
+        sub = induced_subgraph(path_graph(4), [0, 1])
         assert sub.n == 2 and sub.m == 1
 
     def test_empty_keep(self):
-        sub, _ = induced_subgraph(path_graph(4), [])
+        sub = induced_subgraph(path_graph(4), [])
         assert sub.n == 0 and sub.m == 0
 
     def test_c5_four_consecutive_is_p4(self):
-        sub, m = induced_subgraph(cycle_graph(5), [0, 1, 2, 3])
+        sub = induced_subgraph(cycle_graph(5), [0, 1, 2, 3])
         assert sub.n == 4 and sub.m == 3
         assert sorted(sub.edges()) == [(0, 1), (1, 2), (2, 3)]
 
     def test_weights_carried(self):
         g = Graph(3, [(0, 1)], [5, 6, 7])
-        sub, m = induced_subgraph(g, [1, 2])
+        sub = induced_subgraph(g, [2, 1])  # ids follow ascending order, not keep's
         assert sub.weights == (6, 7)
-        assert m.lift([0, 1]) == (1, 2)
+        assert sub.m == 0
 
 
 class TestComponents:
@@ -271,8 +275,9 @@ class TestComponents:
             n = rng.randint(0, 30)
             g = random_graph(n, rng.random() * 0.3, rng)
             keep = [v for v in range(n) if rng.random() < 0.6]
-            sub, ids = induced_subgraph(g, keep)
-            expected = [tuple(ids.to_orig[v] for v in c) for c in connected_components(sub)]
+            sub = induced_subgraph(g, keep)
+            ids = sorted(set(keep))
+            expected = [tuple(ids[v] for v in c) for c in connected_components(sub)]
             assert connected_components(g, keep) == expected
 
 
@@ -320,7 +325,7 @@ class TestTwins:
     @settings(max_examples=80, deadline=None)
     def test_output_twin_free_and_value_preserved(self, g):
         live = remove_twins(g)
-        h = induced_subgraph(g, live)[0]
+        h = induced_subgraph(g, live)
         assert all(w > 0 for w in h.weights)
         assert adjacent_twin_pair(h) is None
         assert mwss_enumerate(g)[0] == mwss_enumerate(h)[0]
@@ -329,7 +334,7 @@ class TestTwins:
     @settings(max_examples=60, deadline=None)
     def test_live_optimum_is_an_input_optimum(self, g):
         live = remove_twins(g)
-        value, nodes = mwss_enumerate(induced_subgraph(g, live)[0])
+        value, nodes = mwss_enumerate(induced_subgraph(g, live))
         picked = [live[v] for v in nodes]
         assert g.is_stable(picked)
         assert g.weight_of(picked) == value == mwss_enumerate(g)[0]
@@ -369,7 +374,7 @@ class TestTwinsMatchReference:
     def _check(g):
         live = remove_twins(g)
         ref_graph, ref_live = reference_positive_twins(g)
-        h = induced_subgraph(g, live)[0]
+        h = induced_subgraph(g, live)
         assert h == ref_graph and h.m == ref_graph.m
         assert live == tuple(ref_live)
         return live
@@ -412,5 +417,5 @@ class TestTwinsMatchReference:
             ]
             g = Graph(base.n, edges, weights)
             self._check(g)
-            positive, _ = induced_subgraph(g, [v for v in range(g.n) if weights[v] > 0])
+            positive = induced_subgraph(g, [v for v in range(g.n) if weights[v] > 0])
             self._check(positive)

@@ -73,9 +73,10 @@ class TestConsistentOrder:
         _, _, _, detail = solve_component(g, collect=True)
         gbar, co = transformed_graph(g, detail.interval), detail.order
         assert len(detail.decomposition.strips) == 2  # one order spans both
+        pos = {v: k for k, v in enumerate(co.order)}
+        assert len(pos) == len(co.order)  # no node placed twice
         for k, v in enumerate(co.order):
-            assert co.pos[v] == k
-            earlier = {co.pos[u] for u in gbar.neighbors(v) if co.pos[u] < k}
+            earlier = {pos[u] for u in gbar.neighbors(v) if pos[u] < k}
             assert earlier == set(range(co.prefix[k] + 1, k))
 
 
@@ -91,14 +92,14 @@ class TestVerifyConsistent:
         from mwss.interval_mwss import ConsistentOrder
 
         g = path_graph(3)
-        co = ConsistentOrder((0, 2, 1), {0: 0, 2: 1, 1: 2}, (-1, 1, 0))
+        co = ConsistentOrder((0, 2, 1), (-1, 1, 0))
         assert verify_consistent(g, co) is None
 
     def test_star_center_first_violates(self):
         from mwss.interval_mwss import ConsistentOrder
 
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        co = ConsistentOrder((0, 1, 2, 3), {0: 0, 1: 1, 2: 2, 3: 3}, (-1, 0, 1, 2))
+        co = ConsistentOrder((0, 1, 2, 3), (-1, 0, 1, 2))
         assert verify_consistent(g, co) is not None
 
 
@@ -132,7 +133,7 @@ class TestDP:
             if detail is None:
                 continue
             gbar = transformed_graph(g, detail.interval)
-            strips, _ = induced_subgraph(gbar, [v for k in detail.interval.cliques for v in k])
+            strips = induced_subgraph(gbar, [v for k in detail.interval.cliques for v in k])
             value, nodes = mwss_on_order(detail.order, g.weights)
             assert value == detail.base_value == oracle_mwss(strips)[0]
             assert gbar.is_stable(nodes) and gbar.weight_of(nodes) == value
@@ -150,5 +151,5 @@ class TestDP:
                 closed = set(closed_neighborhood(g, (v,)))
                 total = mwss_on_order(detail.order, g.weights, closed)[0]
                 keep = [u for u in range(g.n) if u not in closed]
-                rest, _ = induced_subgraph(g, keep)
+                rest = induced_subgraph(g, keep)
                 assert total == oracle_mwss(rest)[0]

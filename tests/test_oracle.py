@@ -60,7 +60,7 @@ def test_oracle_monotone_under_deletion():
         keep = [v for v in range(n) if v != drop]
         from mwss import induced_subgraph
 
-        sub, _ = induced_subgraph(g, keep)
+        sub = induced_subgraph(g, keep)
         assert oracle_mwss(sub)[0] <= base
 
 

@@ -405,8 +405,8 @@ class TestPipelineContracts:
         real = mwss.solver.decompose
         oversized = tuple(range(6))  # a 9-node path allows isqrt(2 * 8) + 1 = 5
 
-        def decompose(g, state):
-            return dataclasses.replace(real(g, state), removal=oversized)
+        def decompose(g, stable):
+            return dataclasses.replace(real(g, stable), removal=oversized)
 
         monkeypatch.setattr(mwss.solver, "decompose", decompose)
         with pytest.raises(StructuralError) as err:
@@ -553,7 +553,7 @@ class TestNonAdjacentTwins:
                     comp, route = route_of[v]
                     assert route == ROUTE_ALPHA3
                     if row:
-                        sub = induced_subgraph(g, comp)[0]
+                        sub = induced_subgraph(g, comp)
                         assert oracle_mwss(Graph(sub.n, sub.edges()))[0] <= 2, (g, comp)
                     else:
                         assert comp == (v,)

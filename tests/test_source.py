@@ -94,3 +94,18 @@ def test_strip_pipeline_calls_no_per_node_state_predicate():
         and node.func.attr in STATE_PREDICATES
     ]
     assert found == []
+
+
+def test_solver_modules_define_no_canonical_state():
+    # the per-node classification of a stable set serves checks and tests
+    # only, so it lives in mwss.checks; the solver hands on a plain tuple
+    root = Path(mwss.__file__).parent
+    named = STATE_PREDICATES | {"classification", "free_nodes", "CanonicalState"}
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name in SOLVER_MODULES
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in named
+    ]
+    assert found == []
+    assert mwss.CanonicalState.__module__ == "mwss.checks"

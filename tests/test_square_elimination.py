@@ -30,9 +30,11 @@ class TestStage:
         # complete join between the cliques: case (i) until A drains
         g = Graph(4, [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)])
         st = pair_state(g, (0, 1), (2, 3))
-        st.run()
+        actions = []
+        while st.a:
+            actions.append(st.stage())
         assert st.added == []
-        assert set(st.actions) == {"remove"}
+        assert set(actions) == {"remove"}
 
     def test_kill_c4_keeps_heaviest_diagonal_apart(self):
         # square (a1, a2, b1, b2) with w(a1)=5, w(b1)=4, w(a2)=3, w(b2)=2
@@ -116,7 +118,7 @@ class TestTransform:
 
         removal = set(detail.decomposition.removal)
         keep = [v for v in range(g.n) if v not in removal]
-        g_minus_x, _ = induced_subgraph(g, keep)
+        g_minus_x = induced_subgraph(g, keep)
         assert detail.base_value == oracle_mwss(g_minus_x)[0]
 
     def test_added_edges_are_logged_in_original_ids(self):
@@ -155,9 +157,12 @@ class TestRowShape:
                     cross += len(hi[v])
                 for ki, kj in zip(strip, strip[1:]):
                     st = EliminationState(before, after, comp.weights, ki, kj)
-                    st.run()
+                    actions = []
+                    while st.a:
+                        actions.append(st.stage())
+                    st.run()  # A is drained: only writes the grown rows back
                     added.extend(st.added)
-                    if set(st.actions) == {"remove"}:
+                    if set(actions) == {"remove"}:
                         assert not st.a_sets and not st.b_sets
                         remove_only += 1
                     else:

@@ -9,8 +9,8 @@ from mwss import (
     build_wing_table,
     find_claw,
     gen_rejection,
-    greedy_maximal_stable_set,
     canonicalize,
+    greedy_members,
     validate_witness,
 )
 from mwss.patterns import PatternWitness
@@ -22,24 +22,24 @@ class TestWingTable:
     def test_p7_bound_wings(self):
         g = path_graph(7)
         st = CanonicalState(g, {0, 2, 4, 6})
-        assert build_wing_table(g, st) == {(0, 2): (1,), (2, 4): (3,), (4, 6): (5,)}
+        assert build_wing_table(g, st.stable_set) == {(0, 2): (1,), (2, 4): (3,), (4, 6): (5,)}
 
     def test_c8_four_bound_wings(self):
         g = cycle_graph(8)
         st = CanonicalState(g, {0, 2, 4, 6})
-        wings = build_wing_table(g, st)
+        wings = build_wing_table(g, st.stable_set)
         assert set(wings) == {(0, 2), (2, 4), (4, 6), (0, 6)}
         assert all(len(members) == 1 for members in wings.values())
 
     def test_square_with_opposite_stable_pair(self):
         g = cycle_graph(4)
         st = CanonicalState(g, {0, 2})
-        assert build_wing_table(g, st) == {(0, 2): (1, 3)}
+        assert build_wing_table(g, st.stable_set) == {(0, 2): (1, 3)}
 
     def test_free_wings_on_c9(self):
         g = cycle_graph(9)
         st = CanonicalState(g, {0, 2, 4, 6})
-        assert build_wing_table(g, st)[(0, 6)] == (7, 8)
+        assert build_wing_table(g, st.stable_set)[(0, 6)] == (7, 8)
         assert st.stable_neighbor(7) == 6 and st.stable_neighbor(8) == 0  # both free
 
     def test_free_node_in_two_wings_raises_claw(self):
@@ -47,7 +47,7 @@ class TestWingTable:
         g = Graph(6, [(1, 0), (1, 2), (1, 4), (2, 3), (4, 5)])
         st = CanonicalState(g, {0, 3, 5})
         with pytest.raises(StructuralError) as err:
-            build_wing_table(g, st)
+            build_wing_table(g, st.stable_set)
         assert err.value.kind in ("claw", "net")
         assert validate_witness(g, PatternWitness(err.value.kind, err.value.witness))
 
@@ -55,15 +55,15 @@ class TestWingTable:
 class TestWingGraph:
     def test_p7_path_order(self):
         g = path_graph(7)
-        st = CanonicalState(g, {0, 2, 4, 6})
-        wg = build_wing_graph(build_wing_table(g, st), st)
+        stable = CanonicalState(g, {0, 2, 4, 6}).stable_set
+        wg = build_wing_graph(build_wing_table(g, stable), stable)
         assert wg.shape == "path"
         assert wg.order == (0, 2, 4, 6)
 
     def test_c8_cycle_order(self):
         g = cycle_graph(8)
-        st = CanonicalState(g, {0, 2, 4, 6})
-        wg = build_wing_graph(build_wing_table(g, st), st)
+        stable = CanonicalState(g, {0, 2, 4, 6}).stable_set
+        wg = build_wing_graph(build_wing_table(g, stable), stable)
         assert wg.shape == "cycle"
         assert wg.order == (0, 2, 4, 6)
 
@@ -71,17 +71,17 @@ class TestWingGraph:
         # spider with three legs of length two: claw at the hub
         edges = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
         g = Graph(7, edges)
-        st = CanonicalState(g, {0, 2, 4, 6})
+        stable = CanonicalState(g, {0, 2, 4, 6}).stable_set
         with pytest.raises(StructuralError) as err:
-            build_wing_graph(build_wing_table(g, st), st)
+            build_wing_graph(build_wing_table(g, stable), stable)
         assert err.value.kind == "wing_degree"
 
     def test_disconnected_wing_graph_raises(self):
         # two disjoint P4s: valid maximal stable set, two wing components
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-        st = CanonicalState(g, {0, 2, 4, 6})
+        stable = CanonicalState(g, {0, 2, 4, 6}).stable_set
         with pytest.raises(StructuralError) as err:
-            build_wing_graph(build_wing_table(g, st), st)
+            build_wing_graph(build_wing_table(g, stable), stable)
         assert err.value.kind == "wing_disconnected"
 
 
@@ -89,9 +89,10 @@ class TestWingPartition:
     def test_partition_uniqueness_on_generated(self):
         for i in range(60):
             g = gen_rejection(GenSpec(seed=900 + i, mode="rejection", nodes=5 + i % 14))
-            st, _ = canonicalize(g, greedy_maximal_stable_set(g))
+            stable, _ = canonicalize(g, greedy_members(g))
+            st = CanonicalState(g, stable)
             seen = {}
-            for ends, members in build_wing_table(g, st).items():
+            for ends, members in build_wing_table(g, stable).items():
                 assert members == tuple(sorted(set(members)))
                 for v in members:
                     assert v not in seen or seen[v] == ends
@@ -145,7 +146,7 @@ class TestTheoremSimilar:
         checked = 0
         for i in range(80):
             g = gen_rejection(GenSpec(seed=1500 + i, mode="rejection", nodes=6 + i % 17))
-            st = greedy_maximal_stable_set(g)
+            st = CanonicalState(g, greedy_members(g))
             for comp in free_components(g, st):
                 if comp.flagged:
                     checked += 1
