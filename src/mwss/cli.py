@@ -28,6 +28,12 @@ from . import selftest as selftest_mod
 
 ORACLE_LIMIT_ENV = "MWSS_ORACLE_LIMIT"
 ORACLE_CHECK_LIMIT = 24  # default gate for solve --oracle-check
+NESTED_WEIGHT_HI = 1_000_000  # bench weights of the nested-cliques rungs
+
+
+class UsageError(Exception):
+    """A bad setting that argparse does not see, such as an environment
+    variable; reported like argparse's own errors, with exit code 2."""
 
 
 def _ext(nodes) -> list[int]:
@@ -40,7 +46,12 @@ def _emit_json(payload) -> None:
 
 def _oracle_limit(default: int = DEFAULT_ORACLE_LIMIT) -> int:
     raw = os.environ.get(ORACLE_LIMIT_ENV)
-    return int(raw) if raw else default
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{ORACLE_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 def _load(path: str) -> Graph:
@@ -231,53 +242,56 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def strip_ladder(sizes, repeats: int, seed: int, clique_min: int,
+def bench_ladder(rungs, repeats: int, seed: int, clique_min: int,
                  clique_max: int, density: float, memory: bool = False) -> list[dict]:
-    """Time ``solve`` on one seeded strip instance per size.
+    """Time ``solve`` on one seeded instance per rung.
 
-    Each row holds n, m, the generation seconds, the median of ``repeats``
+    A rung is (family, n): "strip" draws a strip instance with the given
+    clique sizes and density, "nested" three nested cliques of n / 3 nodes
+    each (the alpha <= 3 route), both with random weights.  Each row holds
+    the family, n, m, the generation seconds, the median of ``repeats``
     public ``Graph(n, edges, weights)`` builds from the instance's edge
     list, the median of ``repeats`` solve times, its ratio to the previous
-    row's median and the optimum value, all unrounded.  With ``memory``
-    it also holds ``peak_mb``, the tracemalloc peak of one more solve,
-    run after the timed ones since tracing slows a solve several-fold.
+    row of its family and the optimum value, all unrounded.  With
+    ``memory`` it also holds ``peak_mb``, the tracemalloc peak of one
+    more solve, run after the timed ones since tracing slows a solve
+    several-fold.
     """
     rows = []
-    prev_median = None
-    for n in sizes:
-        spec = GenSpec(
-            seed=seed,
-            mode="strip",
-            nodes=n,
-            clique_min=clique_min,
-            clique_max=clique_max,
-            density=density,
-            weights="random",
-        )
+    prev_median = {}
+    for family, n in rungs:
+        if family == "nested":
+            spec = GenSpec(seed=seed, mode="nested", nodes=n, weights="random",
+                           weight_hi=NESTED_WEIGHT_HI)
+        else:
+            spec = GenSpec(seed=seed, mode="strip", nodes=n, clique_min=clique_min,
+                           clique_max=clique_max, density=density, weights="random")
         t0 = time.perf_counter()
         g = generate(spec)
         gen_s = time.perf_counter() - t0
         edges = list(g.edges())
         build, _ = _median_seconds(lambda: Graph(g.n, edges, g.weights), repeats)
         median, solution = _median_seconds(lambda: solve(g), repeats)
+        prev = prev_median.get(family)
         row = {
+            "family": family,
             "n": n,
             "m": g.m,
             "gen_seconds": gen_s,
             "median_build_seconds": build,
             "median_solve_seconds": median,
-            "ratio_to_previous": (median / prev_median) if prev_median else None,
+            "ratio_to_previous": (median / prev) if prev else None,
             "value": solution.value,
         }
         if memory:
             row["peak_mb"] = _peak_mb(lambda: solve(g))
         rows.append(row)
-        prev_median = median
+        prev_median[family] = median
     return rows
 
 
 def cmd_bench(args) -> int:
-    ladder = strip_ladder(
+    ladder = bench_ladder(
         args.sizes, args.repeats, args.seed, args.clique_min, args.clique_max,
         args.density, memory=args.memory,
     )
@@ -300,13 +314,14 @@ def cmd_bench(args) -> int:
     else:
         peak = f" {'peak_mb':>9}" if args.memory else ""
         print(
-            f"{'n':>8} {'m':>9} {'gen_s':>8} {'build_s':>8} {'solve_s':>9} {'ratio':>7}{peak}"
+            f"{'family':<7} {'n':>8} {'m':>9} {'gen_s':>8} {'build_s':>8} "
+            f"{'solve_s':>9} {'ratio':>7}{peak}"
         )
         for r in rows:
             ratio = f"{r['ratio_to_previous']:.2f}" if r["ratio_to_previous"] else "-"
             peak = f" {r['peak_mb']:>9.3f}" if args.memory else ""
             print(
-                f"{r['n']:>8} {r['m']:>9} {r['gen_seconds']:>8.3f} "
+                f"{r['family']:<7} {r['n']:>8} {r['m']:>9} {r['gen_seconds']:>8.3f} "
                 f"{r['median_build_seconds']:>8.3f} "
                 f"{r['median_solve_seconds']:>9.3f} {ratio:>7}{peak}"
             )
@@ -326,8 +341,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _size_list(text: str) -> list[int]:
-    sizes = [_positive_int(part) for part in text.split(",") if part]
+def _rung(text: str) -> tuple[str, int]:
+    """("strip", n) for "n", ("nested", n) for "nested:n"."""
+    family, _, size = text.rpartition(":")
+    family = family or "strip"
+    if family not in ("strip", "nested"):
+        raise argparse.ArgumentTypeError(f"unknown rung family {family!r}")
+    n = _positive_int(size)
+    if family == "nested" and n % 3:
+        raise argparse.ArgumentTypeError(f"nested:{n} is not a multiple of 3 nodes")
+    return family, n
+
+
+def _size_list(text: str) -> list[tuple[str, int]]:
+    sizes = [_rung(part) for part in text.split(",") if part]
     if not sizes:
         raise argparse.ArgumentTypeError("needs at least one size")
     return sizes
@@ -364,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a {claw, net}-free instance")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=("strip", "rejection"), default="strip")
+    p.add_argument("--mode", choices=("strip", "rejection", "nested"), default="strip")
     p.add_argument("--nodes", type=int, default=40)
     p.add_argument("--clique-min", type=int, default=2)
     p.add_argument("--clique-max", type=int, default=6)
@@ -380,9 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bench", help="scaling benchmark on strip instances")
-    p.add_argument("--sizes", type=_size_list, default="1000,4000,16000,64000",
-                   help="comma-separated node counts, each at least 1")
+    p = sub.add_parser("bench", help="scaling benchmark on strip and nested-clique instances")
+    p.add_argument("--sizes", type=_size_list,
+                   default="1000,4000,16000,64000,nested:300,nested:600",
+                   help="comma-separated node counts, each at least 1: n for a strip "
+                        "instance, nested:n for three nested cliques (n a multiple of 3)")
     p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clique-min", type=int, default=7)
@@ -419,6 +448,9 @@ def run(argv=None) -> int:
         witness = tuple(_ext(exc.witness))
         print(f"structural violation: {exc.detail}; witness={witness}", file=sys.stderr)
         return 1
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except MWSSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

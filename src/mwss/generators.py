@@ -10,7 +10,8 @@ small sizes, and at scale by the local containment condition that is
 equivalent to claw-freeness in a chain.  Any violation is repaired by
 adding a cross edge between consecutive cliques, then the seed is retired
 and redrawn if repairs run out.  Rejection mode filters dense or sparse
-random graphs through the detectors.
+random graphs through the detectors.  Nested mode builds three nested
+cliques of stability number 3, an input of the alpha <= 3 route.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class GenSpec:
     """Reproducible generator parameters: same spec, same graph bytes."""
 
     seed: int
-    mode: str = "strip"  # "strip" | "rejection"
+    mode: str = "strip"  # "strip" | "rejection" | "nested"
     nodes: int = 40
     clique_min: int = 2
     clique_max: int = 6
@@ -246,9 +247,35 @@ def gen_rejection(spec: GenSpec, max_attempts: int = 200_000) -> Graph:
     raise MWSSError("rejection generator exhausted its attempt budget")
 
 
+def gen_nested_cliques(spec: GenSpec) -> Graph:
+    """Three nested cliques A, B, C of size k = nodes / 3 under shuffled ids.
+
+    B[i] sees A[0..i] and C[0..k-1-i].  The two sides nest in opposite
+    directions, which keeps the graph {claw, net}-free (nesting both the
+    same way would leave a claw at B); its stability number is 3 for
+    k >= 3, so ``solve`` takes the alpha <= 3 route.
+    """
+    if spec.nodes < 3 or spec.nodes % 3:
+        raise GraphInputError("nested mode needs a positive multiple of 3 nodes")
+    k = spec.nodes // 3
+    rng = random.Random(spec.seed)
+    ids = list(range(3 * k))
+    rng.shuffle(ids)
+    a, b, c = ids[:k], ids[k : 2 * k], ids[2 * k :]
+    edges = []
+    for clique in (a, b, c):
+        edges.extend((u, v) for i, u in enumerate(clique) for v in clique[i + 1 :])
+    for i in range(k):
+        edges.extend((b[i], a[j]) for j in range(i + 1))
+        edges.extend((b[i], c[j]) for j in range(k - i))
+    return Graph(3 * k, edges, _draw_weights(rng, 3 * k, spec))
+
+
 def generate(spec: GenSpec) -> Graph:
     if spec.mode == "strip":
         return gen_strip_instance(spec)
     if spec.mode == "rejection":
         return gen_rejection(spec)
+    if spec.mode == "nested":
+        return gen_nested_cliques(spec)
     raise GraphInputError(f"unknown generator mode {spec.mode!r}")

@@ -13,8 +13,8 @@ chosen set is already one of the input.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import compress
 
 from .canonical import canonicalize, greedy_members
@@ -76,30 +76,22 @@ def _weight_ranked_bits(g: Graph) -> tuple[list[int], list[int]]:
     return order, _non_neighbour_bits(g, order)
 
 
-# (graph, order, bits) that find_stable4 built for a graph it found to have
-# alpha <= 3, taken by the alpha3_fallback call on that graph which follows
-# it in solve_component, so each such component builds its bits once.  It
-# lives until the next call of either; no answer depends on it.
-_handoff = None
-
-
-def find_stable4(g: Graph) -> tuple[int, ...] | None:
+def find_stable4(g: Graph, ranked_bits=None) -> tuple[int, ...] | None:
     """A stable set of size four, or None exactly when alpha(G) <= 3.
 
     Fast path: the first four nodes of an ascending greedy maximal stable
     set.  If that stays below four, grow it by augmenting paths (see
     ``_augment_to_four``), which either reaches four members, proves
     alpha(G) <= 3, or raises ``StructuralError("claw")`` with a witness.
+    The bitsets of that search come from ``ranked_bits()`` when given (see
+    ``alpha3_fallback``), else from ``_weight_ranked_bits(g)``.
     """
-    global _handoff
-    _handoff = None
     greedy = greedy_members(g)
     if len(greedy) >= 4:
         return tuple(greedy[:4])
-    order, nn = _weight_ranked_bits(g)
+    order, nn = ranked_bits() if ranked_bits else _weight_ranked_bits(g)
     members = _augment_to_four(greedy, order, nn)
     if members is None:
-        _handoff = (g, order, nn)
         return None
     return tuple(sorted(members))
 
@@ -108,12 +100,13 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _nodes(bits: int, order):
-    """The nodes of a bitset over ``order``, lowest bit first."""
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        yield order[low.bit_length() - 1]
+    """The nodes of a bitset over ``order``, lowest bit first: one pass
+    over its binary digits, so a dense set costs no big-int op per node."""
+    return compress(order, bin(bits)[:1:-1].encode().translate(_DIGIT_FLAGS))
 
 
 def _augment_to_four(members, order, nn) -> list[int] | None:
@@ -278,49 +271,78 @@ def _free_bound_free(left, middle, right, order, nn) -> list[int] | None:
     return None
 
 
-def alpha3_fallback(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact optimum when alpha(G) <= 3: scan sets of size 0, 1, 2, 3.
+def alpha3_fallback(g: Graph, ranked_bits=None) -> tuple[int, tuple[int, ...]]:
+    """Exact optimum when alpha(G) <= 3: the best stable set of 0 to 3 nodes.
 
-    Only non-edges (u, v) are walked, u ascending and then v ascending;
-    a node adjacent to every later node is skipped at once.
-    Non-neighbourhood bits are ranked by descending weight, lower id first
-    on ties, so the best third node for a non-edge (u, v) is the lowest
-    set bit of the two non-neighbourhoods' intersection.  The bits are
-    the ones ``find_stable4`` built for ``g`` when it was the last call
-    and found alpha(G) <= 3.
+    Singles are read in id order.  Each non-edge {u, v} is scanned once,
+    from its endpoint of lower rank, with its heaviest third node z: the
+    bits are ranked by descending weight, lower id first on ties, so z is
+    the lowest set bit of the two non-neighbourhoods' intersection.  Any
+    set a non-edge gives weighs at most w[u] + w[v] + top, with top =
+    max(max weight, 0), so a non-edge whose bound is below L, the best
+    value known, is skipped.  L starts at the weight of a greedy set (the
+    heaviest node, its heaviest non-neighbour and their heaviest common
+    non-neighbour) and rises with each better set found.  The partners v
+    of u with w[v] >= L - w[u] - top are the low bits of u's
+    non-neighbourhood; as u runs down the ranks that threshold only
+    rises, so the scan ends at the first u left without a partner of
+    higher rank.  A skipped non-edge cannot reach the optimum, so the
+    value is exact, and so is the set: among sets of optimal value it is
+    the first in the order of a full scan (singles by id, then non-edges
+    {lo, hi} by (lo, hi), the pair before its triple), which ``best_at``
+    keeps as the scan order changes.  The scan visits no non-edge a full
+    scan would not, so the worst case, equal weights, stays one n-bit AND
+    per non-edge.
+
+    ``ranked_bits``, when given, is a no-argument callable returning
+    ``_weight_ranked_bits(g)``; ``solve_component`` passes one cached
+    callable to ``find_stable4`` and here, so a component builds its
+    bits at most once, and not at all when its greedy set has four nodes.
     """
-    global _handoff
-    handoff, _handoff = _handoff, None
-    if handoff is not None and handoff[0] is g:
-        _, order, nn = handoff
-    else:
-        order, nn = _weight_ranked_bits(g)
-    del handoff
+    order, nn = ranked_bits() if ranked_bits else _weight_ranked_bits(g)
+    w = g.weights
     best = 0
     best_set: tuple[int, ...] = ()
-    w = g.weights
-    n = g.n
-    for v in range(n):
+    for v in range(g.n):
         if w[v] > best:
             best, best_set = w[v], (v,)
-    for u in range(n):
-        row = g.neighbors(u)
-        above = row[bisect_right(row, u) :]
-        if len(above) == n - 1 - u:
-            continue  # u sees every later node
-        unseen = bytearray(b"\x01") * n
-        for x in above:
-            unseen[x] = 0
+    # The best set's place in a full scan: (lo, hi, 0) for a pair, (lo, hi, 1)
+    # for a triple found at the non-edge {lo, hi}, lo < hi; (-1,) before.
+    best_at = (-1,)
+    top = max(w[order[0]], 0) if order else 0
+    # L is max(best, greedy): greedy weighs the heaviest node h, its heaviest
+    # non-neighbour x and their heaviest common non-neighbour, if positive.
+    greedy = 0
+    if order and nn[order[0]]:
+        h = order[0]
+        x = order[_lowest(nn[h])]
+        common = nn[h] & nn[x]
+        third = max(w[order[_lowest(common)]], 0) if common else 0
+        greedy = w[h] + w[x] + third
+    k = g.n  # partners of the current u lie among the first k ranks
+    for i, u in enumerate(order):
+        wu = w[u]
+        floor = max(best, greedy) - wu - top
+        while k and w[order[k - 1]] < floor:
+            k -= 1
+        if k <= i + 1:
+            break  # floor only rises and k only falls from here
         nn_u = nn[u]
-        for v in compress(range(u + 1, n), unseen[u + 1 :]):
-            pair = w[u] + w[v]
-            if pair > best:
-                best, best_set = pair, (u, v)
+        for v in _nodes(nn_u & ((1 << k) - (2 << i)), order):  # ranks i+1..k-1
+            pair = wu + w[v]
+            if pair >= best:
+                lo, hi = (u, v) if u < v else (v, u)
+                if pair > best or (lo <= best_at[0] and (lo, hi, 0) < best_at):
+                    best, best_set, best_at = pair, (lo, hi), (lo, hi, 0)
             common = nn_u & nn[v]
             if common:
                 z = order[(common & -common).bit_length() - 1]
-                if pair + w[z] > best:
-                    best, best_set = pair + w[z], tuple(sorted((u, v, z)))
+                value = pair + w[z]
+                if value >= best:
+                    lo, hi = (u, v) if u < v else (v, u)
+                    if value > best or (lo <= best_at[0] and (lo, hi, 1) < best_at):
+                        best, best_set = value, tuple(sorted((u, v, z)))
+                        best_at = (lo, hi, 1)
     return best, best_set
 
 
@@ -328,9 +350,10 @@ def solve_component(
     g: Graph, collect: bool = False
 ) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
     """Solve one connected component (positive-weight, no adjacent twins)."""
-    seed4 = find_stable4(g)
+    ranked_bits = cache(partial(_weight_ranked_bits, g))  # built on first use
+    seed4 = find_stable4(g, ranked_bits)
     if seed4 is None:
-        value, nodes = alpha3_fallback(g)
+        value, nodes = alpha3_fallback(g, ranked_bits)
         return value, nodes, ROUTE_ALPHA3, None
     stable, stats = canonicalize(g, greedy_members(g, seed4))
     dec = decompose(g, stable)

@@ -37,7 +37,7 @@ from mwss.checks import (
     transformed_graph,
     verify_consistent,
 )
-from mwss.cli import run, strip_ladder
+from mwss.cli import bench_ladder, run
 
 from helpers import cycle_graph, path_graph
 
@@ -278,8 +278,8 @@ def test_criterion_6_consistency(pipeline_details):
 
 
 def test_criterion_7_scaling_trend():
-    rows = strip_ladder(
-        (1_000, 4_000, 16_000, 64_000),
+    rows = bench_ladder(
+        [("strip", n) for n in (1_000, 4_000, 16_000, 64_000)],
         repeats=5,
         seed=123,
         clique_min=7,

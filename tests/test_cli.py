@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
 from mwss import Graph, GraphParseError, parse_graph, serialize_graph
-from mwss.cli import run
+from mwss.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data"
 SCHEMAS = Path(__file__).parent.parent / "src" / "mwss" / "schemas"
@@ -188,6 +188,28 @@ class TestOtherCommands:
         code = run(["oracle", write(tmp_path, P7_TEXT)])
         assert code == 1
 
+    @pytest.mark.parametrize("raw", ["abc", "", "  "], ids=["abc", "empty", "blank"])
+    @pytest.mark.parametrize("argv", [["oracle"], ["solve", "--oracle-check"]], ids=["oracle", "solve"])
+    def test_non_integer_oracle_limit_is_a_usage_error(self, tmp_path, capsys, monkeypatch, raw, argv):
+        monkeypatch.setenv("MWSS_ORACLE_LIMIT", raw)
+        code = run([argv[0], write(tmp_path, P7_TEXT), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"usage error: MWSS_ORACLE_LIMIT must be an integer, got {raw!r}\n"
+
+    def test_gen_nested_cliques(self, tmp_path, capsys):
+        out = tmp_path / "nested.mwss"
+        argv = ["gen", "--seed", "7", "--mode", "nested", "--nodes", "30", "--weights", "random"]
+        assert run([*argv, "-o", str(out)]) == 0
+        g = parse_graph(out.read_text())
+        k = 10
+        assert g.n == 3 * k and g.m == 3 * k * (k - 1) // 2 + k * (k + 1)
+        assert run(["solve", str(out), "--json", "--trace"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["route"] == "alpha3_fallback" and payload["trace"]["components"] == 1
+        assert run(["gen", "--seed", "7", "--mode", "nested", "--nodes", "31"]) == 2
+        assert "multiple of 3" in capsys.readouterr().err
+
     def test_bench_tiny(self, capsys):
         code = run(["bench", "--sizes", "1000", "--repeats", "1", "--json"])
         payload = json.loads(capsys.readouterr().out)
@@ -204,12 +226,26 @@ class TestOtherCommands:
         header, line = capsys.readouterr().out.splitlines()
         assert header.split()[-1] == "peak_mb" and float(line.split()[-1]) > 0
 
+    def test_bench_nested_rung(self, capsys):
+        code = run(["bench", "--sizes", "100,nested:60,nested:90", "--repeats", "1", "--json"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 0
+        assert [(r["family"], r["n"]) for r in rows] == [("strip", 100), ("nested", 60), ("nested", 90)]
+        # each family's ratio is to its own previous rung
+        assert rows[1]["ratio_to_previous"] is None and rows[2]["ratio_to_previous"] > 0
+        assert rows[1]["m"] == 3 * 20 * 19 // 2 + 20 * 21
+
+    def test_bench_default_ladder_has_nested_rungs(self):
+        args = build_parser().parse_args(["bench"])
+        assert args.sizes == [("strip", 1000), ("strip", 4000), ("strip", 16000),
+                              ("strip", 64000), ("nested", 300), ("nested", 600)]
+
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_bench_rejects_repeats_below_one(self, capsys, repeats):
         assert run(["bench", "--sizes", "100", "--repeats", repeats]) == 2
         assert "--repeats" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sizes", ["x", "1000,x", "0", "-5"])
+    @pytest.mark.parametrize("sizes", ["x", "1000,x", "0", "-5", "nested:100", "ring:300", "nested:x"])
     def test_bench_rejects_bad_sizes(self, capsys, sizes):
         assert run(["bench", "--sizes", sizes, "--repeats", "1"]) == 2
         captured = capsys.readouterr()

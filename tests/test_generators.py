@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,15 @@ from mwss import (
     find_stable4,
     gen_rejection,
     gen_strip_instance,
+    generate,
     oracle_mwss,
     parse_graph,
     serialize_graph,
     solve,
 )
 from mwss.graph import connected_components
+
+from helpers import nested_cliques
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,6 +108,27 @@ class TestRejectionMode:
     def test_seed_determinism(self):
         spec = GenSpec(seed=9, mode="rejection", nodes=12, weights="ties")
         assert serialize_graph(gen_rejection(spec)) == serialize_graph(gen_rejection(spec))
+
+
+class TestNestedMode:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 40])
+    def test_same_graph_as_the_reference_construction(self, k):
+        # the shuffle, the edges and the weight draws all follow one seeded
+        # stream, so the generator and the tests' builder agree exactly
+        spec = GenSpec(seed=30 + k, mode="nested", nodes=3 * k, weights="random", weight_hi=1000)
+        assert generate(spec) == nested_cliques(k, random.Random(30 + k))[0]
+
+    def test_claw_and_net_free_with_alpha_3(self):
+        for k in range(3, 9):
+            g = generate(GenSpec(seed=k, mode="nested", nodes=3 * k, weights="ties"))
+            assert find_claw(g) is None and find_net(g) is None
+            assert find_stable4(g) is None
+            assert solve(g).value == oracle_mwss(g)[0]
+
+    @pytest.mark.parametrize("nodes", [0, 2, 31])
+    def test_nodes_must_be_a_positive_multiple_of_3(self, nodes):
+        with pytest.raises(GraphInputError):
+            generate(GenSpec(seed=0, mode="nested", nodes=nodes))
 
 
 class TestChainClawFinder:

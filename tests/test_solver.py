@@ -284,6 +284,80 @@ class TestAlpha3Fallback:
                 assert alpha3_fallback(g)[0] == oracle_mwss(g)[0]
 
 
+class TestAlpha3Bound:
+    """The weight-bounded scan returns the full scan's exact tuple: value,
+    and among sets of that value the first a full scan meets."""
+
+    @pytest.mark.parametrize("weight_hi", [1, 2], ids=["unit", "one_or_two"])
+    def test_nested_cliques_with_ties(self, weight_hi):
+        for k in range(3, 61):
+            g = nested_cliques(k, random.Random(4100 + k), weight_hi=weight_hi)[0]
+            assert alpha3_fallback(g) == reference_alpha3(g), k
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0, 0), (0, 2), (-3, 3), (-5, 0), (-5, -1)],
+        ids=["all_zero", "zero_and_positive", "mixed_sign", "non_positive", "all_negative"],
+    )
+    def test_zero_and_negative_weights(self, low, high):
+        for seed in range(60):
+            rng = random.Random(8200 + seed)
+            n = 3 + seed % 14
+            weights = [rng.randint(low, high) for _ in range(n)]
+            g = random_graph(n, (0.3, 0.6, 0.85)[seed % 3], rng, weights)
+            assert alpha3_fallback(g) == reference_alpha3(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(0),
+            Graph(1, [], [-2]),
+            Graph(1, [], [0]),
+            Graph(1, [], [4]),
+            Graph(2, [], [0, 0]),
+            Graph(2, [], [-1, 3]),
+            Graph(2, [], [3, 3]),
+            Graph(2, [], [2, -5]),
+            Graph(2, [(0, 1)], [3, 3]),
+            Graph(2, [(0, 1)], [-1, -1]),
+        ],
+        ids=lambda g: f"n{g.n}_m{g.m}_w{'_'.join(map(str, g.weights))}",
+    )
+    def test_tiny_graphs(self, g):
+        assert alpha3_fallback(g) == reference_alpha3(g)
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            # C6 weighted 2, 1, 2, 1, 2, 4: the greedy set is node 5 and its
+            # heaviest non-neighbour 2, with no common non-neighbour, weight
+            # 6; {0, 2, 4} and {1, 3, 5} weigh 6 too, and a full scan meets
+            # {0, 2, 4} first, at the non-edge {0, 2}
+            (cycle_graph(6, [2, 1, 2, 1, 2, 4]), (6, (0, 2, 4))),
+            # the 4-cycle 0-1-3-2 weighted 2, 3, 1, 2: {1, 2}, scanned first
+            # from the heaviest node 1, and {0, 3} both weigh 4; a full scan
+            # meets {0, 3} first
+            (Graph(4, [(0, 1), (1, 3), (3, 2), (2, 0)], [2, 3, 1, 2]), (4, (0, 3))),
+        ],
+        ids=["c6_triples", "c4_pairs"],
+    )
+    def test_first_optimal_set_in_scan_order(self, g, expected):
+        assert alpha3_fallback(g) == reference_alpha3(g) == expected
+        assert solve(g).nodes == expected[1]
+
+    def test_ranked_bits_built_once_and_only_when_greedy_stops_short(self, monkeypatch):
+        built = []
+        ranked = mwss.solver._weight_ranked_bits
+        monkeypatch.setattr(mwss.solver, "_weight_ranked_bits", lambda g: built.append(g) or ranked(g))
+        g = nested_cliques(30, random.Random(5))[0]
+        assert solve(g).route == ROUTE_ALPHA3
+        assert built == [g]
+        built.clear()
+        strip = gen_strip_instance(GenSpec(seed=3, nodes=200, weights="random"))
+        assert solve(strip).route == "strip_pipeline"
+        assert built == []
+
+
 class TestSolve:
     def test_p7_unit(self):
         assert solve(path_graph(7)).value == 4

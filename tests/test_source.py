@@ -109,3 +109,16 @@ def test_solver_modules_define_no_canonical_state():
     ]
     assert found == []
     assert mwss.CanonicalState.__module__ == "mwss.checks"
+
+
+def test_solver_modules_keep_no_module_state():
+    # a solve hands its intermediate data on through arguments and return
+    # values; no solver function rebinds a module-level name
+    root = Path(mwss.__file__).parent
+    found = [
+        f"{name}:{node.lineno} global {', '.join(node.names)}"
+        for name in SOLVER_MODULES
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
