@@ -192,12 +192,17 @@ def cmd_gen(args) -> int:
         weight_hi=args.weight_hi,
     )
     g = generate(spec)
+    # the spec line names every field the mode reads, so it reproduces the file
+    shape = (
+        f" cliques={spec.clique_min}..{spec.clique_max} density={spec.density}"
+        if spec.mode == "strip"
+        else ""
+    )
     comments = (
         "generated by mwss gen",
         "prng mt19937",
-        f"spec seed={spec.seed} mode={spec.mode} nodes={spec.nodes} "
-        f"cliques={spec.clique_min}..{spec.clique_max} density={spec.density} "
-        f"weights={spec.weights}",
+        f"spec seed={spec.seed} mode={spec.mode} nodes={spec.nodes}{shape} "
+        f"weights={spec.weights} weight_lo={spec.weight_lo} weight_hi={spec.weight_hi}",
     )
     text = serialize_graph(g, comments)
     if args.output:

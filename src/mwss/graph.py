@@ -7,8 +7,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -203,29 +202,39 @@ def connected_components(
     g: Graph, nodes: Iterable[int] | None = None
 ) -> list[tuple[int, ...]]:
     """Node sets of the connected components of the subgraph induced by
-    ``nodes`` (all of V by default), each ascending, ordered by smallest id."""
+    ``nodes`` (all of V by default), each ascending, ordered by smallest id.
+
+    A search keeps the set of nodes not yet placed and takes each row's
+    unplaced neighbours with one set intersection, after an ``isdisjoint``
+    test that skips a row with none; it stops once every node is placed.
+    So a dense component costs one C-level pass per row, not a Python step
+    per edge, and the rows walked after the last node is placed cost
+    nothing.
+    """
     nodes = range(g.n) if nodes is None else sorted(nodes)
     g._check_ids(nodes)
-    seen = bytearray(b"\x01") * g.n
-    for v in nodes:
-        seen[v] = 0
+    unseen = set(nodes)
     nbrs = g._nbrs
     comps = []
     for start in nodes:
-        if seen[start]:
+        if start not in unseen:
             continue
-        seen[start] = 1
+        unseen.discard(start)
         comp = [start]
         for u in comp:  # the list grows while it is walked: a BFS queue
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    comp.append(v)
+            if not unseen:
+                break
+            row = nbrs[u]
+            if not unseen.isdisjoint(row):
+                found = unseen.intersection(row)
+                unseen -= found
+                comp.extend(found)
+        if len(comp) == len(nodes):  # one component: ``nodes``, already sorted
+            return [tuple(nodes)]
         comps.append(tuple(sorted(comp)))
+        if not unseen:
+            break
     return comps
-
-
-_TWIN_LABEL_SEED = 0x7E1A  # fixes the neighborhood keys; results never depend on it
 
 
 def remove_twins(g: Graph) -> tuple[int, ...]:
@@ -248,27 +257,29 @@ def remove_twins(g: Graph) -> tuple[int, ...]:
     otherwise u is isolated.  ``solve`` sends both to ``alpha3_fallback``,
     which is exact there.
 
-    Each live node's key is the sum of fixed pseudo-random labels over
-    its live closed neighborhood (a dead node's label is 0).  Nodes are
-    grouped by key, and each group is split exactly by comparing live
-    neighbor sets, so a key collision never drops a non-twin.  The pass
-    costs O(n + m), builds no graph and reads ``g``'s rows in place.
+    Each live node's key is the sum of the ids in its live closed
+    neighborhood: one C-level ``sum`` over its row, filtered only when
+    some node is dead.  Equal neighborhoods give equal keys; unequal ones
+    may collide, so each group of equal keys is split exactly on the
+    sorted live closed neighborhoods, and a collision never drops a
+    non-twin.  The pass costs O(n + m), builds no graph and reads ``g``'s
+    rows in place.
     """
     n = g.n
     nbrs = g._nbrs
     weight = g.weights
-    alive = bytearray(w > 0 for w in weight)
-    rng = random.Random(_TWIN_LABEL_SEED)
-    # 40-bit labels keep each key within a machine word, where sum() is fast.
-    label = [rng.getrandbits(40) if a else 0 for a in alive]
-    label_of = label.__getitem__
+    alive = [w > 0 for w in weight]  # a list: its __getitem__ is a fast builtin
     live = list(compress(range(n), alive))
-    keys = [sum(map(label_of, nbrs[v]), label[v]) for v in live]
+    if len(live) == n:
+        keys = [sum(nbrs[v], v) for v in live]
+    else:
+        is_alive = alive.__getitem__
+        keys = [sum(filter(is_alive, nbrs[v]), v) for v in live]
     for members in _twin_classes(g, alive, live, keys):
         kept = max(members, key=lambda u: (weight[u], -u))
         for u in members:
             if u != kept:
-                alive[u] = 0
+                alive[u] = False
     return tuple(compress(range(n), alive))
 
 
@@ -284,15 +295,16 @@ def _twin_classes(g: Graph, alive, live, keys) -> list[list[int]]:
         if counts[k] > 1:
             groups.setdefault(k, []).append(v)
     nbrs = g._nbrs
+    all_alive = len(live) == g.n
     is_alive = alive.__getitem__
     classes = []
     for members in groups.values():
         split: dict[tuple[int, ...], list[int]] = {}
         for v in members:
             # dead nodes do not count; a closed neighborhood holds v itself
-            row = list(filter(is_alive, nbrs[v]))
-            insort(row, v)
-            split.setdefault(tuple(row), []).append(v)
+            row = nbrs[v] if all_alive else tuple(filter(is_alive, nbrs[v]))
+            i = bisect_left(row, v)
+            split.setdefault(row[:i] + (v,) + row[i:], []).append(v)
         classes.extend(c for c in split.values() if len(c) > 1)
     return classes
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import compress
 
 from .canonical import canonicalize, greedy_members
@@ -127,7 +126,10 @@ def _augment_to_four(members, order, nn) -> list[int] | None:
     members and each member at most two nodes of T - S, so S and T differ
     along paths and cycles, one of them a path with one more node of T
     than of S.  The same count bounds alpha(G) by 2|S|, so a single
-    member needs no search.  Each search costs at most one AND per pair
+    member needs no search.  A member's claw check costs one OR and one
+    AND per neighbour when its neighbourhood splits into two cliques, and
+    one AND per non-edge inside it only when it does not (see
+    ``_check_claw_at``); each path search costs at most one AND per pair
     of nodes.  Bit i of every set stands for ``order[i]``; ``nn`` holds
     the non-neighbourhoods (see ``_non_neighbour_bits``).
     """
@@ -170,7 +172,37 @@ def _augment_to_four(members, order, nn) -> list[int] | None:
 
 def _check_claw_at(s: int, ns: int, order, nn):
     """Raise ``claw`` if the neighbourhood ``ns`` of ``s`` holds a stable
-    triple: one AND per non-edge (x, y) inside it, z taken after y."""
+    triple.
+
+    First a certificate that it holds none: a BFS 2-colouring of the
+    complement of G[N(s)], one OR per node, with each colour class then
+    tested for a clique, one AND per node.  When both classes are cliques
+    (in a claw-free graph most nodes' neighbourhoods are covered so), any
+    three nodes of N(s) put two in one class, which are adjacent.  Only
+    otherwise, say when N(s) induces a C5, does ``_claw_scan`` test the
+    non-edges pairwise.
+    """
+    sides = [0, 0]
+    todo = ns
+    while todo:
+        wave = todo & -todo  # the lowest uncoloured node starts a BFS
+        side = 0
+        while wave:
+            sides[side] |= wave
+            todo ^= wave
+            reach = 0
+            for x in _nodes(wave, order):
+                reach |= nn[x]
+            wave = reach & todo
+            side ^= 1
+    if any(nn[x] & cls for cls in sides for x in _nodes(cls, order)):
+        _claw_scan(s, ns, order, nn)
+
+
+def _claw_scan(s: int, ns: int, order, nn):
+    """Raise ``claw`` if ``ns`` holds a stable triple: one AND per non-edge
+    (x, y) inside it, z taken after y, so the witness is the first such
+    triple in bit order."""
     rest = ns
     while rest:
         low = rest & -rest
@@ -295,7 +327,7 @@ def alpha3_fallback(g: Graph, ranked_bits=None) -> tuple[int, tuple[int, ...]]:
     per non-edge.
 
     ``ranked_bits``, when given, is a no-argument callable returning
-    ``_weight_ranked_bits(g)``; ``solve_component`` passes one cached
+    ``_weight_ranked_bits(g)``; ``solve_component`` passes one memoizing
     callable to ``find_stable4`` and here, so a component builds its
     bits at most once, and not at all when its greedy set has four nodes.
     """
@@ -350,7 +382,14 @@ def solve_component(
     g: Graph, collect: bool = False
 ) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
     """Solve one connected component (positive-weight, no adjacent twins)."""
-    ranked_bits = cache(partial(_weight_ranked_bits, g))  # built on first use
+    bits = None
+
+    def ranked_bits():  # built on first use, then shared
+        nonlocal bits
+        if bits is None:
+            bits = _weight_ranked_bits(g)
+        return bits
+
     seed4 = find_stable4(g, ranked_bits)
     if seed4 is None:
         value, nodes = alpha3_fallback(g, ranked_bits)

@@ -16,6 +16,7 @@ from mwss import (
     classify_q,
     consistent_order,
     decompose,
+    gen_rejection,
     gen_strip_instance,
     interval_transform,
     select_q,
@@ -126,6 +127,27 @@ def reference_stable4_exact(g):
                 if others:
                     return tuple(sorted((u, v, x, min(others))))
     return None
+
+
+def reference_claw_at(s, ns, order, nn):
+    """The pairwise claw scan ``mwss.solver._check_claw_at`` ran before its
+    two-clique certificate: one AND per non-edge (x, y) of the
+    neighbourhood ``ns`` of ``s``, z taken after y; raises ``claw`` with
+    the first stable triple in bit order."""
+    rest = ns
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = order[low.bit_length() - 1]
+        later = nn[x] & rest
+        while later:
+            low_y = later & -later
+            later ^= low_y
+            y = order[low_y.bit_length() - 1]
+            hit = later & nn[y]
+            if hit:
+                z = order[(hit & -hit).bit_length() - 1]
+                raise StructuralError("claw", (s, x, y, z), "stable triple (reference)")
 
 
 def reference_alpha3(g):
@@ -278,6 +300,30 @@ def twin_augmented(g, rng, clones):
     return Graph(n, edges, [rng.randint(-2, 4) for _ in range(n)])
 
 
+def reference_components(g, nodes=None):
+    """Components of the subgraph induced by ``nodes`` (all of V by
+    default) by a plain BFS that visits every edge; the reference for
+    ``mwss.connected_components``."""
+    inside = set(range(g.n) if nodes is None else nodes)
+    seen = set()
+    comps = []
+    for start in sorted(inside):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        comp = []
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for v in g.neighbors(u):
+                if v in inside and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 def reference_induced_subgraph(g, keep):
     """Induced subgraph built from a relabelled edge list through the
     checked constructor; the reference for ``mwss.induced_subgraph``."""
@@ -318,6 +364,51 @@ def free_components(g, st):
         classes = {anchor[u] for u in comp}
         out.append(FreeComponent(tuple(sorted(comp)), len(classes), len(classes) >= 3))
     return out
+
+
+REGIMES = ("unit", "random", "ties")
+DENSITIES = (0.3, 0.5, 0.8)
+
+
+def acceptance_pool():
+    """The acceptance suite's 5000 mixed instances: detector-filtered
+    random graphs of 4..22 nodes, then strip graphs of 7..22 nodes."""
+    graphs = [
+        gen_rejection(GenSpec(seed=i, mode="rejection", nodes=4 + i % 19, weights=REGIMES[i % 3]))
+        for i in range(3000)
+    ]
+    graphs += [
+        gen_strip_instance(
+            GenSpec(seed=10_000 + i, mode="strip", nodes=7 + i % 16, clique_min=1,
+                    clique_max=4, density=DENSITIES[i % 3], weights=REGIMES[i % 3])
+        )
+        for i in range(2000)
+    ]
+    return graphs
+
+
+def dominating_family():
+    """Claim-style dominating square instances under several weightings."""
+    edges = [
+        (4, 2), (4, 3), (4, 5), (4, 6),
+        (5, 0), (5, 3), (5, 7),
+        (6, 1), (6, 2), (6, 7),
+        (7, 0), (7, 1),
+    ]
+    weightings = (
+        None,
+        [3, 1, 4, 1, 5, 9, 2, 6],
+        [2, 2, 2, 2, 2, 2, 2, 2],
+        [10, 1, 1, 10, 1, 10, 1, 1],
+    )
+    return [Graph(8, edges, w) for w in weightings]
+
+
+def acceptance_extras():
+    """Cycles, weighted paths and the dominating family."""
+    graphs = [cycle_graph(n) for n in range(8, 23)]
+    graphs += [path_graph(n, [((7 * i) % 5) + 1 for i in range(n)]) for n in range(7, 23)]
+    return graphs + dominating_family()
 
 
 def perturbed_strip(seed):

@@ -13,13 +13,11 @@ import pytest
 
 from mwss import (
     GenSpec,
-    Graph,
     build_wing_graph,
     build_wing_table,
     canonicalize,
     closed_neighborhood,
     connected_components,
-    gen_rejection,
     gen_strip_instance,
     greedy_members,
     induced_subgraph,
@@ -39,70 +37,19 @@ from mwss.checks import (
 )
 from mwss.cli import bench_ladder, run
 
-from helpers import cycle_graph, path_graph
+from helpers import DENSITIES, REGIMES, acceptance_extras, acceptance_pool
 
 DATA = Path(__file__).parent / "data"
-REGIMES = ("unit", "random", "ties")
-DENSITIES = (0.3, 0.5, 0.8)
-
-POOL_REJECTION = 3000
-POOL_STRIP = 2000
-
-
-def dominating_family():
-    """Claim-style dominating square instances under several weightings."""
-    edges = [
-        (4, 2), (4, 3), (4, 5), (4, 6),
-        (5, 0), (5, 3), (5, 7),
-        (6, 1), (6, 2), (6, 7),
-        (7, 0), (7, 1),
-    ]
-    weightings = (
-        None,
-        [3, 1, 4, 1, 5, 9, 2, 6],
-        [2, 2, 2, 2, 2, 2, 2, 2],
-        [10, 1, 1, 10, 1, 10, 1, 1],
-    )
-    return [Graph(8, edges, w) for w in weightings]
 
 
 @pytest.fixture(scope="session")
 def pool():
-    graphs = []
-    for i in range(POOL_REJECTION):
-        graphs.append(
-            gen_rejection(
-                GenSpec(
-                    seed=i,
-                    mode="rejection",
-                    nodes=4 + i % 19,
-                    weights=REGIMES[i % 3],
-                )
-            )
-        )
-    for i in range(POOL_STRIP):
-        graphs.append(
-            gen_strip_instance(
-                GenSpec(
-                    seed=10_000 + i,
-                    mode="strip",
-                    nodes=7 + i % 16,
-                    clique_min=1,
-                    clique_max=4,
-                    density=DENSITIES[i % 3],
-                    weights=REGIMES[i % 3],
-                )
-            )
-        )
-    return graphs
+    return acceptance_pool()
 
 
 @pytest.fixture(scope="session")
 def extras():
-    graphs = [cycle_graph(n) for n in range(8, 23)]
-    graphs += [path_graph(n, [((7 * i) % 5) + 1 for i in range(n)]) for n in range(7, 23)]
-    graphs += dominating_family()
-    return graphs
+    return acceptance_extras()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
-from mwss import Graph, GraphParseError, parse_graph, serialize_graph
+from mwss import GenSpec, Graph, GraphParseError, parse_graph, serialize_graph
 from mwss.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +267,43 @@ class TestDeterminism:
             assert run(["gen", "--seed", "11", "--nodes", "20", "--weights", "ties"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "5", "--nodes", "40", "--clique-min", "3", "--clique-max", "5",
+             "--density", "0.7", "--weights", "random", "--weight-lo", "10", "--weight-hi", "5000"],
+            ["--seed", "3", "--mode", "rejection", "--nodes", "12", "--weights", "random",
+             "--weight-lo", "-4", "--weight-hi", "9"],
+            ["--seed", "1", "--mode", "nested", "--nodes", "6", "--weights", "random",
+             "--weight-hi", "1000000"],
+            ["--seed", "2", "--mode", "nested", "--nodes", "9", "--weights", "ties"],
+        ],
+        ids=["strip", "rejection", "nested", "nested-ties"],
+    )
+    def test_gen_spec_header_reproduces_file(self, capsys, argv):
+        # the fields a header leaves out must be ones its mode never reads,
+        # so they are refilled with values other than the defaults
+        assert run(["gen", *argv]) == 0
+        text = capsys.readouterr().out
+        header = next(line for line in text.splitlines() if line.startswith("c spec "))
+        fields = dict(item.split("=", 1) for item in header.split()[2:])
+        lo, hi = fields.pop("cliques", "1..9").split("..")
+        spec = GenSpec(
+            seed=int(fields.pop("seed")),
+            mode=fields.pop("mode"),
+            nodes=int(fields.pop("nodes")),
+            clique_min=int(lo),
+            clique_max=int(hi),
+            density=float(fields.pop("density", "0.95")),
+            weights=fields.pop("weights"),
+            weight_lo=int(fields.pop("weight_lo")),
+            weight_hi=int(fields.pop("weight_hi")),
+        )
+        assert fields == {}
+        again = [f"--{f.name.replace('_', '-')}={getattr(spec, f.name)}" for f in dataclasses.fields(spec)]
+        assert run(["gen", *again]) == 0
+        assert capsys.readouterr().out == text
 
 
 class TestGoldenBytes:

@@ -25,6 +25,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_graph,
+    reference_components,
     reference_induced_subgraph,
     reference_positive_twins,
     twin_augmented,
@@ -269,6 +270,23 @@ class TestComponents:
         assert connected_components(path_graph(6), [4, 0, 1, 3, 5]) == [(0, 1), (3, 4, 5)]
         assert connected_components(path_graph(6), []) == []
 
+    def test_matches_plain_bfs(self):
+        # dense components, isolated nodes and a strict subset of the nodes;
+        # the set search stops once every node is placed
+        rng = random.Random(44)
+        dense = Graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)
+                           if (u < 20) == (v < 20) and rng.random() < 0.9])
+        graphs = [dense, complete_graph(12), Graph(5), path_graph(9)]
+        graphs += [random_graph(rng.randint(1, 40), rng.choice((0.05, 0.5, 0.95)), rng)
+                   for _ in range(150)]
+        for g in graphs:
+            assert connected_components(g) == reference_components(g)
+            for share in (0.3, 0.8):
+                keep = [v for v in range(g.n) if rng.random() < share]
+                rng.shuffle(keep)
+                assert connected_components(g, keep + keep[:2]) == reference_components(g, keep)
+        assert len(connected_components(dense)) == 2
+
     def test_restricted_matches_induced_subgraph(self):
         rng = random.Random(43)
         for trial in range(200):
@@ -294,6 +312,23 @@ class TestTwins:
     def test_adjacent_twins_keep_heavier(self):
         assert remove_twins(Graph(2, [(0, 1)], [3, 5])) == (1,)
         assert remove_twins(Graph(2, [(0, 1)], [4, 4])) == (0,)  # lower id on ties
+
+    def test_colliding_id_sums_keep_non_twins(self):
+        # N[0] = {0, 1, 5} and N[1] = {0, 1, 2, 3} both sum to 6, and N[3]
+        # = {1, 3} sums to 4 like the isolated node 4: keys collide, and an
+        # exact split keeps every node; the dead node 6 takes the filtered path
+        edges = [(0, 1), (0, 5), (1, 2), (1, 3)]
+        for g in (Graph(6, edges), Graph(7, edges + [(0, 6), (6, 1)], [1] * 6 + [0])):
+            key = lambda v: v + sum(u for u in g.neighbors(v) if g.weights[u] > 0)
+            assert key(0) == key(1) == 6 and key(3) == key(4) == 4
+            assert remove_twins(g) == tuple(range(6))
+
+    def test_twins_differing_only_in_dead_neighbours(self):
+        # 0 sees the dead 2 and 1 the dead 3; their live closed
+        # neighbourhoods are both {0, 1, 4}, so the later of the two goes
+        edges = [(0, 1), (0, 2), (1, 3), (0, 4), (1, 4), (4, 5)]
+        assert remove_twins(Graph(6, edges, [5, 5, 0, -5, 1, 1])) == (0, 4, 5)
+        assert remove_twins(Graph(6, edges, [5, 5, 1, 1, 1, 1])) == tuple(range(6))
 
     def test_isolated_twins_stay_live(self):
         # non-adjacent twins are neither merged nor dropped

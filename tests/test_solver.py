@@ -27,6 +27,7 @@ from mwss.patterns import PatternWitness, validate_witness
 from mwss.solver import ROUTE_ALPHA3
 
 from helpers import (
+    acceptance_pool,
     clique_chain_value,
     complete_graph,
     cycle_graph,
@@ -35,6 +36,7 @@ from helpers import (
     perturbed_strip,
     random_graph,
     reference_alpha3,
+    reference_claw_at,
     reference_solve,
     reference_stable4_exact,
     twin_augmented,
@@ -177,6 +179,65 @@ class TestFindStable4:
                 assert len(set(got)) == 4 and g.is_stable(got)
                 missed += len(greedy_members(g)) < 4
         assert missed > 20
+
+
+def claw_outcome(check, *args):
+    """``check(*args)``'s result, or the kind and witness it raises."""
+    try:
+        return check(*args)
+    except StructuralError as err:
+        return err.kind, err.witness
+
+
+class TestClawCertificate:
+    """``_check_claw_at`` proves "no stable triple" by two cliques covering
+    N(s) and scans pairwise only when they do not; it raises exactly as
+    the pairwise scan alone did."""
+
+    def test_c5_neighbourhood_scans_without_raising(self, monkeypatch):
+        # the hub 0 of a 5-wheel: its neighbourhood, a C5, is no union of
+        # two cliques but holds no stable triple
+        wheel = Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
+        scans = []
+        scan = mwss.solver._claw_scan
+        monkeypatch.setattr(mwss.solver, "_claw_scan", lambda *a: scans.append(a[0]) or scan(*a))
+        assert find_stable4(wheel) is None
+        assert scans == [0]
+        assert solve(wheel).value == oracle_mwss(wheel)[0] == 2
+
+    def test_two_clique_neighbourhoods_skip_the_scan(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(mwss.solver, "_claw_scan", lambda *a: scans.append(a[0]))
+        g = nested_cliques(20, random.Random(3))[0]
+        assert find_stable4(g) is None and scans == []
+
+    def test_sweep_matches_pairwise_scan(self, monkeypatch):
+        graphs = acceptance_pool() + [perturbed_strip(seed) for seed in range(2000)]
+        for g in graphs:
+            got = claw_outcome(find_stable4, g)
+            with monkeypatch.context() as m:
+                m.setattr(mwss.solver, "_check_claw_at", reference_claw_at)
+                assert got == claw_outcome(find_stable4, g)
+        # every neighbourhood with three or more nodes, checked directly
+        scans = []
+        scan = mwss.solver._claw_scan
+        monkeypatch.setattr(mwss.solver, "_claw_scan", lambda *a: scans.append(a[0]) or scan(*a))
+        checked = raised = 0
+        for g in graphs:
+            order, nn = mwss.solver._weight_ranked_bits(g)
+            full = (1 << g.n) - 1
+            for i, s in enumerate(order):
+                ns = full ^ nn[s] ^ (1 << i)
+                if ns.bit_count() <= 2:
+                    continue
+                got = claw_outcome(mwss.solver._check_claw_at, s, ns, order, nn)
+                assert got == claw_outcome(reference_claw_at, s, ns, order, nn)
+                checked += 1
+                raised += got is not None
+        # the certificate settles about nine in ten neighbourhoods; the scan
+        # runs on the rest, and some of those hold no stable triple
+        assert checked > 100_000 and raised > 5_000 and len(scans) - raised > 1_000
+        assert len(scans) < checked // 5
 
 
 class TestCanonicalSeed:

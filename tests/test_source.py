@@ -58,6 +58,18 @@ def test_solver_modules_import_no_check_code():
     assert found == {name: [] for name in SOLVER_MODULES}
 
 
+def test_solver_modules_import_no_random():
+    # the solve path keeps no PRNG: no key, label or tie-break of a solve
+    # may come from one, seeded or not
+    root = Path(mwss.__file__).parent
+    found = [
+        name
+        for name in SOLVER_MODULES
+        if "random" in _imported_modules(ast.parse((root / f"{name}.py").read_text()))
+    ]
+    assert found == []
+
+
 def test_solver_modules_read_adjacency_rows_only():
     # the sorted rows are the only adjacency a Graph holds; membership sets
     # are built per call from single rows, never cached for the whole graph
