@@ -12,6 +12,8 @@ single left-to-right pass, with node exclusions handled for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 from .errors import GraphInputError, StructuralError
 
@@ -34,23 +36,25 @@ def consistent_order(before, after, cliques) -> ConsistentOrder:
 
     ``before`` and ``after`` hold each node's neighbors in the clique
     before and after its own, as sorted tuples indexed by node id, as
-    ``interval_transform`` keeps them (``IntervalResult``); ``cliques``
-    must hold every node with a non-empty row once, and no id outside
-    the rows.  Cliques of several strips may follow each other: strips do
-    not touch, so at a strip boundary every reach is empty and no prefix
-    pointer crosses it.  Verifies the nesting that square-freeness
-    promises; a violation is reported as the induced square it implies.
+    ``interval_transform`` keeps them (``IntervalResult``); ``cliques``, a
+    sequence of node sequences, must hold every node with a non-empty row
+    once, and no id outside the rows.  Cliques of several strips may
+    follow each other: strips do not touch, so at a strip boundary every
+    reach is empty and no prefix pointer crosses it.  Verifies the
+    nesting that square-freeness promises; a violation is reported as the
+    induced square it implies.
 
     A node's reach is its ``after`` row.  Nested reaches make its
     ``before`` row a suffix of the previous clique's order, so its
     earliest earlier neighbor sits ``len(before[v])`` places before its
-    own clique starts.  No row is intersected with a clique.
+    own clique starts.  No row is intersected with a clique.  Nothing
+    whole-strip is held longer than it is read: the nodes are marked
+    straight from ``cliques``, and the ranked cliques, read once into the
+    order tuple, are dropped before the prefix pointers are built.
     """
-    cliques = [tuple(k) for k in cliques]
-    members = [v for k in cliques for v in k]
     n = len(before)
     placed = bytearray(n)
-    for v in members:
+    for v in chain.from_iterable(cliques):
         if not 0 <= v < n or placed[v]:
             raise GraphInputError("cliques do not partition the strip graph")
         placed[v] = 1
@@ -59,11 +63,9 @@ def consistent_order(before, after, cliques) -> ConsistentOrder:
         if before[v] or after[v]:
             raise GraphInputError("cliques do not partition the strip graph")
         v = placed.find(0, v + 1)
-    order: list[int] = []
-    prefix: list[int] = []
-    for clique in cliques:
-        ranked = sorted(clique, key=lambda v: (len(after[v]), v))
-        for prev, cur in zip(ranked, ranked[1:]):
+    ranked = [sorted(clique, key=lambda v: (len(after[v]), v)) for clique in cliques]
+    for clique in ranked:
+        for prev, cur in zip(clique, clique[1:]):
             reach_prev, reach_cur = after[prev], after[cur]
             if reach_prev != reach_cur and not set(reach_cur).issuperset(reach_prev):
                 b1 = min(set(reach_prev).difference(reach_cur))
@@ -73,11 +75,13 @@ def consistent_order(before, after, cliques) -> ConsistentOrder:
                     (prev, b1, b2, cur),
                     "cross-neighborhoods not nested (square present)",
                 )
-        start = len(order)
-        for v in ranked:
-            order.append(v)
-            prefix.append(start - len(before[v]) - 1)
-    return ConsistentOrder(tuple(order), tuple(prefix))
+    order = tuple(chain.from_iterable(ranked))
+    del ranked
+    sizes = [len(clique) for clique in cliques]
+    # prefix[k] = (start of its clique - 1) - len(before[order[k]])
+    ends = chain.from_iterable(map(repeat, accumulate(sizes, initial=-1), sizes))
+    prefix = tuple(map(sub, ends, map(len, map(before.__getitem__, order))))
+    return ConsistentOrder(order, prefix)
 
 
 def mwss_on_order(

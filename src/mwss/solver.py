@@ -6,13 +6,14 @@ own, induced straight from the input: components without a stable set of
 size four go to exact bounded enumeration, the rest through the strip
 pipeline, where the answer is the best of the strip optimum and, for
 every node v of the removal clique, v's weight plus the strip optimum
-avoiding N[v].  A component's ids map back through its node tuple, so the
-chosen set is already one of the input.
+avoiding N[v].  A component's ids map back through its node array, so
+the chosen set is already one of the input.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -381,7 +382,13 @@ def alpha3_fallback(g: Graph, ranked_bits=None) -> tuple[int, tuple[int, ...]]:
 def solve_component(
     g: Graph, collect: bool = False
 ) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
-    """Solve one connected component (positive-weight, no adjacent twins)."""
+    """Solve one connected component (positive-weight, no adjacent twins).
+
+    On the strip route the DP passes read only the consistent order, the
+    weights and N(v) for v in X, so without ``collect`` the
+    ``IntervalResult`` is dropped once the order is built; with it, the
+    result is kept for ``PipelineDetail.interval``.
+    """
     bits = None
 
     def ranked_bits():  # built on first use, then shared
@@ -403,6 +410,8 @@ def solve_component(
         )
     interval = interval_transform(g, dec.strips, removal)
     co = consistent_order(interval.before, interval.after, interval.cliques)
+    if not collect:
+        interval = None  # its rows are the largest block the DP passes need not hold
     base_value, base_nodes = mwss_on_order(co, g.weights)
     best_value, best_nodes = base_value, base_nodes
     per_vertex = []
@@ -437,17 +446,22 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     ``remove_twins`` leaves the live nodes in ``g``'s ids: those of
     positive weight, less all but a heaviest node of each adjacent-twin
     class.  Each connected component of the live nodes is induced from
-    ``g`` (one that is all of ``g`` is ``g`` itself), so its node tuple is
-    its one id map.  The input is trusted to be {claw, net}-free; structural
-    contract violations surface as ``StructuralError`` with a witness
-    mapped through that map, so a claw or net witness names one in ``g``.
+    ``g`` (one that is all of ``g`` is ``g`` itself), so its nodes are its
+    one id map, held as an ``array("q")``: the ids of ``remove_twins`` are
+    fresh ints, which would otherwise live to the end of the solve, and
+    the live tuple is let go once the components are split.  The input is
+    trusted to be {claw, net}-free; structural contract violations surface
+    as ``StructuralError`` with a witness mapped through that map, so a
+    claw or net witness names one in ``g``.
     A component whose ascending greedy stable set has fewer than four
     nodes raises ``StructuralError("claw")`` when a greedy or augmented
     member sees a stable triple or a node sees three members, even if its
     stability number is at most three (see ``find_stable4``).
     """
     live = remove_twins(g)
-    comps = connected_components(g, live)
+    comps = [array("q", comp) for comp in connected_components(g, live)]
+    live_count = len(live)
+    del live
     total = 0
     chosen: list[int] = []
     routes = []
@@ -483,7 +497,7 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
             "routes": tuple(routes),
             "components": len(comps),
             # the dropped adjacent twins: positive nodes that are not live
-            "twin_steps": sum(w > 0 for w in g.weights) - len(live),
+            "twin_steps": sum(w > 0 for w in g.weights) - live_count,
             "details": details,
         }
     return Solution(total, tuple(sorted(chosen)), route, certificates)

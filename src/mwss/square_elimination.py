@@ -13,6 +13,7 @@ deleting a removal-clique neighborhood, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import StructuralError
 from .graph import Graph
@@ -190,13 +191,16 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
     removal clique X.  The strips must partition V - X, and an edge
     between two of their nodes must lie in one clique or join consecutive
     cliques of one strip; otherwise ``StructuralError`` ``strip_cover`` or
-    ``strip_adjacent`` names the first violation.  Both are checked while
-    the rows are built, in one pass over the strip nodes' graph rows: the
-    parts of v's row in K_t-1 and K_t+1, filtered in row order, are its
-    ``before`` and ``after`` rows, and as the cliques are cliques, every
-    other neighbor lies in X or in v's clique K_t exactly when deg(v) =
-    (|K_t| - 1) + |before| + |after| + |N(v) & X|.  Each strip's
-    consecutive pairs then add their diagonals to those rows.
+    ``strip_adjacent`` names the first violation.  The cover is checked
+    first (see ``_check_cover``); adjacency while the rows are built, in
+    one pass over the strip nodes' graph rows: the parts of v's row in
+    K_t-1 and K_t+1, filtered in row order, are its ``before`` and
+    ``after`` rows, and as the cliques are cliques, every other neighbor
+    lies in X or in v's clique K_t exactly when deg(v) = (|K_t| - 1) +
+    |before| + |after| + |N(v) & X|.  A clique's membership set is built
+    when the walk reaches the clique before it and dropped once the
+    clique after it is done, so at most three are alive at once.  Each
+    strip's consecutive pairs then add their diagonals to those rows.
     """
     families = [tuple(map(tuple, s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
@@ -211,9 +215,10 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
     before: list = [()] * g.n
     after: list = [()] * g.n
     for family in families:
-        member = [set(k).__contains__ for k in family] + [None]
-        for i, k in enumerate(family):
-            prev_has, next_has = member[i - 1] if i else None, member[i + 1]
+        # the cliques' membership tests, each built one clique ahead of the walk
+        has = chain((None,), (set(k).__contains__ for k in family), (None,))
+        prev_has, here_has = next(has), next(has)
+        for k, next_has in zip(family, has):
             others = len(k) - 1
             for v in k:
                 row = nbrs[v]
@@ -223,6 +228,7 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
                     _raise_strip_adjacent(g, families, removal, v)
                 before[v] = lo
                 after[v] = hi
+            prev_has, here_has = here_has, next_has
     added: list[tuple[int, int]] = []
     stage_counts = []
     for family in families:
@@ -237,7 +243,13 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
 
 def _check_cover(n: int, cliques, removal):
     """Raise ``strip_cover`` unless ``cliques`` partition V - X: the first
-    node met twice, or else up to four missing and four extra nodes."""
+    node met twice, or else up to four missing and four extra nodes.
+
+    ``_partitions`` decides in one ``bytearray`` pass; only on a violation
+    are the sets built that name it.
+    """
+    if _partitions(n, cliques, removal):
+        return
     nodes = [v for k in cliques for v in k]
     covered = set(nodes)
     if len(covered) != len(nodes):
@@ -253,6 +265,29 @@ def _check_cover(n: int, cliques, removal):
         raise StructuralError(
             "strip_cover", missing + extra, "strips do not cover V minus X exactly"
         )
+
+
+def _partitions(n: int, cliques, removal) -> bool:
+    """Whether ``cliques`` partition V - X: every clique node is in range
+    and met once, no X node in range is one of them, and the clique nodes
+    and the distinct X nodes in range number n.  An X id out of range
+    counts for nothing."""
+    mark = bytearray(n)  # 1: in a clique, 2: in X
+    count = 0
+    for k in cliques:
+        for v in k:
+            if not 0 <= v < n or mark[v]:
+                return False
+            mark[v] = 1
+        count += len(k)
+    for x in removal:
+        if 0 <= x < n:
+            if mark[x] == 1:
+                return False
+            if not mark[x]:
+                mark[x] = 2
+                count += 1
+    return count == n
 
 
 def _raise_strip_adjacent(g: Graph, families, removal, v: int):

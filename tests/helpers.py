@@ -561,20 +561,13 @@ def reference_build_strips(g, q, x, y, kind, anchor, wg):
 def reference_validate_cover(g, strips, removal):
     """Strips must partition V minus X, pairwise null, consecutive-only;
     the reference for the cover check in ``mwss.interval_transform``."""
-    seen = {}
-    for si, strip in enumerate(strips):
-        for ki, clique in enumerate(strip):
-            for v in clique:
-                if v in seen:
-                    raise StructuralError("strip_cover", (v,), "node in two cliques")
-                seen[v] = (si, ki)
-    expected = set(range(g.n)) - set(removal)
-    if set(seen) != expected:
-        missing = tuple(sorted(expected - set(seen)))[:4]
-        extra = tuple(sorted(set(seen) - expected))[:4]
-        raise StructuralError(
-            "strip_cover", missing + extra, "strips do not cover V minus X exactly"
-        )
+    reference_check_cover(g.n, [k for strip in strips for k in strip], removal)
+    seen = {
+        v: (si, ki)
+        for si, strip in enumerate(strips)
+        for ki, clique in enumerate(strip)
+        for v in clique
+    }
     for v, (si, ki) in seen.items():
         for u in g.neighbors(v):
             if u not in seen:
@@ -584,6 +577,28 @@ def reference_validate_cover(g, strips, removal):
                 raise StructuralError("strip_adjacent", (v, u), "edge between different strips")
             if abs(ki - kj) > 1:
                 raise StructuralError("strip_adjacent", (v, u), "edge skips a strip layer")
+
+
+def reference_check_cover(n, cliques, removal):
+    """The set-based cover check: raise ``strip_cover`` unless ``cliques``
+    partition V - X, naming the first node met twice, or else up to four
+    missing and four extra nodes; the reference for
+    ``mwss.square_elimination._check_cover``."""
+    nodes = [v for k in cliques for v in k]
+    covered = set(nodes)
+    if len(covered) != len(nodes):
+        seen = set()
+        for v in nodes:
+            if v in seen:
+                raise StructuralError("strip_cover", (v,), "node in two cliques")
+            seen.add(v)
+    expected = set(range(n)).difference(removal)
+    if covered != expected:
+        missing = tuple(sorted(expected - covered))[:4]
+        extra = tuple(sorted(covered - expected))[:4]
+        raise StructuralError(
+            "strip_cover", missing + extra, "strips do not cover V minus X exactly"
+        )
 
 
 def reference_decompose(g, st):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -529,6 +530,40 @@ class TestPipelineContracts:
             assert all(co is detail.order for co in calls)
             strip_counts.add(len(detail.decomposition.strips))
         assert strip_counts == {1, 2}
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_interval_result_alive_in_dp_passes_only_when_collected(
+        self, monkeypatch, collect
+    ):
+        # the DP passes read the order, the weights and N(v); the strip rows
+        # stay alive through them only for the collected detail
+        results = []
+        transform = mwss.solver.interval_transform
+        dp = mwss.solver.mwss_on_order
+        alive = []
+
+        def keeping_a_weakref(*args):
+            result = transform(*args)
+            results.append(weakref.ref(result))
+            return result
+
+        def checking(*args):
+            alive.append(results[-1]() is not None)
+            return dp(*args)
+
+        monkeypatch.setattr(mwss.solver, "interval_transform", keeping_a_weakref)
+        monkeypatch.setattr(mwss.solver, "mwss_on_order", checking)
+        g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
+        s = solve(g, collect_trace=collect)
+        assert s.route == "strip_pipeline" and len(results) == 1
+        assert len(alive) > 1 and set(alive) == {collect}
+        if collect:
+            (detail,) = s.certificates["details"]
+            assert results[0]() is detail.interval
+            assert detail.interval == transform(detail.graph, detail.decomposition.strips,
+                                                detail.decomposition.removal)
+        else:
+            assert results[0]() is None
 
     def test_p7_post_transform_order(self):
         _, _, _, detail = mwss.solver.solve_component(path_graph(7), collect=True)

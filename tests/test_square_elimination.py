@@ -1,5 +1,10 @@
+import random
+import tracemalloc
+
 import pytest
 
+import mwss.solver
+import mwss.square_elimination
 from mwss import (
     EliminationState,
     GenSpec,
@@ -16,8 +21,19 @@ from mwss.checks import (
     semi_homog_pair_certificate,
     transformed_graph,
 )
+from mwss.square_elimination import _check_cover
 
-from helpers import cycle_graph, overlay, path_graph, reference_validate_cover, strip_rows
+from helpers import (
+    acceptance_extras,
+    acceptance_pool,
+    cycle_graph,
+    overlay,
+    path_graph,
+    perturbed_strip,
+    reference_check_cover,
+    reference_validate_cover,
+    strip_rows,
+)
 
 
 def pair_state(g, ki, kj):
@@ -204,6 +220,118 @@ class TestCoverCheck:
         res = interval_transform(g, [[(0,), (1,)], [(3,), (4,)]], (2,))
         assert res.before == [(), (0,), (), (), (3,)]
         assert res.after == [(1,), (), (), (4,), ()]
+
+    @pytest.mark.parametrize(
+        "n, cliques, removal",
+        [
+            (3, [(0, 1, 2)], ()),
+            (0, [], ()),
+            (3, [], (0, 1, 2)),
+            (4, [(0,), (1,), (1, 2), (3,)], ()),  # a node in two cliques
+            (5, [(1,), (2,), (3,)], (0,)),  # a missing node
+            (3, [(0, 1, 2, 3)], ()),  # an extra node
+            (3, [(-1, 0), (1, 2)], ()),  # an extra negative id
+            (5, [(0, 1), (2,), (3, 4)], (0,)),  # an X node inside a clique
+            (5, [(1,), (2,), (3, 4)], (0, 0)),  # a repeated X id
+            (5, [(1,), (2,), (3,)], (0, 0)),  # ... that would make up for node 4
+            (3, [(0, 1)], (2, 5)),  # an X id out of range
+            (3, [(0, 1)], (5,)),  # ... that would make up for node 2
+            (3, [(0, 1)], (-1,)),
+        ],
+    )
+    def test_hand_made_covers_match_reference(self, n, cliques, removal):
+        assert cover_outcome(_check_cover, n, cliques, removal) == cover_outcome(
+            reference_check_cover, n, cliques, removal
+        )
+
+    def test_out_of_range_x_id_counts_for_nothing(self):
+        assert cover_outcome(_check_cover, 3, [(0, 1)], (5,)) == (
+            "strip_cover", (2,), "strips do not cover V minus X exactly"
+        )
+
+    def test_sweep_matches_reference(self, monkeypatch):
+        # the covers the pipeline builds on the acceptance pools and on
+        # perturbed strips, each as built and broken in the hand-made ways
+        covers = []
+        check = mwss.square_elimination._check_cover
+        monkeypatch.setattr(
+            mwss.square_elimination, "_check_cover",
+            lambda *a: covers.append(a) or check(*a),
+        )
+        graphs = acceptance_pool() + acceptance_extras()
+        graphs += [perturbed_strip(seed) for seed in range(2000)]
+        for g in graphs:
+            try:
+                solve(g)
+            except StructuralError:
+                pass
+        rng = random.Random(17)
+        outcomes = {}
+        for n, cliques, removal in covers:
+            for variant in cover_variants(n, tuple(cliques), tuple(removal), rng):
+                got = cover_outcome(check, n, *variant)
+                assert got == cover_outcome(reference_check_cover, n, *variant), (n, variant)
+                key = got and got[2]
+                outcomes[key] = outcomes.get(key, 0) + 1
+        assert len(covers) > 2000, len(covers)
+        assert outcomes[None] > 6000 and min(outcomes.values()) > 2000, outcomes
+
+
+def cover_outcome(check, n, cliques, removal):
+    """None, or the kind, witness and message of what ``check`` raises."""
+    try:
+        check(n, cliques, removal)
+    except StructuralError as err:
+        return err.kind, err.witness, err.detail
+    return None
+
+
+def cover_variants(n, cliques, removal, rng):
+    """(cliques, removal) as given, then broken the hand-made ways: a node
+    in two cliques, a missing node, an extra node, an X node in a clique,
+    a repeated or out-of-range X id, alone and with a missing node."""
+    yield cliques, removal
+    yield cliques + ((n + rng.randrange(3),),), removal
+    yield cliques, removal + (n + rng.randrange(3),)
+    nodes = [v for k in cliques for v in k]
+    dropped = ()
+    if nodes:
+        v = rng.choice(nodes)
+        dropped = tuple(tuple(u for u in k if u != v) for k in cliques)
+        yield cliques + ((v,),), removal
+        yield dropped, removal
+        yield dropped, removal + (n + rng.randrange(3),)
+    if removal:
+        x = rng.choice(removal)
+        yield cliques + ((x,),), removal
+        yield cliques, removal + (x,)
+        if nodes:
+            yield dropped, removal + (x,)
+
+
+class TestTransformMemory:
+    def test_no_membership_set_per_clique_of_the_strip(self, monkeypatch):
+        # interval_transform's peak less what it returns: the X degrees and
+        # the cover marks, about 9 bytes a node, and at most three clique
+        # sets at a time; a set per clique of the strip cost over 100 bytes
+        # a node
+        calls = []
+        transform = mwss.solver.interval_transform
+        monkeypatch.setattr(
+            mwss.solver, "interval_transform",
+            lambda *a: calls.append(a) or transform(*a),
+        )
+        solve(gen_strip_instance(GenSpec(seed=3, mode="strip", nodes=4000)))
+        ((g, strips, removal),) = calls
+        assert g.n > 3000 and len(strips[0]) > 1000
+        tracemalloc.start()
+        try:
+            result = interval_transform(g, strips, removal)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.cliques) == sum(map(len, strips))
+        assert peak - held < 40 * g.n, (peak, held, g.n)
 
 
 class TestCertificate:
