@@ -100,8 +100,6 @@ def canonicalize(g: Graph, seed) -> tuple[tuple[int, ...], CanonicalizeStats]:
 
     # Phase one: augmentations at the original stable nodes.
     for s in sorted(members):
-        if s not in members:
-            continue
         free = [u for u in nbrs[s] if u not in members and count[u] == 1]
         stats.steps += len(nbrs[s])
         pair = None

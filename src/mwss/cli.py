@@ -29,6 +29,8 @@ from . import selftest as selftest_mod
 ORACLE_LIMIT_ENV = "MWSS_ORACLE_LIMIT"
 ORACLE_CHECK_LIMIT = 24  # default gate for solve --oracle-check
 NESTED_WEIGHT_HI = 1_000_000  # bench weights of the nested-cliques rungs
+STRIP_CLIQUE_MIN, STRIP_CLIQUE_MAX = 7, 11  # clique sizes of the bench's strip rungs
+STRIP_DENSITY = 0.6  # cross-adjacency density of the bench's strip rungs
 
 
 class UsageError(Exception):
@@ -247,12 +249,12 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def bench_ladder(rungs, repeats: int, seed: int, clique_min: int,
-                 clique_max: int, density: float, memory: bool = False) -> list[dict]:
+def bench_ladder(rungs, repeats: int, seed: int, memory: bool = False) -> list[dict]:
     """Time ``solve`` on one seeded instance per rung.
 
-    A rung is (family, n): "strip" draws a strip instance with the given
-    clique sizes and density, "nested" three nested cliques of n / 3 nodes
+    A rung is (family, n): "strip" draws a strip instance with cliques of
+    ``STRIP_CLIQUE_MIN``..``STRIP_CLIQUE_MAX`` nodes at density
+    ``STRIP_DENSITY``, "nested" three nested cliques of n / 3 nodes
     each (the alpha <= 3 route), both with random weights.  Each row holds
     the family, n, m, the generation seconds, the median of ``repeats``
     public ``Graph(n, edges, weights)`` builds from the instance's edge
@@ -269,8 +271,9 @@ def bench_ladder(rungs, repeats: int, seed: int, clique_min: int,
             spec = GenSpec(seed=seed, mode="nested", nodes=n, weights="random",
                            weight_hi=NESTED_WEIGHT_HI)
         else:
-            spec = GenSpec(seed=seed, mode="strip", nodes=n, clique_min=clique_min,
-                           clique_max=clique_max, density=density, weights="random")
+            spec = GenSpec(seed=seed, mode="strip", nodes=n, clique_min=STRIP_CLIQUE_MIN,
+                           clique_max=STRIP_CLIQUE_MAX, density=STRIP_DENSITY,
+                           weights="random")
         t0 = time.perf_counter()
         g = generate(spec)
         gen_s = time.perf_counter() - t0
@@ -296,10 +299,7 @@ def bench_ladder(rungs, repeats: int, seed: int, clique_min: int,
 
 
 def cmd_bench(args) -> int:
-    ladder = bench_ladder(
-        args.sizes, args.repeats, args.seed, args.clique_min, args.clique_max,
-        args.density, memory=args.memory,
-    )
+    ladder = bench_ladder(args.sizes, args.repeats, args.seed, memory=args.memory)
     rows = []
     for r in ladder:
         row = {
@@ -419,9 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "instance, nested:n for three nested cliques (n a multiple of 3)")
     p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clique-min", type=int, default=7)
-    p.add_argument("--clique-max", type=int, default=11)
-    p.add_argument("--density", type=float, default=0.6)
     p.add_argument("--memory", action="store_true",
                    help="add peak_mb: the tracemalloc peak of one untimed solve per size")
     p.add_argument("--json", action="store_true")

@@ -13,7 +13,7 @@ deleting a removal-clique neighborhood, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import StructuralError
 from .graph import Graph
@@ -197,7 +197,10 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
     K_t-1 and K_t+1, filtered in row order, are its ``before`` and
     ``after`` rows, and as the cliques are cliques, every other neighbor
     lies in X or in v's clique K_t exactly when deg(v) = (|K_t| - 1) +
-    |before| + |after| + |N(v) & X|.  A clique's membership set is built
+    |before| + |after| + |N(v) & X|.  A count that is off with no such
+    stray neighbor means v misses a mate in K_t: ``non_clique``.  A
+    missing mate that a stray neighbor makes up for goes unseen, so the
+    cliques must be cliques.  A clique's membership set is built
     when the walk reaches the clique before it and dropped once the
     clique after it is done, so at most three are alive at once.  Each
     strip's consecutive pairs then add their diagonals to those rows.
@@ -245,56 +248,39 @@ def _check_cover(n: int, cliques, removal):
     """Raise ``strip_cover`` unless ``cliques`` partition V - X: the first
     node met twice, or else up to four missing and four extra nodes.
 
-    ``_partitions`` decides in one ``bytearray`` pass; only on a violation
-    are the sets built that name it.
+    One ``bytearray`` pass marks the clique nodes and then the X nodes in
+    range (an X id out of range counts for nothing).  The extra nodes are
+    the clique ids out of range and the X nodes in a clique; the missing
+    ones are those left unmarked.
     """
-    if _partitions(n, cliques, removal):
-        return
-    nodes = [v for k in cliques for v in k]
-    covered = set(nodes)
-    if len(covered) != len(nodes):
-        seen = set()
-        for v in nodes:
-            if v in seen:
-                raise StructuralError("strip_cover", (v,), "node in two cliques")
-            seen.add(v)
-    expected = set(range(n)).difference(removal)
-    if covered != expected:
-        missing = tuple(sorted(expected - covered))[:4]
-        extra = tuple(sorted(covered - expected))[:4]
-        raise StructuralError(
-            "strip_cover", missing + extra, "strips do not cover V minus X exactly"
-        )
-
-
-def _partitions(n: int, cliques, removal) -> bool:
-    """Whether ``cliques`` partition V - X: every clique node is in range
-    and met once, no X node in range is one of them, and the clique nodes
-    and the distinct X nodes in range number n.  An X id out of range
-    counts for nothing."""
     mark = bytearray(n)  # 1: in a clique, 2: in X
-    count = 0
+    extra = set()  # clique ids out of range, then X nodes in a clique
     for k in cliques:
         for v in k:
-            if not 0 <= v < n or mark[v]:
-                return False
-            mark[v] = 1
-        count += len(k)
+            if 0 <= v < n and not mark[v]:
+                mark[v] = 1
+            elif 0 <= v < n or v in extra:
+                raise StructuralError("strip_cover", (v,), "node in two cliques")
+            else:
+                extra.add(v)
     for x in removal:
         if 0 <= x < n:
             if mark[x] == 1:
-                return False
-            if not mark[x]:
+                extra.add(x)
+            else:
                 mark[x] = 2
-                count += 1
-    return count == n
+    if extra or 0 in mark:
+        missing = tuple(islice((v for v in range(n) if not mark[v]), 4))
+        extra = tuple(sorted(extra))[:4]
+        raise StructuralError("strip_cover", missing + extra, "strips do not cover V minus X exactly")
 
 
 def _raise_strip_adjacent(g: Graph, families, removal, v: int):
     """Raise ``strip_adjacent`` for the first neighbor of ``v``, in row
     order, outside X that lies in another strip or skips a clique.  With
-    none, the degree count was off for a clique missing an edge, which
-    the cover check leaves alone, and this returns."""
+    none, the degree count was off because ``v`` misses a mate in its own
+    clique, and this raises ``non_clique`` with that clique's first
+    non-edge."""
     where = {
         u: (si, ki)
         for si, family in enumerate(families)
@@ -310,3 +296,5 @@ def _raise_strip_adjacent(g: Graph, families, removal, v: int):
             raise StructuralError("strip_adjacent", (v, u), "edge between different strips")
         if abs(ki - kj) > 1:
             raise StructuralError("strip_adjacent", (v, u), "edge skips a strip layer")
+    clique = families[si][ki]
+    raise StructuralError("non_clique", g.non_edge(clique), "strip clique is not a clique")

@@ -9,7 +9,6 @@ free node reaching two different wings certifies a claw or a net.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphInputError, StructuralError
@@ -83,10 +82,10 @@ def _raise_two_wings(g: Graph, anchor: list, u: int):
 class WingGraph:
     """H(S, T): stable nodes joined when their wing is non-empty.
 
-    For conforming inputs with a canonical set of size >= 4 this is a
-    path or a cycle; ``order`` walks it end to end.  The orientation is
-    fixed: paths start at the lower-id endpoint, cycles start at the
-    lowest node and move toward its lower-id neighbor.
+    A path or a cycle, as ``build_wing_graph`` checks; ``order`` walks it
+    end to end.  The orientation is fixed: paths start at the lower-id
+    end, cycles start at the lowest node and move toward its lower-id
+    neighbor.
     """
 
     order: tuple[int, ...]
@@ -95,7 +94,12 @@ class WingGraph:
 
 def build_wing_graph(wings: dict, stable: tuple[int, ...]) -> WingGraph:
     """The wing graph on the ascending stable nodes ``stable``, one edge
-    per key of the ``build_wing_table`` dict ``wings``."""
+    per key of the ``build_wing_table`` dict ``wings``.
+
+    Past ``wing_degree`` every component is a path or a cycle, so one walk
+    from the lowest end (or ``stable[0]``) covers all of ``stable`` exactly
+    when the graph is connected; else ``wing_disconnected`` names the
+    nodes outside ``stable[0]``'s component."""
     if len(stable) < 4:
         raise GraphInputError("wing graph needs a stable set of size at least 4")
     nbrs: dict[int, list[int]] = {s: [] for s in stable}
@@ -109,45 +113,24 @@ def build_wing_graph(wings: dict, stable: tuple[int, ...]) -> WingGraph:
                 (s, *sorted(nbrs[s])),
                 "stable node defines more than two wings",
             )
-        nbrs[s].sort()
-    # Connectivity check.
-    seen = {stable[0]}
-    queue = deque([stable[0]])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if len(seen) != len(stable):
+    ends = [s for s in stable if len(nbrs[s]) == 1]
+    start = ends[0] if ends else stable[0]
+    order, prev, cur = [start], start, min(nbrs[start], default=start)
+    while cur != start:
+        order.append(cur)
+        # on to the neighbor not just left; an end leads back to start
+        step = [v for v in nbrs[cur] if v != prev]
+        prev, cur = cur, step[0] if step else start
+    if len(order) != len(stable):
+        reached, stack = {stable[0]}, [stable[0]]
+        while stack:
+            for v in nbrs[stack.pop()]:
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
         raise StructuralError(
             "wing_disconnected",
-            tuple(sorted(set(stable) - seen)),
+            tuple(s for s in stable if s not in reached),
             "wing graph is disconnected",
         )
-    ends = [s for s in stable if len(nbrs[s]) == 1]
-    if ends:
-        if len(ends) != 2:
-            raise StructuralError("wing_shape", tuple(ends), "wing graph is not a path")
-        start = min(ends)
-        shape = "path"
-    else:
-        start = stable[0]
-        shape = "cycle"
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [v for v in nbrs[cur] if v != prev]
-        if not nxt:
-            break
-        step = min(nxt) if prev is None else nxt[0]
-        if shape == "cycle" and step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-        if len(order) > len(stable):
-            raise StructuralError("wing_shape", tuple(order), "wing graph walk failed")
-    if len(order) != len(stable):
-        raise StructuralError("wing_shape", tuple(order), "wing graph is not a single path or cycle")
-    return WingGraph(tuple(order), shape)
+    return WingGraph(tuple(order), "path" if ends else "cycle")

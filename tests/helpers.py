@@ -7,10 +7,12 @@ from mwss import (
     Decomposition,
     GenSpec,
     Graph,
+    GraphInputError,
     IntervalResult,
+    OracleSizeError,
     PatternWitness,
     StructuralError,
-    build_wing_graph,
+    WingGraph,
     build_wing_table,
     canonicalize,
     classify_q,
@@ -427,6 +429,65 @@ def perturbed_strip(seed):
     return Graph(g.n, sorted(edges), g.weights)
 
 
+def frontier_mwss(g, max_states):
+    """Exact maximum weight stable set of any graph, as ``(value, nodes)``
+    with ``nodes`` ascending, by a DP over the nodes in BFS order.
+
+    A state is the set of chosen nodes that still have an unvisited
+    neighbor, mapped to the best weight reaching it and the chosen nodes
+    behind it.  A node of positive weight joins every state holding none
+    of its neighbors; a node leaves the states once its last neighbor is
+    visited.  The cost is the number of states, small when the BFS
+    frontier is narrow; past ``max_states`` it raises ``OracleSizeError``
+    rather than return a guess.
+    """
+    order = []
+    placed = bytearray(g.n)
+    for root in range(g.n):
+        if placed[root]:
+            continue
+        placed[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in g.neighbors(u):
+                if not placed[v]:
+                    placed[v] = 1
+                    queue.append(v)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    leaving = [[] for _ in range(g.n)]  # step after which a node leaves
+    for v in order:
+        leaving[max((pos[v], *map(pos.__getitem__, g.neighbors(v))))].append(v)
+    states = {frozenset(): (0, None)}  # state -> (weight, chain of chosen nodes)
+    for i, v in enumerate(order):
+        w = g.weights[v]
+        gone = frozenset(leaving[i])
+        row = g.neighbors(v)
+        nxt = {}
+        for state, (value, chain) in states.items():
+            options = [(state, value, chain)]
+            if w > 0 and state.isdisjoint(row):
+                options.append((state | {v}, value + w, (v, chain)))
+            for key, val, ch in options:
+                key = key - gone
+                if key not in nxt or val > nxt[key][0]:
+                    nxt[key] = (val, ch)
+        if len(nxt) > max_states:
+            raise OracleSizeError(
+                f"frontier DP: {len(nxt)} states at node {i} of {g.n} exceed {max_states}"
+            )
+        states = nxt
+    value, chain = states[frozenset()]
+    nodes = []
+    while chain is not None:
+        v, chain = chain
+        nodes.append(v)
+    return value, tuple(sorted(nodes))
+
+
 # References for the strip pipeline's flat passes: the set- and dict-based
 # code they replaced, kept to compare outputs and witnesses against.
 
@@ -472,6 +533,60 @@ def reference_build_wing_table(g, st):
             if partner is not None:
                 bucket(s, partner).add(u)
     return {key: tuple(sorted(members)) for key, members in buckets.items()}
+
+
+def reference_build_wing_graph(wings, stable):
+    """Wing graph through a BFS connectivity check and a guarded walk over
+    sorted neighbor lists; the reference for ``mwss.build_wing_graph``."""
+    if len(stable) < 4:
+        raise GraphInputError("wing graph needs a stable set of size at least 4")
+    nbrs = {s: [] for s in stable}
+    for s, t in wings:
+        nbrs[s].append(t)
+        nbrs[t].append(s)
+    for s in stable:
+        if len(nbrs[s]) > 2:
+            raise StructuralError(
+                "wing_degree", (s, *sorted(nbrs[s])), "stable node defines more than two wings"
+            )
+        nbrs[s].sort()
+    seen = {stable[0]}
+    queue = deque([stable[0]])
+    while queue:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    if len(seen) != len(stable):
+        raise StructuralError(
+            "wing_disconnected", tuple(sorted(set(stable) - seen)), "wing graph is disconnected"
+        )
+    ends = [s for s in stable if len(nbrs[s]) == 1]
+    if ends:
+        if len(ends) != 2:
+            raise StructuralError("wing_shape", tuple(ends), "wing graph is not a path")
+        start, shape = min(ends), "path"
+    else:
+        start, shape = stable[0], "cycle"
+    order = [start]
+    prev, cur = None, start
+    while True:
+        nxt = [v for v in nbrs[cur] if v != prev]
+        if not nxt:
+            break
+        step = min(nxt) if prev is None else nxt[0]
+        if shape == "cycle" and step == start:
+            break
+        order.append(step)
+        prev, cur = cur, step
+        if len(order) > len(stable):
+            raise StructuralError("wing_shape", tuple(order), "wing graph walk failed")
+    if len(order) != len(stable):
+        raise StructuralError(
+            "wing_shape", tuple(order), "wing graph is not a single path or cycle"
+        )
+    return WingGraph(tuple(order), shape)
 
 
 def reference_bfs_layers(g, sources, removed):
@@ -605,7 +720,7 @@ def reference_decompose(g, st):
     """(wing table, decomposition) through the reference wing table and
     strip construction; the reference for ``mwss.decompose``."""
     wings = reference_build_wing_table(g, st)
-    wg = build_wing_graph(wings, st.stable_set)
+    wg = reference_build_wing_graph(wings, st.stable_set)
     q, anchor = select_q(g, wg, wings)
     x, y, kind = classify_q(g, q, wg, anchor)
     return wings, reference_build_strips(g, q, x, y, kind, anchor, wg)

@@ -229,9 +229,6 @@ def test_criterion_7_scaling_trend():
         [("strip", n) for n in (1_000, 4_000, 16_000, 64_000)],
         repeats=5,
         seed=123,
-        clique_min=7,
-        clique_max=11,
-        density=0.6,
     )
     ratios = [r["ratio_to_previous"] for r in rows[1:]]
     for ratio in ratios:

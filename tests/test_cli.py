@@ -241,6 +241,12 @@ class TestOtherCommands:
         assert args.sizes == [("strip", 1000), ("strip", 4000), ("strip", 16000),
                               ("strip", 64000), ("nested", 300), ("nested", 600)]
 
+    @pytest.mark.parametrize("flag", ["--clique-min", "--clique-max", "--density"])
+    def test_bench_takes_no_shape_flags(self, capsys, flag):
+        # every strip rung has the one shape of the committed ladders
+        assert run(["bench", "--sizes", "100", "--repeats", "1", flag, "5"]) == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_bench_rejects_repeats_below_one(self, capsys, repeats):
         assert run(["bench", "--sizes", "100", "--repeats", repeats]) == 2

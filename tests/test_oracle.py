@@ -3,9 +3,26 @@ import random
 
 import pytest
 
-from mwss import Graph, OracleSizeError, mwss_enumerate, oracle_mwss
+from mwss import (
+    GenSpec,
+    Graph,
+    OracleSizeError,
+    gen_strip_instance,
+    mwss_enumerate,
+    oracle_mwss,
+    solve,
+)
+from mwss.cli import STRIP_CLIQUE_MAX, STRIP_CLIQUE_MIN, STRIP_DENSITY
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import (
+    acceptance_extras,
+    acceptance_pool,
+    complete_graph,
+    cycle_graph,
+    frontier_mwss,
+    path_graph,
+    perturbed_strip,
+)
 
 AGREEMENT_SAMPLES = int(os.environ.get("MWSS_ORACLE_AGREEMENT", "10000"))
 
@@ -71,3 +88,48 @@ def test_oracle_set_is_certified():
         value, nodes = oracle_mwss(g)
         assert g.is_stable(nodes)
         assert g.weight_of(nodes) == value
+
+
+def spider(legs):
+    """A hub with ``legs`` legs of two nodes: a BFS from the hub meets all
+    the legs' first nodes before any second one, so the frontier DP holds
+    2**legs states."""
+    edges = [(0, 1 + i) for i in range(legs)] + [(1 + i, 1 + legs + i) for i in range(legs)]
+    return Graph(1 + 2 * legs, edges)
+
+
+class TestFrontier:
+    def certified(self, g, max_states=10_000):
+        value, nodes = frontier_mwss(g, max_states)
+        assert g.is_stable(nodes) and g.weight_of(nodes) == value
+        return value
+
+    def test_small_cases(self):
+        assert frontier_mwss(Graph(0), 1) == (0, ())
+        assert frontier_mwss(path_graph(3, [-5, 2, -1]), 4) == (2, (1,))
+        assert self.certified(Graph(5, [], [3, -1, 0, 2, 7])) == 12
+
+    def test_raises_past_max_states(self):
+        g = spider(10)
+        with pytest.raises(OracleSizeError):
+            frontier_mwss(g, 1000)
+        assert frontier_mwss(g, 1024)[0] == oracle_mwss(g)[0] == 11  # hub and feet
+
+    def test_matches_oracle_on_acceptance_pool(self):
+        for g in acceptance_pool() + acceptance_extras():
+            assert self.certified(g) == oracle_mwss(g)[0]
+
+    def test_matches_oracle_on_perturbed_strips(self):
+        # claws and nets included: the DP uses no structure of the class
+        for seed in range(300):
+            g = perturbed_strip(seed)
+            assert self.certified(g) == oracle_mwss(g)[0], seed
+
+    @pytest.mark.parametrize("n", [1_000, 4_000, 16_000, 64_000])
+    def test_matches_solve_on_criterion_7_instances(self, n):
+        # the scaling criterion's strip instances, far above the oracle's size
+        g = gen_strip_instance(
+            GenSpec(seed=123, mode="strip", nodes=n, clique_min=STRIP_CLIQUE_MIN,
+                    clique_max=STRIP_CLIQUE_MAX, density=STRIP_DENSITY, weights="random")
+        )
+        assert self.certified(g, max_states=2_000) == solve(g).value

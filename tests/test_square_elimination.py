@@ -215,6 +215,15 @@ class TestCoverCheck:
                 check(g, strips, removal)
             assert (err.value.kind, err.value.witness) == (kind, witness)
 
+    def test_missing_clique_edge_raises_non_clique(self):
+        # 0 and 1 share a clique without an edge; 0's degree count is off,
+        # yet its one neighbor lies in the next clique, so no edge strays
+        g = Graph(3, [(0, 2), (1, 2)], [5, 5, 1])
+        assert oracle_mwss(g)[0] == 10
+        with pytest.raises(StructuralError) as err:
+            interval_transform(g, [((0, 1), (2,))], ())
+        assert (err.value.kind, err.value.witness) == ("non_clique", (0, 1))
+
     def test_edges_into_x_are_allowed(self):
         g = path_graph(5)
         res = interval_transform(g, [[(0,), (1,)], [(3,), (4,)]], (2,))

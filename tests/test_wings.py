@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mwss import (
@@ -15,7 +17,7 @@ from mwss import (
 )
 from mwss.patterns import PatternWitness
 
-from helpers import cycle_graph, free_components, path_graph
+from helpers import cycle_graph, free_components, path_graph, reference_build_wing_graph
 
 
 class TestWingTable:
@@ -83,6 +85,66 @@ class TestWingGraph:
         with pytest.raises(StructuralError) as err:
             build_wing_graph(build_wing_table(g, stable), stable)
         assert err.value.kind == "wing_disconnected"
+
+
+def random_wing_dict(rng):
+    """(wing dict, ascending stable nodes): 4..9 stable nodes joined by any
+    pairs (degrees above two, disconnected graphs), or along a shuffled
+    path or cycle with some edges cut; the values are left empty."""
+    k = rng.randint(4, 9)
+    stable = tuple(sorted(rng.sample(range(3 * k), k)))
+    shape = rng.choice(("any", "path", "cycle"))
+    if shape == "any":
+        p = rng.choice((0.2, 0.35, 0.5))
+        pairs = [(s, t) for i, s in enumerate(stable) for t in stable[i + 1 :] if rng.random() < p]
+    else:
+        walk = rng.sample(stable, k)
+        pairs = list(zip(walk, walk[1:])) + ([(walk[-1], walk[0])] if shape == "cycle" else [])
+        pairs = [pair for pair in pairs if rng.random() > 0.1]
+    rng.shuffle(pairs)
+    return {(min(pair), max(pair)): () for pair in pairs}, stable
+
+
+def wing_graph_outcome(build, wings, stable):
+    """(order, shape), or the kind, witness and message ``build`` raises."""
+    try:
+        wg = build(wings, stable)
+    except StructuralError as err:
+        return err.kind, err.witness, err.detail
+    return wg.order, wg.shape
+
+
+class TestWingGraphReference:
+    def test_random_wing_dicts_match_reference(self):
+        rng = random.Random(19)
+        seen = {}
+        for _ in range(20_000):
+            wings, stable = random_wing_dict(rng)
+            got = wing_graph_outcome(build_wing_graph, wings, stable)
+            assert got == wing_graph_outcome(reference_build_wing_graph, wings, stable), (
+                wings, stable,
+            )
+            key = got[1] if len(got) == 2 else got[0]
+            seen[key] = seen.get(key, 0) + 1
+        # paths, cycles and both raises occur; the reference's walk guards
+        # ("wing_shape") never fire once every degree is at most two
+        assert set(seen) == {"path", "cycle", "wing_degree", "wing_disconnected"}, seen
+        assert min(seen.values()) > 1000, seen
+
+    def test_disconnected_witness_is_outside_the_first_component(self):
+        # stable[0] = 0 isolated, and a path 2-4-6 starting lower than the cycle
+        wings = {(2, 4): (), (4, 6): (), (8, 10): (), (10, 12): (), (8, 12): ()}
+        with pytest.raises(StructuralError) as err:
+            build_wing_graph(wings, (0, 2, 4, 6, 8, 10, 12))
+        assert (err.value.kind, err.value.witness) == ("wing_disconnected", (2, 4, 6, 8, 10, 12))
+        # stable[0] = 1 in the middle of a path, then on a cycle
+        for wings in (
+            {(1, 2): (), (1, 3): (), (5, 6): (), (6, 7): (), (5, 7): ()},
+            {(1, 2): (), (2, 3): (), (1, 3): (), (5, 6): (), (6, 7): ()},
+        ):
+            with pytest.raises(StructuralError) as err:
+                build_wing_graph(wings, (1, 2, 3, 5, 6, 7))
+            assert err.value.witness == (5, 6, 7)
 
 
 class TestWingPartition:
