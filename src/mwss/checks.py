@@ -10,6 +10,8 @@ no solver module imports this one, so none of it runs on the solve path.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .canonical import stable_counts
 from .errors import GraphInputError
 from .graph import Graph
@@ -127,6 +129,51 @@ def strip_violation(g: Graph, dec) -> tuple | None:
             if bad is not None:
                 sq, v = bad
                 return ("not_square_semi_homogeneous", (*sq.nodes, v))
+    return None
+
+
+def strip_partition_violation(g: Graph, strips, removal) -> tuple | None:
+    """The first way the clique families ``strips`` break the precondition
+    of ``interval_transform`` with X = ``removal``, as ``(kind, witness)``.
+    In this order: ``strip_cover`` unless the cliques partition V - X (an
+    X id out of range counts for nothing), naming the first node met
+    twice, or else up to four missing and four extra nodes; ``non_clique``,
+    the first non-edge of the first clique that misses one; and
+    ``strip_adjacent``, ``(v, u)`` for the first v, strip after strip, and
+    its first neighbor u outside X, in row order, that lies in another
+    strip or skips a clique."""
+    cliques = [k for strip in strips for k in strip]
+    n = g.n
+    mark = bytearray(n)  # 1: in a clique, 2: in X
+    extra = set()  # clique ids out of range, then X nodes in a clique
+    for k in cliques:
+        for v in k:
+            if 0 <= v < n and not mark[v]:
+                mark[v] = 1
+            elif 0 <= v < n or v in extra:
+                return ("strip_cover", (v,))
+            else:
+                extra.add(v)
+    for x in removal:
+        if 0 <= x < n:
+            if mark[x] == 1:
+                extra.add(x)
+            else:
+                mark[x] = 2
+    if extra or 0 in mark:
+        missing = tuple(islice((v for v in range(n) if not mark[v]), 4))
+        return ("strip_cover", missing + tuple(sorted(extra))[:4])
+    bad = next(filter(None, map(g.non_edge, cliques)), None)
+    if bad is not None:
+        return ("non_clique", bad)
+    place = {  # node -> (strip, clique) index
+        v: (si, ki) for si, strip in enumerate(strips) for ki, k in enumerate(strip) for v in k
+    }
+    for v, (si, ki) in place.items():
+        for u in g.neighbors(v):
+            at = place.get(u)  # None in X
+            if at is not None and (at[0] != si or abs(at[1] - ki) > 1):
+                return ("strip_adjacent", (v, u))
     return None
 
 

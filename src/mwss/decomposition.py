@@ -7,9 +7,10 @@ intersections is empty) is bisimplicial: its neighborhood splits into
 cliques X and Y.  Removing X leaves at most two clique-strips, each a
 tuple of cliques (sorted tuples of node ids), built here as BFS layers
 away from X and Y in G - Q, or as (Q, Y, V - N[Q]) in the dominating
-case.  That the strips partition V - X and touch only between
-consecutive cliques is checked where their rows are built, in
-``interval_transform``.
+case.  The strips partition V - X and touch only between consecutive
+cliques by construction (see ``build_strips``), which is the precondition
+of ``interval_transform``; ``mwss.checks.strip_partition_violation``
+checks it off the solve path.
 """
 
 from __future__ import annotations
@@ -54,23 +55,21 @@ def _cover(g: Graph, s: int):
 def select_q(g: Graph, wg: WingGraph, wings: dict) -> tuple[tuple[int, ...], Anchor]:
     """Pick the bisimplicial clique and the anchor case it certifies.
 
-    ``wings`` is the ``build_wing_table`` dict.  The four sets A, A', B,
-    B' intersect the wing of (s1, s2) with the clique cover of s2 and the
+    ``wings`` is the ``build_wing_table`` dict and ``wg`` the wing graph
+    ``build_wing_graph`` builds from it.  The four sets A, A', B, B'
+    intersect the wing of (s1, s2) with the clique cover of s2 and the
     wing of (s3, s4) with the cover of s3.  The first empty one fixes the
     clique directly; when all four are non-empty, the wing between s2 and
     s3 restricted to N(s2) is itself a clique and is grown to a maximal
-    one.
+    one.  Each step of ``wg.order`` follows a wing-graph edge, a key of
+    ``wings``, so the three wings read here exist.
     """
     order = wg.order
     s1, s2, s3, s4 = order[0], order[1], order[2], order[3]
     cov2 = _cover(g, s2)
     cov3 = _cover(g, s3)
-    w12 = wings.get(tuple(sorted((s1, s2))))
-    w34 = wings.get(tuple(sorted((s3, s4))))
-    if w12 is None or w34 is None:
-        raise StructuralError("wing_missing", (s1, s2, s3, s4), "expected wings absent")
-    m12 = set(w12)
-    m34 = set(w34)
+    m12 = set(wings[(s1, s2) if s1 < s2 else (s2, s1)])
+    m34 = set(wings[(s3, s4) if s3 < s4 else (s4, s3)])
     if m12.isdisjoint(cov2[0]):
         return cov2[1], Anchor("a", 1)
     if m12.isdisjoint(cov2[1]):
@@ -79,9 +78,7 @@ def select_q(g: Graph, wg: WingGraph, wings: dict) -> tuple[tuple[int, ...], Anc
         return cov3[1], Anchor("b", 2)
     if m34.isdisjoint(cov3[1]):
         return cov3[0], Anchor("b", 2)
-    w23 = wings.get(tuple(sorted((s2, s3))))
-    if w23 is None:
-        raise StructuralError("wing_missing", (s2, s3), "expected wing absent")
+    w23 = wings[(s2, s3) if s2 < s3 else (s3, s2)]
     core = [s2] + sorted(set(w23).intersection(g.neighbors(s2)))
     bad = g.non_edge(core)
     if bad is not None:
@@ -94,7 +91,9 @@ def select_q(g: Graph, wg: WingGraph, wings: dict) -> tuple[tuple[int, ...], Anc
 def classify_q(
     g: Graph, q, wg: WingGraph, anchor: Anchor
 ) -> tuple[tuple[int, ...], tuple[int, ...], str]:
-    """Split N(Q) into the cliques X and Y prescribed by the anchor case."""
+    """Split N(Q) into the cliques X and Y prescribed by the anchor case.
+    X is checked to be a clique, so (|X| - 1)^2 <= |X|(|X| - 1) <= 2m and
+    |X| <= isqrt(2m) + 1, which bounds the strip route's |X| + 1 DP passes."""
     order = wg.order
     t = len(order)
     i = anchor.position
@@ -175,6 +174,20 @@ def build_strips(
     Y in G - Q, less X when that search reaches X; when it does not, the
     BFS layers from X past X itself form a second strip.  An empty Y
     has no layers.
+
+    For ``decompose``'s arguments the strips meet ``interval_transform``'s
+    precondition.  G is connected (each component holds a stable node and
+    no wing spans two, so ``build_wing_graph`` rejects a disconnected G),
+    Q is a clique, ``classify_q`` checked that X and Y are cliques that
+    partition N(Q), and each layer and V - N[Q] is checked below.  Q's
+    neighbors outside X lie in Y, the clique after Q.  In the dominating
+    case Q, X + Y and V - N[Q] partition V, and V - N[Q] misses Q.
+    Otherwise every node of G - Q reaches X + Y inside G - Q, and a layer
+    sees only itself and the layers next to it.  Separate strips: the
+    search from X covers X's component of G - Q and missed the clique Y,
+    so the two searches cover disjoint components.  Shared strip: X lies
+    in the last two layers and, if it meets the one before last, holds
+    all of the last, so removing X empties layers only at the end.
     """
     q = tuple(sorted(q))
     x = tuple(sorted(x))

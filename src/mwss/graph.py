@@ -84,10 +84,6 @@ class Graph:
             return self._nbrs[v]
         raise self._bad_id(v)
 
-    def adj(self, v: int) -> frozenset:
-        """Open neighborhood of ``v`` as a frozenset, built on each call."""
-        return frozenset(self.neighbors(v))
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         if not 0 <= v < self.n:

@@ -12,7 +12,13 @@ from __future__ import annotations
 import json
 import sys
 
-from .checks import CanonicalState, canonical_violation, interval_violation, strip_violation
+from .checks import (
+    CanonicalState,
+    canonical_violation,
+    interval_violation,
+    strip_partition_violation,
+    strip_violation,
+)
 from .generators import GenSpec, gen_rejection, gen_strip_instance
 from .oracle import oracle_mwss
 from .patterns import find_claw, find_net
@@ -58,9 +64,7 @@ def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
         print(line, file=out)
         failures += bad
 
-    bad = sum(
-        1 for g in graphs if find_claw(g) is not None or find_net(g) is not None
-    )
+    bad = sum(find_claw(g) is not None or find_net(g) is not None for g in graphs)
     report("detectors-clean", bad, f"{len(graphs)} instances")
 
     bad = 0
@@ -78,13 +82,15 @@ def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
     )
     report("canonical-fixpoint", bad, f"{len(details)} pipeline components")
 
-    bad = sum(
-        1 for d in details if interval_violation(d.graph, d.interval, d.order) is not None
-    )
+    bad = sum(interval_violation(d.graph, d.interval, d.order) is not None for d in details)
     report("post-transform-interval", bad)
 
-    bad = sum(1 for d in details if strip_violation(d.graph, d.decomposition) is not None)
+    decs = [(d.graph, d.decomposition) for d in details]
+    bad = sum(strip_violation(g, dec) is not None for g, dec in decs)
     report("strips-square-semi-homogeneous", bad)
+
+    bad = sum(strip_partition_violation(g, dec.strips, dec.removal) is not None for g, dec in decs)
+    report("strips-partition", bad)
 
     sample = graphs[0]
     payloads = []

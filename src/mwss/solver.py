@@ -12,7 +12,6 @@ the chosen set is already one of the input.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -404,11 +403,7 @@ def solve_component(
     stable, stats = canonicalize(g, greedy_members(g, seed4))
     dec = decompose(g, stable)
     removal = dec.removal
-    if len(removal) > math.isqrt(2 * g.m) + 1:
-        raise StructuralError(
-            "removal_size", removal, "removal clique exceeds isqrt(2m) + 1 nodes"
-        )
-    interval = interval_transform(g, dec.strips, removal)
+    interval = interval_transform(g, dec.strips)
     co = consistent_order(interval.before, interval.after, interval.cliques)
     if not collect:
         interval = None  # its rows are the largest block the DP passes need not hold

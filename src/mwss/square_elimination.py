@@ -13,7 +13,7 @@ deleting a removal-clique neighborhood, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import StructuralError
 from .graph import Graph
@@ -97,7 +97,13 @@ class EliminationState:
         self.d[v] += 1
 
     def stage(self) -> str:
-        """Run one stage; A must be non-empty.  Returns the action taken."""
+        """Run one stage; A must be non-empty.  Returns the action taken.
+
+        A B node's ``d`` counts its live A neighbors (its neighbors in K_i
+        start in A, a retired A node sees all of B, a diagonal joins A to
+        B), and B drops a node once its ``d`` is 0, so the b1 that
+        ``a_max`` misses has a live A neighbor.
+        """
         a, b, d = self.a, self.b, self.d
         a_max = a[0]
         if d[a_max] == len(b):
@@ -113,12 +119,7 @@ class EliminationState:
             return "remove"
         if d[a_max] == len(b) - 1:
             (b1,) = b - self._a_set(a_max)
-            in_a = self._b_set(b1).intersection(a)
-            if not in_a:
-                raise StructuralError(
-                    "stage", (b1,), "square-elimination stage found b1 null to A"
-                )
-            a2 = min(in_a)
+            a2 = min(self._b_set(b1).intersection(a))
             if d[a2] == len(b) - 1:
                 (b2,) = b - self._a_set(a2)
                 w = self.weights
@@ -172,8 +173,9 @@ class IntervalResult:
     ``before[v]`` holds v's neighbors in the clique before its own, and
     ``after[v]`` those in the clique after it, in its strip; both are
     sorted tuples with the added diagonals included.  Edges inside a
-    clique are implied by the clique and not stored.  Both rows are lists
-    indexed by node id; a node of X, or at a strip's end, has ``()``.
+    clique are implied by the clique, and edges into X are not stored.
+    Both rows are lists indexed by node id; a node of X, or at a strip's
+    end, has ``()``.
     """
 
     before: list  # node -> sorted neighbors in the previous clique of its strip
@@ -183,38 +185,23 @@ class IntervalResult:
     stage_counts: tuple[tuple[int, ...], ...]  # per strip, per pair
 
 
-def interval_transform(g: Graph, strips, removal) -> IntervalResult:
+def interval_transform(g: Graph, strips) -> IntervalResult:
     """Destroy every square inside each strip, preserving stable set weights.
 
     ``strips`` is a sequence of clique families (ordered cliques of node
-    ids), as produced by the decomposition, and ``removal`` is the
-    removal clique X.  The strips must partition V - X, and an edge
-    between two of their nodes must lie in one clique or join consecutive
-    cliques of one strip; otherwise ``StructuralError`` ``strip_cover`` or
-    ``strip_adjacent`` names the first violation.  The cover is checked
-    first (see ``_check_cover``); adjacency while the rows are built, in
-    one pass over the strip nodes' graph rows: the parts of v's row in
-    K_t-1 and K_t+1, filtered in row order, are its ``before`` and
-    ``after`` rows, and as the cliques are cliques, every other neighbor
-    lies in X or in v's clique K_t exactly when deg(v) = (|K_t| - 1) +
-    |before| + |after| + |N(v) & X|.  A count that is off with no such
-    stray neighbor means v misses a mate in K_t: ``non_clique``.  A
-    missing mate that a stray neighbor makes up for goes unseen, so the
-    cliques must be cliques.  A clique's membership set is built
-    when the walk reaches the clique before it and dropped once the
-    clique after it is done, so at most three are alive at once.  Each
-    strip's consecutive pairs then add their diagonals to those rows.
+    ids); the nodes outside them form the removal clique X.  Unchecked
+    precondition (``build_strips`` proves it for ``decompose``'s strips,
+    ``mwss.checks.strip_partition_violation`` checks it): the cliques are
+    cliques, partition V - X, and touch only between consecutive cliques
+    of one strip.  So the parts of v's row in K_t-1 and K_t+1, filtered
+    in row order, are its ``before`` and ``after`` rows.  A clique's
+    membership set is built when the walk reaches the clique before it and
+    dropped once the clique after it is done, so at most three are alive
+    at once.  Each strip's consecutive pairs then add their diagonals.
     """
     families = [tuple(map(tuple, s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
-    _check_cover(g.n, cliques, removal)
     nbrs = g._nbrs
-    removal = set(removal)
-    x_degree = [0] * g.n  # neighbors in X
-    for x in removal:
-        if 0 <= x < g.n:
-            for u in nbrs[x]:
-                x_degree[u] += 1
     before: list = [()] * g.n
     after: list = [()] * g.n
     for family in families:
@@ -222,15 +209,12 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
         has = chain((None,), (set(k).__contains__ for k in family), (None,))
         prev_has, here_has = next(has), next(has)
         for k, next_has in zip(family, has):
-            others = len(k) - 1
             for v in k:
                 row = nbrs[v]
-                lo = tuple(filter(prev_has, row)) if prev_has else ()
-                hi = tuple(filter(next_has, row)) if next_has else ()
-                if len(row) != others + len(lo) + len(hi) + x_degree[v]:
-                    _raise_strip_adjacent(g, families, removal, v)
-                before[v] = lo
-                after[v] = hi
+                if prev_has:
+                    before[v] = tuple(filter(prev_has, row))
+                if next_has:
+                    after[v] = tuple(filter(next_has, row))
             prev_has, here_has = here_has, next_has
     added: list[tuple[int, int]] = []
     stage_counts = []
@@ -242,59 +226,3 @@ def interval_transform(g: Graph, strips, removal) -> IntervalResult:
             added.extend(state.added)
         stage_counts.append(tuple(counts))
     return IntervalResult(before, after, cliques, tuple(added), tuple(stage_counts))
-
-
-def _check_cover(n: int, cliques, removal):
-    """Raise ``strip_cover`` unless ``cliques`` partition V - X: the first
-    node met twice, or else up to four missing and four extra nodes.
-
-    One ``bytearray`` pass marks the clique nodes and then the X nodes in
-    range (an X id out of range counts for nothing).  The extra nodes are
-    the clique ids out of range and the X nodes in a clique; the missing
-    ones are those left unmarked.
-    """
-    mark = bytearray(n)  # 1: in a clique, 2: in X
-    extra = set()  # clique ids out of range, then X nodes in a clique
-    for k in cliques:
-        for v in k:
-            if 0 <= v < n and not mark[v]:
-                mark[v] = 1
-            elif 0 <= v < n or v in extra:
-                raise StructuralError("strip_cover", (v,), "node in two cliques")
-            else:
-                extra.add(v)
-    for x in removal:
-        if 0 <= x < n:
-            if mark[x] == 1:
-                extra.add(x)
-            else:
-                mark[x] = 2
-    if extra or 0 in mark:
-        missing = tuple(islice((v for v in range(n) if not mark[v]), 4))
-        extra = tuple(sorted(extra))[:4]
-        raise StructuralError("strip_cover", missing + extra, "strips do not cover V minus X exactly")
-
-
-def _raise_strip_adjacent(g: Graph, families, removal, v: int):
-    """Raise ``strip_adjacent`` for the first neighbor of ``v``, in row
-    order, outside X that lies in another strip or skips a clique.  With
-    none, the degree count was off because ``v`` misses a mate in its own
-    clique, and this raises ``non_clique`` with that clique's first
-    non-edge."""
-    where = {
-        u: (si, ki)
-        for si, family in enumerate(families)
-        for ki, k in enumerate(family)
-        for u in k
-    }
-    si, ki = where[v]
-    for u in g.neighbors(v):
-        if u in removal:
-            continue
-        sj, kj = where[u]
-        if si != sj:
-            raise StructuralError("strip_adjacent", (v, u), "edge between different strips")
-        if abs(ki - kj) > 1:
-            raise StructuralError("strip_adjacent", (v, u), "edge skips a strip layer")
-    clique = families[si][ki]
-    raise StructuralError("non_clique", g.non_edge(clique), "strip clique is not a clique")

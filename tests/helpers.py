@@ -47,12 +47,17 @@ def complete_graph(n, weights=None):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)], weights)
 
 
+def adj(g, v):
+    """Open neighborhood of ``v`` in ``g`` as a frozenset."""
+    return frozenset(g.neighbors(v))
+
+
 def overlay(g, nodes=None):
     """Node -> neighbor set of the subgraph induced by ``nodes`` (all of
     ``g`` by default), the shape ``semi_homog_pair_certificate`` reads."""
     nodes = range(g.n) if nodes is None else nodes
     node_set = set(nodes)
-    return {v: set(g.adj(v)) & node_set for v in nodes}
+    return {v: set(g.neighbors(v)) & node_set for v in nodes}
 
 
 def strip_rows(g, cliques):
@@ -64,9 +69,9 @@ def strip_rows(g, cliques):
     for lo, hi in zip(cliques, cliques[1:]):
         lo_set, hi_set = set(lo), set(hi)
         for v in hi:
-            before[v] = tuple(sorted(g.adj(v) & lo_set))
+            before[v] = tuple(sorted(adj(g, v) & lo_set))
         for v in lo:
-            after[v] = tuple(sorted(g.adj(v) & hi_set))
+            after[v] = tuple(sorted(adj(g, v) & hi_set))
     return before, after
 
 
@@ -117,14 +122,14 @@ def reference_stable4_exact(g):
     4-set; the reference for ``mwss.solver.find_stable4``'s verdict."""
     full = set(range(g.n))
     for u in range(g.n):
-        au = g.adj(u)
+        au = adj(g, u)
         for v in range(u + 1, g.n):
             if v in au:
                 continue
-            rest = sorted(full - au - g.adj(v) - {u, v})
+            rest = sorted(full - au - adj(g, v) - {u, v})
             rest_set = set(rest)
             for x in rest:
-                others = rest_set - g.adj(x)
+                others = rest_set - adj(g, x)
                 others.discard(x)
                 if others:
                     return tuple(sorted((u, v, x, min(others))))
@@ -163,14 +168,14 @@ def reference_alpha3(g):
             best, best_set = w[v], (v,)
     full = set(range(g.n))
     for u in range(g.n):
-        au = g.adj(u)
+        au = adj(g, u)
         for v in range(u + 1, g.n):
             if v in au:
                 continue
             pair = w[u] + w[v]
             if pair > best:
                 best, best_set = pair, (u, v)
-            rest = full - au - g.adj(v)
+            rest = full - au - adj(g, v)
             rest.discard(u)
             rest.discard(v)
             if rest:
@@ -183,7 +188,7 @@ def reference_alpha3(g):
 def reference_find_net(g):
     """Net search over every triangle, ascending, with banned-set unions
     for the pendants; the reference for ``mwss.find_net``'s witness."""
-    adj = [g.adj(v) for v in range(g.n)]
+    adj = [frozenset(g.neighbors(v)) for v in range(g.n)]
     for x in range(g.n):
         for y in g.neighbors(x):
             if y <= x:
@@ -218,7 +223,7 @@ def reference_remove_twins(g):
     Returns the reduced graph as a copy and the input ids of its nodes;
     ``reference_positive_twins`` runs it the way ``mwss.remove_twins``
     reduces, on the positive nodes only."""
-    adj = {v: set(g.adj(v)) for v in range(g.n)}
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
     w = g.weights
     dropped = True
     while dropped:
@@ -280,7 +285,7 @@ def twin_augmented(g, rng, clones):
     together with N[u] for a neighbour u of v, which makes it a twin of
     v only once other twins are gone.  Clones of clones occur.
     """
-    adj = [set(g.adj(v)) for v in range(g.n)]
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
     for _ in range(clones):
         v = rng.randrange(len(adj))
         op = rng.random()
@@ -426,6 +431,24 @@ def perturbed_strip(seed):
     for _ in range(rng.randint(1, 4)):
         u, v = sorted(rng.sample(range(g.n), 2))
         edges ^= {(u, v)}
+    return Graph(g.n, sorted(edges), g.weights)
+
+
+def flipped_strip(seed, nodes=(100, 600), clique_max=8):
+    """A seeded strip graph with 1..6 node pairs flipped, each pair a node
+    and one within distance 2 of it in the unflipped graph; with the
+    defaults and seed = 10,000 + i, graph i of the flip sweep."""
+    rng = random.Random(seed)
+    g = gen_strip_instance(
+        GenSpec(seed=seed, nodes=rng.randint(*nodes), clique_min=2, clique_max=clique_max,
+                density=rng.choice((0.3, 0.5, 0.7)), weights="random")
+    )
+    edges = set(g.edges())
+    for _ in range(rng.randint(1, 6)):
+        u = rng.randrange(g.n)
+        ball = {v for w in g.neighbors(u) for v in (w, *g.neighbors(w))} - {u}
+        v = rng.choice(sorted(ball))
+        edges ^= {(min(u, v), max(u, v))}
     return Graph(g.n, sorted(edges), g.weights)
 
 
@@ -675,7 +698,8 @@ def reference_build_strips(g, q, x, y, kind, anchor, wg):
 
 def reference_validate_cover(g, strips, removal):
     """Strips must partition V minus X, pairwise null, consecutive-only;
-    the reference for the cover check in ``mwss.interval_transform``."""
+    the reference for the cover and adjacency parts of
+    ``mwss.checks.strip_partition_violation``."""
     reference_check_cover(g.n, [k for strip in strips for k in strip], removal)
     seen = {
         v: (si, ki)
@@ -697,8 +721,8 @@ def reference_validate_cover(g, strips, removal):
 def reference_check_cover(n, cliques, removal):
     """The set-based cover check: raise ``strip_cover`` unless ``cliques``
     partition V - X, naming the first node met twice, or else up to four
-    missing and four extra nodes; the reference for
-    ``mwss.square_elimination._check_cover``."""
+    missing and four extra nodes; the reference for the cover part of
+    ``mwss.checks.strip_partition_violation``."""
     nodes = [v for k in cliques for v in k]
     covered = set(nodes)
     if len(covered) != len(nodes):
@@ -800,9 +824,9 @@ class ReferenceEliminationState:
 
 def reference_interval_transform(g, strips):
     """Elimination over a full neighbor-set overlay of V - X; the reference
-    for ``mwss.interval_transform`` (its cover check aside).  Returns the
-    overlay and the result, whose rows are the overlay restricted to the
-    clique before and after each node's own."""
+    for ``mwss.interval_transform``.  Returns the overlay and the result,
+    whose rows are the overlay restricted to the clique before and after
+    each node's own."""
     families = [tuple(map(tuple, s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
     adj = {v: set(g.neighbors(v)) for k in cliques for v in k}
@@ -875,7 +899,7 @@ def strip_pipeline_outcome(g, reference=False):
         else:
             wings = build_wing_table(g, stable)
             dec = decompose(g, stable)
-            interval = interval_transform(g, dec.strips, dec.removal)
+            interval = interval_transform(g, dec.strips)
             co = consistent_order(interval.before, interval.after, interval.cliques)
     except StructuralError as err:
         return ("error", err.kind, err.witness)

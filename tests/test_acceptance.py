@@ -31,6 +31,7 @@ from mwss.checks import (
     CanonicalState,
     canonical_violation,
     interval_violation,
+    strip_partition_violation,
     strip_violation,
     transformed_graph,
     verify_consistent,
@@ -145,6 +146,7 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
         regular_checked += 1
         dec = detail.decomposition
         kinds[dec.kind] += 1
+        assert strip_partition_violation(g, dec.strips, dec.removal) is None
         # strip adjacency: edges stay within a strip, one layer apart
         layer = {}
         for si, strip in enumerate(dec.strips):

@@ -335,6 +335,7 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS selftest" in out
+        assert "ok strips-partition\n" in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("instances", ["0", "-3"])

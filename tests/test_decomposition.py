@@ -18,10 +18,11 @@ from mwss import (
     greedy_members,
     is_regular_node,
     select_q,
+    solve,
 )
 from mwss.checks import strip_violation
 
-from helpers import cycle_graph, path_graph, reference_build_strips
+from helpers import adj, cycle_graph, flipped_strip, path_graph, reference_build_strips
 
 
 def canonical_set(g):
@@ -89,6 +90,14 @@ class TestSelectQ:
         q, anchor = select_q(g, wg, wings)
         assert anchor.case == "b" and anchor.position == 1
         assert q == (1, 3, 4)  # {a, s2, b}: maximal clique containing {s2, b}
+
+    def test_wing_restriction_not_a_clique_raises(self):
+        # the one graph of 20,000 flipped small strips that reaches this site
+        g = flipped_strip(16277, nodes=(12, 60), clique_max=4)
+        with pytest.raises(StructuralError) as err:
+            solve(g)
+        assert (err.value.kind, err.value.witness) == ("non_clique", (7, 15))
+        assert err.value.detail == "wing restriction to N(s2) is not a clique"
 
 
 class TestDecomposeP7:
@@ -185,7 +194,7 @@ class TestStripInvariants:
             s0 = {v for k in dec.strips[0] for v in k}
             s1 = {v for k in dec.strips[1] for v in k}
             for u in s0:
-                assert not (g.adj(u) & s1)
+                assert not (adj(g, u) & s1)
         # consecutive-pair square-semi-homogeneity in the original graph
         assert strip_violation(g, dec) is None
 
@@ -202,4 +211,4 @@ class TestStripInvariants:
             for j in (i - 1, i, i + 1):
                 allowed.update(closed_neighborhood(g, (order[j],)))
             for u in closed_neighborhood(g, (order[i],)):
-                assert g.adj(u) <= allowed
+                assert adj(g, u) <= allowed

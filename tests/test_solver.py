@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import weakref
@@ -29,6 +28,7 @@ from mwss.solver import ROUTE_ALPHA3
 
 from helpers import (
     acceptance_pool,
+    adj,
     clique_chain_value,
     complete_graph,
     cycle_graph,
@@ -261,11 +261,11 @@ class TestCanonicalSeed:
                 continue
             members, blocked = set(seed4), set()
             for v in members:
-                blocked |= g.adj(v)
+                blocked |= adj(g, v)
             for v in range(g.n):
                 if v not in members and v not in blocked:
                     members.add(v)
-                    blocked |= g.adj(v)
+                    blocked |= adj(g, v)
             extended = greedy_members(g, seed4)
             assert extended[:4] == list(seed4)
             assert sorted(extended) == sorted(members)
@@ -560,8 +560,7 @@ class TestPipelineContracts:
         if collect:
             (detail,) = s.certificates["details"]
             assert results[0]() is detail.interval
-            assert detail.interval == transform(detail.graph, detail.decomposition.strips,
-                                                detail.decomposition.removal)
+            assert detail.interval == transform(detail.graph, detail.decomposition.strips)
         else:
             assert results[0]() is None
 
@@ -570,19 +569,6 @@ class TestPipelineContracts:
         assert detail.decomposition.removal == (3,)
         # strip (1 2)(0) first, then strip (4)(5)(6)
         assert detail.order.order == (2, 1, 0, 4, 5, 6)
-
-    def test_oversized_removal_raises_with_witness(self, monkeypatch):
-        real = mwss.solver.decompose
-        oversized = tuple(range(6))  # a 9-node path allows isqrt(2 * 8) + 1 = 5
-
-        def decompose(g, stable):
-            return dataclasses.replace(real(g, stable), removal=oversized)
-
-        monkeypatch.setattr(mwss.solver, "decompose", decompose)
-        with pytest.raises(StructuralError) as err:
-            mwss.solver.solve_component(path_graph(9))
-        assert err.value.kind == "removal_size"
-        assert err.value.witness == oversized
 
     def test_structural_violation_bubbles_with_witness(self):
         # four-legged spider: alpha = 4 but the hub is a claw center

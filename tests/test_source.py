@@ -134,3 +134,26 @@ def test_solver_modules_keep_no_module_state():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+OFF_PATH_KINDS = {"strip_cover", "strip_adjacent", "removal_size", "wing_missing"}
+
+
+def test_solver_modules_raise_no_off_path_kind():
+    # these hold by construction (the proofs are in the docstrings of
+    # build_strips, classify_q and select_q), so the solve path never tests
+    # them; mwss.checks.strip_partition_violation checks the strips off it
+    root = Path(mwss.__file__).parent
+    kinds = {}
+    for name in SOLVER_MODULES:
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "StructuralError"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                kinds.setdefault(node.args[0].value, []).append(f"{name}:{node.lineno}")
+    assert {"claw", "non_clique_layer", "wing_degree"} <= kinds.keys()  # the scan sees raises
+    assert {kind: kinds[kind] for kind in OFF_PATH_KINDS & kinds.keys()} == {}

@@ -4,14 +4,15 @@ import tracemalloc
 import pytest
 
 import mwss.solver
-import mwss.square_elimination
 from mwss import (
     EliminationState,
     GenSpec,
     Graph,
     StructuralError,
+    consistent_order,
     gen_strip_instance,
     interval_transform,
+    mwss_on_order,
     oracle_mwss,
     solve,
     solve_component,
@@ -19,9 +20,9 @@ from mwss import (
 from mwss.checks import (
     interval_violation,
     semi_homog_pair_certificate,
+    strip_partition_violation,
     transformed_graph,
 )
-from mwss.square_elimination import _check_cover
 
 from helpers import (
     acceptance_extras,
@@ -86,7 +87,7 @@ class TestStage:
             [1, 1, 7, 2, 2, 1],
         )
         before = oracle_mwss(g)[0]
-        res = interval_transform(g, [[(0, 1), (2, 3, 4, 5)]], ())
+        res = interval_transform(g, [[(0, 1), (2, 3, 4, 5)]])
         assert oracle_mwss(transformed_graph(g, res))[0] == before
         assert res.added_edges == ((0, 3), (0, 4), (1, 5))
         assert res.cliques == ((0, 1), (2, 3, 4, 5))
@@ -192,8 +193,8 @@ class TestRowShape:
 
 
 class TestCoverCheck:
-    # hand-built strips; interval_transform must raise what the reference
-    # cover check raises, with the same witness
+    # hand-built strips; strip_partition_violation must name what the
+    # reference cover check raises, with the same witness
     @pytest.mark.parametrize(
         "g, strips, removal, kind, witness",
         [
@@ -210,23 +211,38 @@ class TestCoverCheck:
         ],
     )
     def test_violation_kind_and_witness(self, g, strips, removal, kind, witness):
-        for check in (reference_validate_cover, interval_transform):
-            with pytest.raises(StructuralError) as err:
-                check(g, strips, removal)
-            assert (err.value.kind, err.value.witness) == (kind, witness)
+        with pytest.raises(StructuralError) as err:
+            reference_validate_cover(g, strips, removal)
+        assert (err.value.kind, err.value.witness) == (kind, witness)
+        assert strip_partition_violation(g, strips, removal) == (kind, witness)
 
     def test_missing_clique_edge_raises_non_clique(self):
-        # 0 and 1 share a clique without an edge; 0's degree count is off,
-        # yet its one neighbor lies in the next clique, so no edge strays
+        # 0 and 1 share a clique without an edge, and no edge strays
         g = Graph(3, [(0, 2), (1, 2)], [5, 5, 1])
         assert oracle_mwss(g)[0] == 10
-        with pytest.raises(StructuralError) as err:
-            interval_transform(g, [((0, 1), (2,))], ())
-        assert (err.value.kind, err.value.witness) == ("non_clique", (0, 1))
+        assert strip_partition_violation(g, [((0, 1), (2,))], ()) == ("non_clique", (0, 1))
+
+    def test_missing_clique_edges_offset_by_edges_between_strips(self):
+        # each node misses its clique mate and sees a node of the other
+        # strip instead, so its degree is what a valid cover would give;
+        # interval_transform takes the strips as cliques, and the DP misses
+        # the optimum
+        g = Graph(4, [(0, 2), (1, 3)], [5, 5, 1, 1])
+        strips = [((0, 1),), ((2, 3),)]
+        res = interval_transform(g, strips)
+        co = consistent_order(res.before, res.after, res.cliques)
+        assert mwss_on_order(co, g.weights)[0] == 6 and oracle_mwss(g)[0] == 10
+        # non_clique comes first; with the clique edges in, the edges
+        # between the strips are named
+        assert strip_partition_violation(g, strips, ()) == ("non_clique", (0, 1))
+        whole = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
+        assert strip_partition_violation(whole, strips, ()) == ("strip_adjacent", (0, 2))
 
     def test_edges_into_x_are_allowed(self):
         g = path_graph(5)
-        res = interval_transform(g, [[(0,), (1,)], [(3,), (4,)]], (2,))
+        strips = [[(0,), (1,)], [(3,), (4,)]]
+        assert strip_partition_violation(g, strips, (2,)) is None
+        res = interval_transform(g, strips)
         assert res.before == [(), (0,), (), (), (3,)]
         assert res.after == [(1,), (), (), (4,), ()]
 
@@ -249,47 +265,59 @@ class TestCoverCheck:
         ],
     )
     def test_hand_made_covers_match_reference(self, n, cliques, removal):
-        assert cover_outcome(_check_cover, n, cliques, removal) == cover_outcome(
-            reference_check_cover, n, cliques, removal
-        )
+        want = reference_cover_outcome(n, cliques, removal)
+        got = strip_partition_violation(clique_graph(n, cliques), [cliques], removal)
+        assert got == (want and want[:2])
 
     def test_out_of_range_x_id_counts_for_nothing(self):
-        assert cover_outcome(_check_cover, 3, [(0, 1)], (5,)) == (
-            "strip_cover", (2,), "strips do not cover V minus X exactly"
-        )
+        g = clique_graph(3, [(0, 1)])
+        assert strip_partition_violation(g, [[(0, 1)]], (5,)) == ("strip_cover", (2,))
 
     def test_sweep_matches_reference(self, monkeypatch):
-        # the covers the pipeline builds on the acceptance pools and on
-        # perturbed strips, each as built and broken in the hand-made ways
-        covers = []
-        check = mwss.square_elimination._check_cover
+        # the decompositions the pipeline builds on the acceptance pools, on
+        # perturbed strips and on a 2,000-node strip instance all pass; each
+        # of their covers, broken in the hand-made ways, gets the verdict of
+        # the reference
+        decs = []
+        decompose = mwss.solver.decompose
         monkeypatch.setattr(
-            mwss.square_elimination, "_check_cover",
-            lambda *a: covers.append(a) or check(*a),
+            mwss.solver, "decompose",
+            lambda g, stable: decs.append((g, decompose(g, stable))) or decs[-1][1],
         )
         graphs = acceptance_pool() + acceptance_extras()
         graphs += [perturbed_strip(seed) for seed in range(2000)]
+        graphs.append(gen_strip_instance(GenSpec(seed=3, mode="strip", nodes=2000)))
         for g in graphs:
             try:
                 solve(g)
             except StructuralError:
                 pass
+        assert len(decs) > 2000 and max(g.n for g, _ in decs) > 1000, len(decs)
         rng = random.Random(17)
         outcomes = {}
-        for n, cliques, removal in covers:
-            for variant in cover_variants(n, tuple(cliques), tuple(removal), rng):
-                got = cover_outcome(check, n, *variant)
-                assert got == cover_outcome(reference_check_cover, n, *variant), (n, variant)
-                key = got and got[2]
+        for g, dec in decs:
+            assert strip_partition_violation(g, dec.strips, dec.removal) is None
+            cliques = tuple(k for strip in dec.strips for k in strip)
+            for variant in cover_variants(g.n, cliques, dec.removal, rng):
+                got = strip_partition_violation(g, [variant[0]], variant[1])
+                want = reference_cover_outcome(g.n, *variant)
+                assert got == (want and want[:2]), (g.n, variant)
+                key = want and want[2]
                 outcomes[key] = outcomes.get(key, 0) + 1
-        assert len(covers) > 2000, len(covers)
         assert outcomes[None] > 6000 and min(outcomes.values()) > 2000, outcomes
 
 
-def cover_outcome(check, n, cliques, removal):
-    """None, or the kind, witness and message of what ``check`` raises."""
+def clique_graph(n, cliques):
+    """The graph on n nodes whose edges join the in-range ids of each clique."""
+    edges = {(u, v) for k in cliques for u in k for v in k if 0 <= u < v < n}
+    return Graph(n, sorted(edges))
+
+
+def reference_cover_outcome(n, cliques, removal):
+    """None, or the kind, witness and message of what
+    ``reference_check_cover`` raises."""
     try:
-        check(n, cliques, removal)
+        reference_check_cover(n, cliques, removal)
     except StructuralError as err:
         return err.kind, err.witness, err.detail
     return None
@@ -320,10 +348,9 @@ def cover_variants(n, cliques, removal, rng):
 
 class TestTransformMemory:
     def test_no_membership_set_per_clique_of_the_strip(self, monkeypatch):
-        # interval_transform's peak less what it returns: the X degrees and
-        # the cover marks, about 9 bytes a node, and at most three clique
-        # sets at a time; a set per clique of the strip cost over 100 bytes
-        # a node
+        # interval_transform's peak less what it returns: at most three
+        # clique sets at a time; a set per clique of the strip cost over
+        # 100 bytes a node
         calls = []
         transform = mwss.solver.interval_transform
         monkeypatch.setattr(
@@ -331,11 +358,11 @@ class TestTransformMemory:
             lambda *a: calls.append(a) or transform(*a),
         )
         solve(gen_strip_instance(GenSpec(seed=3, mode="strip", nodes=4000)))
-        ((g, strips, removal),) = calls
+        ((g, strips),) = calls
         assert g.n > 3000 and len(strips[0]) > 1000
         tracemalloc.start()
         try:
-            result = interval_transform(g, strips, removal)
+            result = interval_transform(g, strips)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -424,7 +451,7 @@ class TestStageBoundaryInvariant:
             for strip in detail.decomposition.strips:
                 nodes = sorted(v for k in strip for v in k)
                 node_set = set(nodes)
-                adj = {v: set(g.adj(v)) & node_set for v in nodes}
+                adj = {v: set(g.neighbors(v)) & node_set for v in nodes}
                 rows = strip_rows(g, strip)
                 for ki, kj in zip(strip, strip[1:]):
                     st = EliminationState(*rows, g.weights, ki, kj)

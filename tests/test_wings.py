@@ -17,7 +17,7 @@ from mwss import (
 )
 from mwss.patterns import PatternWitness
 
-from helpers import cycle_graph, free_components, path_graph, reference_build_wing_graph
+from helpers import adj, cycle_graph, free_components, path_graph, reference_build_wing_graph
 
 
 class TestWingTable:
@@ -216,4 +216,4 @@ class TestTheoremSimilar:
                     members = set(comp.nodes)
                     for u in range(g.n):
                         if u not in members:
-                            assert not members <= g.adj(u)
+                            assert not members <= adj(g, u)
