@@ -33,7 +33,6 @@ from .errors import (
 from .generators import GenSpec, gen_rejection, gen_strip_instance, generate
 from .graph import (
     Graph,
-    RegularityResult,
     closed_neighborhood,
     connected_components,
     induced_subgraph,
@@ -56,6 +55,6 @@ from .patterns import (
 )
 from .square_elimination import EliminationState, IntervalResult, interval_transform
 from .solver import Solution, alpha3_fallback, find_stable4, solve, solve_component
-from .wings import WingGraph, build_wing_graph, build_wing_table
+from .wings import build_wing_graph, build_wing_table
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .canonical import canonicalize, greedy_members
 from .errors import GraphInputError, GraphParseError, MWSSError, StructuralError
 from .generators import GenSpec, generate
 from .graph import Graph, connected_components
-from .graphio import load_graph, parse_graph, serialize_graph
+from .graphio import dump_graph, load_graph, parse_graph, serialize_graph
 from .oracle import DEFAULT_ORACLE_LIMIT, oracle_mwss
 from .patterns import find_claw, find_net
 from .solver import find_stable4, solve, solve_component
@@ -206,12 +206,10 @@ def cmd_gen(args) -> int:
         f"spec seed={spec.seed} mode={spec.mode} nodes={spec.nodes}{shape} "
         f"weights={spec.weights} weight_lo={spec.weight_lo} weight_hi={spec.weight_hi}",
     )
-    text = serialize_graph(g, comments)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dump_graph(g, args.output, comments)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_graph(g, comments))
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import GraphInputError, StructuralError
 from .graph import Graph, _extend_clique, closed_neighborhood, is_regular_node, neighborhood
-from .wings import WingGraph, build_wing_graph, build_wing_table
+from .wings import build_wing_graph, build_wing_table
 
 
 @dataclass(frozen=True)
@@ -43,31 +43,23 @@ class Decomposition:
     wing_order: tuple[int, ...]
 
 
-def _cover(g: Graph, s: int):
-    res = is_regular_node(g, s)
-    if not res.is_regular:
-        raise StructuralError(
-            "irregular", (s, *res.odd_cycle), "stable node is not regular"
-        )
-    return res.cliques
-
-
-def select_q(g: Graph, wg: WingGraph, wings: dict) -> tuple[tuple[int, ...], Anchor]:
+def select_q(g: Graph, order: tuple[int, ...], wings: dict) -> tuple[tuple[int, ...], Anchor]:
     """Pick the bisimplicial clique and the anchor case it certifies.
 
-    ``wings`` is the ``build_wing_table`` dict and ``wg`` the wing graph
-    ``build_wing_graph`` builds from it.  The four sets A, A', B, B'
+    ``wings`` is the ``build_wing_table`` dict and ``order`` the wing-graph
+    walk ``build_wing_graph`` builds from it.  The four sets A, A', B, B'
     intersect the wing of (s1, s2) with the clique cover of s2 and the
-    wing of (s3, s4) with the cover of s3.  The first empty one fixes the
-    clique directly; when all four are non-empty, the wing between s2 and
-    s3 restricted to N(s2) is itself a clique and is grown to a maximal
-    one.  Each step of ``wg.order`` follows a wing-graph edge, a key of
-    ``wings``, so the three wings read here exist.
+    wing of (s3, s4) with the cover of s3, the two cliques
+    ``is_regular_node`` returns (it raises ``irregular`` for a stable node
+    that has none).  The first empty one fixes the clique directly; when
+    all four are non-empty, the wing between s2 and s3 restricted to
+    N(s2) is itself a clique and is grown to a maximal one.  Each step of
+    ``order`` follows a wing-graph edge, a key of ``wings``, so the three
+    wings read here exist.
     """
-    order = wg.order
     s1, s2, s3, s4 = order[0], order[1], order[2], order[3]
-    cov2 = _cover(g, s2)
-    cov3 = _cover(g, s3)
+    cov2 = is_regular_node(g, s2)
+    cov3 = is_regular_node(g, s3)
     m12 = set(wings[(s1, s2) if s1 < s2 else (s2, s1)])
     m34 = set(wings[(s3, s4) if s3 < s4 else (s4, s3)])
     if m12.isdisjoint(cov2[0]):
@@ -89,12 +81,12 @@ def select_q(g: Graph, wg: WingGraph, wings: dict) -> tuple[tuple[int, ...], Anc
 
 
 def classify_q(
-    g: Graph, q, wg: WingGraph, anchor: Anchor
+    g: Graph, q, order: tuple[int, ...], anchor: Anchor
 ) -> tuple[tuple[int, ...], tuple[int, ...], str]:
     """Split N(Q) into the cliques X and Y prescribed by the anchor case.
     X is checked to be a clique, so (|X| - 1)^2 <= |X|(|X| - 1) <= 2m and
-    |X| <= isqrt(2m) + 1, which bounds the strip route's |X| + 1 DP passes."""
-    order = wg.order
+    |X| <= isqrt(2m) + 1, which bounds the strip route's |X| + 1 DP passes.
+    ``order`` is the wing-graph walk, read around ``anchor.position``."""
     t = len(order)
     i = anchor.position
     s_prev = order[(i - 1) % t]
@@ -165,9 +157,10 @@ def build_strips(
     y,
     kind: str,
     anchor: Anchor,
-    wg: WingGraph,
+    wing_order: tuple[int, ...],
 ) -> Decomposition:
-    """Fill in the clique-strips covering G - X and package the result.
+    """Fill in the clique-strips covering G - X and package them with the
+    wing-graph walk ``wing_order``.
 
     Each strip is a tuple of sorted clique tuples: (Q, Y, V - N[Q]) in
     the dominating case.  Otherwise Q is followed by the BFS layers from
@@ -228,7 +221,7 @@ def build_strips(
             strips = [(q, *y_layers)]
             if len(x_layers) > 1:
                 strips.append(tuple(x_layers[1:]))
-    return Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order)
+    return Decomposition(q, x, y, kind, anchor, tuple(strips), wing_order)
 
 
 def decompose(g: Graph, stable: tuple[int, ...]) -> Decomposition:
@@ -237,7 +230,7 @@ def decompose(g: Graph, stable: tuple[int, ...]) -> Decomposition:
     if len(stable) < 4:
         raise GraphInputError("decomposition needs a canonical set of size >= 4")
     wings = build_wing_table(g, stable)
-    wg = build_wing_graph(wings, stable)
-    q, anchor = select_q(g, wg, wings)
-    x, y, kind = classify_q(g, q, wg, anchor)
-    return build_strips(g, q, x, y, kind, anchor, wg)
+    order = build_wing_graph(wings, stable)
+    q, anchor = select_q(g, order, wings)
+    x, y, kind = classify_q(g, q, order, anchor)
+    return build_strips(g, q, x, y, kind, anchor, order)

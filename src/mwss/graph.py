@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphInputError
+from .errors import GraphInputError, StructuralError
 
 
 class Graph:
@@ -33,6 +32,8 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         weights: Sequence[int] | None = None,
     ):
+        if not isinstance(n, int):
+            raise GraphInputError(f"node count {n!r} is not an integer")
         if n < 0:
             raise GraphInputError("node count must be non-negative")
         if weights is None:
@@ -42,13 +43,17 @@ class Graph:
             if len(weights) != n:
                 raise GraphInputError(f"expected {n} weights, got {len(weights)}")
         lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphInputError(f"self-loop at node {u}")
-            lists[u].append(v)
-            lists[v].append(u)
+        for edge in edges:
+            try:  # an id that is not an integer fails a comparison or an index
+                u, v = edge
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphInputError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise GraphInputError(f"self-loop at node {u}")
+                lists[u].append(v)
+                lists[v].append(u)
+            except TypeError:
+                raise GraphInputError(f"edge {edge!r} is not a pair of integer node ids") from None
         duplicate = sort_rows(lists)
         if duplicate is not None:
             raise GraphInputError("duplicate edge (%d, %d)" % duplicate)
@@ -305,31 +310,15 @@ def _twin_classes(g: Graph, alive, live, keys) -> list[list[int]]:
     return classes
 
 
-@dataclass(frozen=True)
-class RegularityResult:
-    """Outcome of :func:`is_regular_node`.
-
-    For a regular node, ``cliques`` holds two maximal cliques covering
-    N[v], both containing ``v``.  Otherwise ``odd_cycle`` holds an
-    odd-length cycle of the complement of G[N(v)] as refutation.
-    """
-
-    node: int
-    cliques: tuple[tuple[int, ...], tuple[int, ...]] | None
-    odd_cycle: tuple[int, ...] | None
-
-    @property
-    def is_regular(self) -> bool:
-        return self.cliques is not None
-
-
-def is_regular_node(g: Graph, v: int) -> RegularityResult:
-    """Try to split N(v) into two cliques.
+def is_regular_node(g: Graph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two maximal cliques, both containing ``v``, that cover N[v].
 
     Works on the complement of G[N(v)]: the node is regular iff that
     complement is bipartite.  The 2-coloring is deterministic (BFS per
     complement component, seeded at the lowest id, seed on side one), and
-    each side is then extended to a maximal clique containing ``v``.
+    each side is then extended to a maximal clique containing ``v``.  An
+    irregular node raises ``StructuralError("irregular", (v, *cycle))``
+    with ``cycle`` an odd cycle of that complement.
     """
     nb = g.neighbors(v)
     color = {}
@@ -352,14 +341,16 @@ def is_regular_node(g: Graph, v: int) -> RegularityResult:
                     parent[x] = u
                     queue.append(x)
                 elif color[x] == color[u]:
-                    return RegularityResult(v, None, _odd_cycle(parent, u, x))
+                    raise StructuralError(
+                        "irregular", (v, *_odd_cycle(parent, u, x)), "stable node is not regular"
+                    )
     for u in nb:
         (side_one if color[u] == 0 else side_two).append(u)
     # An empty side stays the bare {v}; extending it would just duplicate
     # the other cover clique.
     c1 = _extend_clique(g, [v] + sorted(side_one), sorted(side_two)) if side_one else (v,)
     c2 = _extend_clique(g, [v] + sorted(side_two), sorted(side_one)) if side_two else (v,)
-    return RegularityResult(v, (c1, c2), None)
+    return c1, c2
 
 
 def _extend_clique(g: Graph, base: list[int], candidates: list[int]) -> tuple[int, ...]:

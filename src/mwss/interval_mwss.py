@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
 
-from .errors import GraphInputError, StructuralError
+from .errors import StructuralError
 
 
 @dataclass(frozen=True)
@@ -36,33 +36,25 @@ def consistent_order(before, after, cliques) -> ConsistentOrder:
 
     ``before`` and ``after`` hold each node's neighbors in the clique
     before and after its own, as sorted tuples indexed by node id, as
-    ``interval_transform`` keeps them (``IntervalResult``); ``cliques``, a
-    sequence of node sequences, must hold every node with a non-empty row
-    once, and no id outside the rows.  Cliques of several strips may
-    follow each other: strips do not touch, so at a strip boundary every
-    reach is empty and no prefix pointer crosses it.  Verifies the
-    nesting that square-freeness promises; a violation is reported as the
-    induced square it implies.
+    ``interval_transform`` keeps them (``IntervalResult``).  Precondition,
+    not checked: ``cliques``, a sequence of node sequences, holds each
+    node with a non-empty row exactly once and no other id.
+    ``interval_transform``'s output meets it whenever that function's own
+    precondition holds (``mwss.checks.strip_partition_violation`` checks
+    the latter off the solve path).  Cliques of several strips may follow
+    each other: strips do not touch, so at a strip boundary every reach is
+    empty and no prefix pointer crosses it.  Verifies the nesting that
+    square-freeness promises; a violation is reported as the induced
+    square it implies.
 
     A node's reach is its ``after`` row.  Nested reaches make its
     ``before`` row a suffix of the previous clique's order, so its
     earliest earlier neighbor sits ``len(before[v])`` places before its
     own clique starts.  No row is intersected with a clique.  Nothing
-    whole-strip is held longer than it is read: the nodes are marked
-    straight from ``cliques``, and the ranked cliques, read once into the
-    order tuple, are dropped before the prefix pointers are built.
+    whole-strip is held longer than it is read: the ranked cliques, read
+    once into the order tuple, are dropped before the prefix pointers are
+    built.
     """
-    n = len(before)
-    placed = bytearray(n)
-    for v in chain.from_iterable(cliques):
-        if not 0 <= v < n or placed[v]:
-            raise GraphInputError("cliques do not partition the strip graph")
-        placed[v] = 1
-    v = placed.find(0)
-    while v >= 0:  # a node off the cliques, such as one of X, has no rows
-        if before[v] or after[v]:
-            raise GraphInputError("cliques do not partition the strip graph")
-        v = placed.find(0, v + 1)
     ranked = [sorted(clique, key=lambda v: (len(after[v]), v)) for clique in cliques]
     for clique in ranked:
         for prev, cur in zip(clique, clique[1:]):

@@ -9,8 +9,6 @@ free node reaching two different wings certifies a claw or a net.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GraphInputError, StructuralError
 from .graph import Graph
 
@@ -78,28 +76,19 @@ def _raise_two_wings(g: Graph, anchor: list, u: int):
             )
 
 
-@dataclass(frozen=True)
-class WingGraph:
-    """H(S, T): stable nodes joined when their wing is non-empty.
-
-    A path or a cycle, as ``build_wing_graph`` checks; ``order`` walks it
-    end to end.  The orientation is fixed: paths start at the lower-id
-    end, cycles start at the lowest node and move toward its lower-id
-    neighbor.
-    """
-
-    order: tuple[int, ...]
-    shape: str  # "path" | "cycle"
-
-
-def build_wing_graph(wings: dict, stable: tuple[int, ...]) -> WingGraph:
-    """The wing graph on the ascending stable nodes ``stable``, one edge
-    per key of the ``build_wing_table`` dict ``wings``.
+def build_wing_graph(wings: dict, stable: tuple[int, ...]) -> tuple[int, ...]:
+    """The wing graph H(S, T) on the ascending stable nodes ``stable``, one
+    edge per key of the ``build_wing_table`` dict ``wings``, as the tuple of
+    its nodes in walk order.
 
     Past ``wing_degree`` every component is a path or a cycle, so one walk
     from the lowest end (or ``stable[0]``) covers all of ``stable`` exactly
     when the graph is connected; else ``wing_disconnected`` names the
-    nodes outside ``stable[0]``'s component."""
+    nodes outside ``stable[0]``'s component.  The orientation is fixed: a
+    path starts at its lower-id end, a cycle at its lowest node and moves
+    toward that node's lower-id neighbor.  With four or more stable nodes
+    the two ends of a path are never adjacent, so the graph is a cycle
+    exactly when the first and last nodes of the order share a wing."""
     if len(stable) < 4:
         raise GraphInputError("wing graph needs a stable set of size at least 4")
     nbrs: dict[int, list[int]] = {s: [] for s in stable}
@@ -133,4 +122,4 @@ def build_wing_graph(wings: dict, stable: tuple[int, ...]) -> WingGraph:
             tuple(s for s in stable if s not in reached),
             "wing graph is disconnected",
         )
-    return WingGraph(tuple(order), "path" if ends else "cycle")
+    return tuple(order)

@@ -12,7 +12,6 @@ from mwss import (
     OracleSizeError,
     PatternWitness,
     StructuralError,
-    WingGraph,
     build_wing_table,
     canonicalize,
     classify_q,
@@ -558,9 +557,19 @@ def reference_build_wing_table(g, st):
     return {key: tuple(sorted(members)) for key, members in buckets.items()}
 
 
+def wing_shape(wings, order):
+    """"cycle" when the wing-graph walk ``order`` closes through a key of
+    ``wings``, else "path".  The ends of a path on four or more nodes are
+    never adjacent, so this reads the shape off ``build_wing_graph``'s
+    order."""
+    ends = (order[0], order[-1]) if order[0] < order[-1] else (order[-1], order[0])
+    return "cycle" if ends in wings else "path"
+
+
 def reference_build_wing_graph(wings, stable):
-    """Wing graph through a BFS connectivity check and a guarded walk over
-    sorted neighbor lists; the reference for ``mwss.build_wing_graph``."""
+    """(order, shape) of the wing graph, through a BFS connectivity check
+    and a guarded walk over sorted neighbor lists; the reference for
+    ``mwss.build_wing_graph`` and ``wing_shape``."""
     if len(stable) < 4:
         raise GraphInputError("wing graph needs a stable set of size at least 4")
     nbrs = {s: [] for s in stable}
@@ -609,7 +618,7 @@ def reference_build_wing_graph(wings, stable):
         raise StructuralError(
             "wing_shape", tuple(order), "wing graph is not a single path or cycle"
         )
-    return WingGraph(tuple(order), shape)
+    return tuple(order), shape
 
 
 def reference_bfs_layers(g, sources, removed):
@@ -642,7 +651,7 @@ def _reference_clique_layers(g, layers, label):
             raise StructuralError("non_clique_layer", bad, f"{label} layer is not a clique")
 
 
-def reference_build_strips(g, q, x, y, kind, anchor, wg):
+def reference_build_strips(g, q, x, y, kind, anchor, wing_order):
     """``mwss.build_strips`` over ``reference_bfs_layers``, followed by
     ``reference_validate_cover``."""
     q = tuple(sorted(q))
@@ -691,7 +700,7 @@ def reference_build_strips(g, q, x, y, kind, anchor, wg):
             strips = [tuple([q] + y_layers)]
             if len(x_layers) > 1:
                 strips.append(tuple(x_layers[1:]))
-    dec = Decomposition(q, x, y, kind, anchor, tuple(strips), wg.order)
+    dec = Decomposition(q, x, y, kind, anchor, tuple(strips), wing_order)
     reference_validate_cover(g, dec.strips, dec.removal)
     return dec
 
@@ -744,10 +753,10 @@ def reference_decompose(g, st):
     """(wing table, decomposition) through the reference wing table and
     strip construction; the reference for ``mwss.decompose``."""
     wings = reference_build_wing_table(g, st)
-    wg = reference_build_wing_graph(wings, st.stable_set)
-    q, anchor = select_q(g, wg, wings)
-    x, y, kind = classify_q(g, q, wg, anchor)
-    return wings, reference_build_strips(g, q, x, y, kind, anchor, wg)
+    order, _ = reference_build_wing_graph(wings, st.stable_set)
+    q, anchor = select_q(g, order, wings)
+    x, y, kind = classify_q(g, q, order, anchor)
+    return wings, reference_build_strips(g, q, x, y, kind, anchor, order)
 
 
 class ReferenceEliminationState:

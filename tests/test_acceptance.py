@@ -137,12 +137,15 @@ def test_criterion_3_structural_invariants(pool, extras, pipeline_details):
     for g, detail in pipeline_details:
         stable = detail.stable_set
         assert _wing_uniqueness_violation(g, CanonicalState(g, stable)) is None
-        # raises on degree > 2 or disconnection
-        wg = build_wing_graph(build_wing_table(g, stable), stable)
-        assert wg.shape in ("path", "cycle")
+        # raises on degree > 2 or disconnection, so the walk is a path or a
+        # cycle through every stable node
+        assert sorted(build_wing_graph(build_wing_table(g, stable), stable)) == list(stable)
         wing_checked += 1
         for v in range(g.n):
-            assert is_regular_node(g, v).is_regular
+            # raises ``irregular`` unless two cliques cover N[v]
+            c1, c2 = is_regular_node(g, v)
+            assert v in c1 and v in c2
+            assert set(c1).union(c2) == set(closed_neighborhood(g, (v,)))
         regular_checked += 1
         dec = detail.decomposition
         kinds[dec.kind] += 1

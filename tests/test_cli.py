@@ -171,10 +171,14 @@ class TestOtherCommands:
 
     def test_gen_writes_parseable_graph(self, tmp_path, capsys):
         out = tmp_path / "gen.mwss"
-        code = run(["gen", "--seed", "4", "--nodes", "18", "--mode", "strip", "-o", str(out)])
+        argv = ["gen", "--seed", "4", "--nodes", "18", "--mode", "strip"]
+        code = run(argv + ["-o", str(out)])
         assert code == 0
         g = parse_graph(out.read_text())
         assert g.n == 18
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out.read_text()  # the file holds stdout's bytes
 
     def test_gen_requires_seed(self, capsys):
         assert run(["gen", "--nodes", "10"]) == 2

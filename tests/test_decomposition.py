@@ -6,7 +6,6 @@ from mwss import (
     GenSpec,
     Graph,
     StructuralError,
-    WingGraph,
     build_strips,
     build_wing_graph,
     build_wing_table,
@@ -66,18 +65,16 @@ class TestSelectQ:
         g = path_graph(7)
         st = canonical_set(g)
         wings = build_wing_table(g, st)
-        wg = build_wing_graph(wings, st)
-        q, anchor = select_q(g, wg, wings)
+        q, anchor = select_q(g, build_wing_graph(wings, st), wings)
         assert q == (1, 2)
         assert anchor.case == "a" and anchor.position == 1
-        assert is_regular_node(g, 2).cliques == ((1, 2), (2, 3))
+        assert is_regular_node(g, 2) == ((1, 2), (2, 3))
 
     def test_c8_deterministic_choice(self):
         g = cycle_graph(8)
         st = canonical_set(g)
         wings = build_wing_table(g, st)
-        wg = build_wing_graph(wings, st)
-        q, anchor = select_q(g, wg, wings)
+        q, anchor = select_q(g, build_wing_graph(wings, st), wings)
         assert q == (1, 2)
 
     def test_all_nonempty_grows_maximal_clique(self):
@@ -85,9 +82,9 @@ class TestSelectQ:
         assert find_claw(g) is None and find_net(g) is None
         st = CanonicalState(g, {0, 3, 5, 8}).stable_set
         wings = build_wing_table(g, st)
-        wg = build_wing_graph(wings, st)
-        assert wg.order == (0, 3, 5, 8)
-        q, anchor = select_q(g, wg, wings)
+        order = build_wing_graph(wings, st)
+        assert order == (0, 3, 5, 8)
+        q, anchor = select_q(g, order, wings)
         assert anchor.case == "b" and anchor.position == 1
         assert q == (1, 3, 4)  # {a, s2, b}: maximal clique containing {s2, b}
 
@@ -146,8 +143,8 @@ class TestDominatingCase:
 
         g = path_graph(7)
         st = canonical_set(g)
-        wg = build_wing_graph(build_wing_table(g, st), st)
-        dec = build_strips(g, (0, 1), (2,), (), "strongly_bisimplicial", Anchor("a", 1), wg)
+        order = build_wing_graph(build_wing_table(g, st), st)
+        dec = build_strips(g, (0, 1), (2,), (), "strongly_bisimplicial", Anchor("a", 1), order)
         assert dec.strips == (
             ((0, 1),),
             ((3,), (4,), (5,), (6,)),
@@ -158,8 +155,7 @@ class TestCliqueLayers:
     def test_non_clique_bfs_layer_raises(self):
         # from X = {1}, the second layer {2, 3} misses the edge 2-3
         g = Graph(4, [(0, 1), (1, 2), (1, 3)])
-        wg = WingGraph((), "path")
-        args = (g, (0,), (1,), (), "strongly_bisimplicial", Anchor("a", 1), wg)
+        args = (g, (0,), (1,), (), "strongly_bisimplicial", Anchor("a", 1), ())
         for build in (reference_build_strips, build_strips):
             with pytest.raises(StructuralError) as err:
                 build(*args)
@@ -204,7 +200,7 @@ class TestStripInvariants:
 
         g = gen_strip_instance(GenSpec(seed=77, mode="strip", nodes=30, clique_min=2, clique_max=4))
         st = canonical_set(g)
-        order = build_wing_graph(build_wing_table(g, st), st).order
+        order = build_wing_graph(build_wing_table(g, st), st)
         t = len(order)
         for i in range(1, t - 1):
             allowed = set()

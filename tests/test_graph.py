@@ -9,6 +9,7 @@ from mwss import (
     GenSpec,
     Graph,
     GraphInputError,
+    StructuralError,
     gen_strip_instance,
     closed_neighborhood,
     connected_components,
@@ -63,6 +64,21 @@ class TestConstruction:
             Graph(3, [(-1, 0)])
         with pytest.raises(GraphInputError):
             Graph(3, [(0, -3)])
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ((3, [(0.0, 1.0)]), r"edge \(0\.0, 1\.0\)"),
+            ((3, [(0, 1), ("0", 1)]), r"edge \('0', 1\)"),
+            ((3, [(0, 1.5)]), r"edge \(0, 1\.5\)"),
+            ((2.5,), r"node count 2\.5"),
+            (("3", [(0, 1)]), r"node count '3'"),
+        ],
+    )
+    def test_rejects_ids_that_are_not_integers(self, args, named):
+        # ids from outside get an input error naming them, not a TypeError
+        with pytest.raises(GraphInputError, match=named):
+            Graph(*args)
 
     def test_rejects_duplicate_in_same_orientation(self):
         with pytest.raises(GraphInputError, match=r"duplicate edge \(0, 1\)"):
@@ -373,14 +389,15 @@ class TestTwins:
 
 class TestRegularNodes:
     def test_p3_middle(self):
-        res = is_regular_node(path_graph(3), 1)
-        assert res.cliques == ((0, 1), (1, 2))
+        assert is_regular_node(path_graph(3), 1) == ((0, 1), (1, 2))
 
     def test_wheel_hub_irregular_with_odd_witness(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)] + [(5, i) for i in range(5)])
-        res = is_regular_node(g, 5)
-        assert not res.is_regular
-        cyc = res.odd_cycle
+        with pytest.raises(StructuralError) as err:
+            is_regular_node(g, 5)
+        assert (err.value.kind, err.value.witness) == ("irregular", (5, 4, 2, 0, 3, 1))
+        assert err.value.detail == "stable node is not regular"
+        cyc = err.value.witness[1:]
         assert len(cyc) % 2 == 1
         # consecutive members are non-adjacent in g (edges of the complement)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -388,12 +405,14 @@ class TestRegularNodes:
 
     def test_simplicial_node(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        res = is_regular_node(g, 3)
-        assert res.cliques == ((1, 2, 3), (3,))
+        assert is_regular_node(g, 3) == ((1, 2, 3), (3,))
 
     def test_all_nodes_regular_on_paths(self):
         g = path_graph(6)
-        assert all(is_regular_node(g, v).is_regular for v in range(6))
+        assert [is_regular_node(g, v) for v in range(6)] == [
+            ((0, 1), (0,)), ((0, 1), (1, 2)), ((1, 2), (2, 3)),
+            ((2, 3), (3, 4)), ((3, 4), (4, 5)), ((4, 5), (5,)),
+        ]
 
 
 class TestTwinsMatchReference:

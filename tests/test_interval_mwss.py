@@ -3,7 +3,6 @@ import pytest
 from mwss import (
     GenSpec,
     Graph,
-    GraphInputError,
     StructuralError,
     consistent_order,
     gen_strip_instance,
@@ -11,7 +10,7 @@ from mwss import (
     oracle_mwss,
     solve_component,
 )
-from mwss.checks import transformed_graph, verify_consistent
+from mwss.checks import strip_partition_violation, transformed_graph, verify_consistent
 from mwss.graph import closed_neighborhood, induced_subgraph
 
 from helpers import complete_graph, path_graph, strip_rows
@@ -51,13 +50,18 @@ class TestConsistentOrder:
         assert {a, c} == {0, 1} and {b1, b2} == {2, 3}
 
     @pytest.mark.parametrize(
-        "cliques", [[(0, 1)], [(0, 1), (2,), (2,)], [(0, 1), (2, 3)]]
+        "cliques, witness",
+        [
+            pytest.param([(0, 1)], (2,), id="cliques0"),
+            pytest.param([(0, 1), (2,), (2,)], (2,), id="cliques1"),
+            pytest.param([(0, 1), (2, 3)], (3,), id="cliques2"),
+        ],
     )
-    def test_cliques_must_partition_the_overlay(self, cliques):
-        # a node with rows missing, a node twice, a node outside the rows
-        rows = strip_rows(path_graph(3), [(0, 1), (2,)])
-        with pytest.raises(GraphInputError):
-            consistent_order(*rows, cliques)
+    def test_cliques_must_partition_the_overlay(self, cliques, witness):
+        # a node left out, a node twice, a node outside the graph: the
+        # precondition consistent_order states and the checks module tests
+        violation = strip_partition_violation(path_graph(3), [cliques], ())
+        assert violation == ("strip_cover", witness)
 
     def test_two_strips_one_order(self):
         # strips 0-1 and 2-3-4 do not touch: the order is the two strip

@@ -142,18 +142,25 @@ OFF_PATH_KINDS = {"strip_cover", "strip_adjacent", "removal_size", "wing_missing
 def test_solver_modules_raise_no_off_path_kind():
     # these hold by construction (the proofs are in the docstrings of
     # build_strips, classify_q and select_q), so the solve path never tests
-    # them; mwss.checks.strip_partition_violation checks the strips off it
+    # them; mwss.checks.strip_partition_violation checks the strips off it.
+    # consistent_order states the same partition as its precondition, so
+    # interval_mwss raises no GraphInputError for it
     root = Path(mwss.__file__).parent
     kinds = {}
+    input_errors = []
     for name in SOLVER_MODULES:
         for node in ast.walk(ast.parse((root / f"{name}.py").read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "StructuralError"
+                node.func.id == "StructuralError"
                 and node.args
                 and isinstance(node.args[0], ast.Constant)
             ):
                 kinds.setdefault(node.args[0].value, []).append(f"{name}:{node.lineno}")
+            elif node.func.id == "GraphInputError":
+                input_errors.append(f"{name}:{node.lineno}")
     assert {"claw", "non_clique_layer", "wing_degree"} <= kinds.keys()  # the scan sees raises
     assert {kind: kinds[kind] for kind in OFF_PATH_KINDS & kinds.keys()} == {}
+    assert any(site.startswith("graph:") for site in input_errors)
+    assert [site for site in input_errors if site.startswith("interval_mwss:")] == []
