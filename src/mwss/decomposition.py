@@ -178,9 +178,21 @@ def build_strips(
     Otherwise every node of G - Q reaches X + Y inside G - Q, and a layer
     sees only itself and the layers next to it.  Separate strips: the
     search from X covers X's component of G - Q and missed the clique Y,
-    so the two searches cover disjoint components.  Shared strip: X lies
-    in the last two layers and, if it meets the one before last, holds
-    all of the last, so removing X empties layers only at the end.
+    so the two searches cover disjoint components.
+
+    Shared strip: removing X empties layers only at the end, because X
+    lies in the last two Y layers L_last-1, L_last and, if it meets
+    L_last-1, holds all of L_last.  Q is not dominating, so no node of X
+    is in Y or sees Y: X, a clique, lies in L_j + L_j+1, where j >= 2 is
+    the lowest layer it meets.  Suppose some node w outside X lay in a
+    layer above j, which is what either claim failing gives.  Take the
+    lowest such w: in L_j+1, its parent in L_j is in X or sees X inside
+    the clique L_j; in L_j+2, its parent in L_j+1 is in X.  So w is one
+    or two steps from X in G - Q.  A node x of X in L_j has a parent p in
+    L_j-1, one step from X, and p has a parent in L_j-2, two steps from
+    X; neither sees w.  Then the first or the second layer of the search
+    from X, which runs before the one from Y, is not a clique, and
+    ``_clique_layers`` has raised ``non_clique_layer``.
     """
     q = tuple(sorted(q))
     x = tuple(sorted(x))
@@ -199,22 +211,8 @@ def build_strips(
         x_nodes = set().union(*x_layers)
         y_layers = _clique_layers(g, y, q, "Y")
         if y and y[0] in x_nodes:
-            # One shared component: X sits inside the last two Y layers.
-            last = len(y_layers) - 1
+            # One shared component: X sits at the end of the Y layers.
             xs = set(x)
-            allowed = set(y_layers[last]) | (set(y_layers[last - 1]) if last >= 1 else set())
-            if not xs <= allowed:
-                raise StructuralError(
-                    "strip_overlap",
-                    tuple(sorted(xs - allowed)),
-                    "X reaches beyond the last two Y layers",
-                )
-            if last >= 1 and (xs & set(y_layers[last - 1])) and (set(y_layers[last]) - xs):
-                raise StructuralError(
-                    "strip_overlap",
-                    tuple(sorted(set(y_layers[last]) - xs)),
-                    "X meets the second-to-last layer but not all of the last",
-                )
             family = [q] + [tuple(sorted(set(layer) - xs)) for layer in y_layers]
             strips = [tuple(k for k in family if k)]
         else:

@@ -10,9 +10,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from itertools import chain, compress
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphInputError, StructuralError
+
+
+def _weight_error(weights) -> GraphInputError:
+    """The error naming the first node whose weight ``operator.index``
+    rejects (a float or a string is not an integer)."""
+    if not isinstance(weights, Iterable):
+        return GraphInputError(f"weights {weights!r} are not a sequence")
+    for v, w in enumerate(weights):
+        if not hasattr(type(w), "__index__"):
+            return GraphInputError(f"weight {w!r} of node {v} is not an integer")
+    return GraphInputError("weights are not integers")
 
 
 class Graph:
@@ -39,7 +51,10 @@ class Graph:
         if weights is None:
             weights = (1,) * n
         else:
-            weights = tuple(int(w) for w in weights)
+            try:
+                weights = tuple(map(index, weights))
+            except TypeError:
+                raise _weight_error(weights) from None
             if len(weights) != n:
                 raise GraphInputError(f"expected {n} weights, got {len(weights)}")
         lists: list[list[int]] = [[] for _ in range(n)]

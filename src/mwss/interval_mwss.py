@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
 
-from .errors import StructuralError
-
 
 @dataclass(frozen=True)
 class ConsistentOrder:
@@ -43,32 +41,19 @@ def consistent_order(before, after, cliques) -> ConsistentOrder:
     precondition holds (``mwss.checks.strip_partition_violation`` checks
     the latter off the solve path).  Cliques of several strips may follow
     each other: strips do not touch, so at a strip boundary every reach is
-    empty and no prefix pointer crosses it.  Verifies the nesting that
-    square-freeness promises; a violation is reported as the induced
-    square it implies.
+    empty and no prefix pointer crosses it.  Also not checked: the
+    ``after`` rows of each clique form a chain under inclusion, as
+    ``EliminationState.run`` proves (``mwss.patterns.find_square_in`` and
+    ``mwss.checks.verify_consistent`` catch a violation off the solve path).
 
     A node's reach is its ``after`` row.  Nested reaches make its
     ``before`` row a suffix of the previous clique's order, so its
     earliest earlier neighbor sits ``len(before[v])`` places before its
-    own clique starts.  No row is intersected with a clique.  Nothing
-    whole-strip is held longer than it is read: the ranked cliques, read
-    once into the order tuple, are dropped before the prefix pointers are
-    built.
+    own clique starts.  No row is intersected with a clique, and each
+    ranked clique is dropped once it is read into the order tuple.
     """
-    ranked = [sorted(clique, key=lambda v: (len(after[v]), v)) for clique in cliques]
-    for clique in ranked:
-        for prev, cur in zip(clique, clique[1:]):
-            reach_prev, reach_cur = after[prev], after[cur]
-            if reach_prev != reach_cur and not set(reach_cur).issuperset(reach_prev):
-                b1 = min(set(reach_prev).difference(reach_cur))
-                b2 = min(set(reach_cur).difference(reach_prev))
-                raise StructuralError(
-                    "nesting",
-                    (prev, b1, b2, cur),
-                    "cross-neighborhoods not nested (square present)",
-                )
+    ranked = (sorted(clique, key=lambda v: (len(after[v]), v)) for clique in cliques)
     order = tuple(chain.from_iterable(ranked))
-    del ranked
     sizes = [len(clique) for clique in cliques]
     # prefix[k] = (start of its clique - 1) - len(before[order[k]])
     ends = chain.from_iterable(map(repeat, accumulate(sizes, initial=-1), sizes))

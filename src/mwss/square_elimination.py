@@ -15,10 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import StructuralError
 from .graph import Graph
-
-MAX_STAGE_SLACK = 8  # stages per pair are bounded by 3*|K_i|; guard a bit above
 
 
 class EliminationState:
@@ -28,9 +25,11 @@ class EliminationState:
     (a node's neighbors in the previous and in the next clique of its
     strip, as sorted tuples), indexable by node id.  A node of K_i meets
     K_j only through ``after`` and a node of K_j meets K_i only through
-    ``before``, so ``d``, which counts each live node's neighbors on the
-    other side, starts from the row lengths.  ``a`` lists the live nodes
-    of A in stage order and ``b`` is the set of live nodes of B.
+    ``before``, so ``d`` starts from the row lengths.  It counts each
+    live node's live neighbors on the other side: a retired A node sees
+    all of B, a diagonal joins A to B, and B drops a node once its ``d``
+    is 0, when no live A node sees it.  ``a`` lists the live nodes of A
+    in stage order and ``b`` is the set of live nodes of B.
 
     A ``remove`` stage reads only ``d``.  The other stages read a node's
     row as a set, built on first use and kept in ``a_sets`` (A node ->
@@ -41,16 +40,12 @@ class EliminationState:
     reads.
     """
 
-    __slots__ = (
-        "before", "after", "weights", "a", "b", "d", "a_sets", "b_sets",
-        "added", "limit",
-    )
+    __slots__ = ("before", "after", "weights", "a", "b", "d", "a_sets", "b_sets", "added")
 
     def __init__(self, before, after, weights, ki, kj):
         self.before = before
         self.after = after
         self.weights = weights
-        self.limit = 3 * len(ki) + MAX_STAGE_SLACK
         d = self.d = {}
         for u in ki:
             count = len(after[u])
@@ -98,12 +93,7 @@ class EliminationState:
 
     def stage(self) -> str:
         """Run one stage; A must be non-empty.  Returns the action taken.
-
-        A B node's ``d`` counts its live A neighbors (its neighbors in K_i
-        start in A, a retired A node sees all of B, a diagonal joins A to
-        B), and B drops a node once its ``d`` is 0, so the b1 that
-        ``a_max`` misses has a live A neighbor.
-        """
+        The b1 that ``a_max`` misses is live, so it has a live A neighbor."""
         a, b, d = self.a, self.b, self.d
         a_max = a[0]
         if d[a_max] == len(b):
@@ -149,13 +139,23 @@ class EliminationState:
 
     def run(self) -> int:
         """Run stages until A drains, then write the grown rows back;
-        returns the number of stages."""
+        returns the number of stages, at most 3|A| <= 3|K_i|.
+
+        Nesting: a live A node u sees only live B nodes, and ``remove``
+        retires u only when ``d[u]`` = |B|, so its final ``after`` row is
+        the live B of that moment.  B only shrinks, so the ``after`` rows
+        of K_i (empty off A) form the chain under inclusion that
+        ``consistent_order`` takes as its precondition.
+        Stage bound: Φ, the sum over live A nodes of 1 + min(|B| - d, 2),
+        starts at most 3|A| and is positive while A is non-empty.
+        ``remove`` drops its node's term and shrinks |B| only by nodes no
+        live A node sees.  ``kill_c4`` takes a node missing one B node to
+        none, and ``kill_diags`` one missing at least two to one (a_max
+        misses two in that branch, and a2 does, as ``d[a2]`` <
+        ``d[a_max]`` = |B| - 1).  So every stage lowers Φ by at least 1.
+        """
         stages = 0
         while self.a:
-            if stages > self.limit:
-                raise StructuralError(
-                    "stage", tuple(sorted(self.a)), "stage budget exceeded"
-                )
             self.stage()
             stages += 1
         if self.added:

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from mwss import (
@@ -21,7 +24,14 @@ from mwss import (
 )
 from mwss.checks import strip_violation
 
-from helpers import adj, cycle_graph, flipped_strip, path_graph, reference_build_strips
+from helpers import (
+    adj,
+    cycle_graph,
+    flipped_strip,
+    path_graph,
+    reference_bfs_layers,
+    reference_build_strips,
+)
 
 
 def canonical_set(g):
@@ -160,6 +170,79 @@ class TestCliqueLayers:
             with pytest.raises(StructuralError) as err:
                 build(*args)
             assert (err.value.kind, err.value.witness) == ("non_clique_layer", (2, 3))
+
+
+def layered_instance(rng):
+    """(g, q, x, y): Y = L_0 and clique layers L_1..L_t, each node of a
+    layer joined to one node of the layer before and at random to others;
+    a clique X whose nodes sit at depth j or j + 1, each seeing most of
+    its layer, one node of the layer before and at random the one after,
+    but none of Y (or, one time in twenty, no layer at all); and a clique
+    Q complete to X and Y and to nothing else.  Ids are shuffled."""
+    t = rng.randint(2, 6)
+    sizes = [rng.randint(1, 3) for _ in range(t + 1)] + [rng.randint(1, 3), rng.randint(1, 2)]
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    parts = [[ids.pop() for _ in range(size)] for size in sizes]
+    *layers, x, q = parts
+    edges = {(u, v) for part in parts for u in part for v in part if u < v}
+    for lo, hi in zip(layers, layers[1:]):
+        for v in hi:
+            edges.add((rng.choice(lo), v))
+            edges.update((u, v) for u in lo if rng.random() < 0.4)
+    j = rng.randint(1, t)
+    spans = j < t and rng.random() < 0.4
+    for u in x if rng.random() < 0.95 else ():
+        d = j + (spans and rng.random() < 0.5)
+        edges.update((v, u) for v in layers[d] if rng.random() < 0.9)
+        if d > 1:
+            edges.add((rng.choice(layers[d - 1]), u))
+        if d < t:
+            edges.update((u, v) for v in layers[d + 1] if rng.random() < 0.4)
+    edges.update((u, v) for u in q for v in (*x, *layers[0]))
+    g = Graph(sum(sizes), sorted({(min(e), max(e)) for e in edges}))
+    return g, q, x, layers[0]
+
+
+def strips_outcome(build, *args):
+    """The decomposition ``build`` returns, or its error's kind, witness
+    and message."""
+    try:
+        return build(*args)
+    except StructuralError as err:
+        return (err.kind, err.witness, err.detail)
+
+
+class TestSharedStripPlacement:
+    def test_x_search_rejects_every_overlapping_placement(self):
+        # build_strips trusts X to sit at the end of the Y layers in the
+        # shared branch; reference_build_strips still checks it (the two
+        # strip_overlap checks).  Wherever X is placed against that, the X
+        # search has already raised non_clique_layer
+        rng = random.Random(2300)
+        tally = Counter()
+        for _ in range(2000):
+            g, q, x, y = layered_instance(rng)
+            args = (g, q, x, y, "strongly_bisimplicial", Anchor("a", 1), ())
+            got = strips_outcome(build_strips, *args)
+            assert got == strips_outcome(reference_build_strips, *args)
+            layers = [set(layer) for layer in reference_bfs_layers(g, y, set(q))]
+            xs = set(x)
+            if not xs <= set().union(*layers):
+                tally["separate"] += 1
+                continue
+            tail = layers[-2:]
+            if not xs <= set().union(*tail) or (
+                len(tail) == 2 and xs & tail[0] and not tail[1] <= xs
+            ):
+                assert isinstance(got, tuple) and got[0] == "non_clique_layer"
+                if all(map(g.is_clique, layers)):
+                    assert got[2] == "X layer is not a clique"
+                    tally["overlap"] += 1
+            elif not isinstance(got, tuple):
+                tally["shared"] += 1
+        assert tally["overlap"] >= 500
+        assert tally["shared"] >= 50 and tally["separate"] >= 20
 
 
 class TestStripInvariants:

@@ -80,6 +80,26 @@ class TestConstruction:
         with pytest.raises(GraphInputError, match=named):
             Graph(*args)
 
+    @pytest.mark.parametrize(
+        "weights, named",
+        [
+            pytest.param([1, 1.9, 2.7], r"weight 1\.9 of node 1", id="float"),
+            pytest.param([1, 2, "3"], r"weight '3' of node 2", id="string"),
+            pytest.param([None, 1, 1], r"weight None of node 0", id="none"),
+            pytest.param(5, r"weights 5 are not a sequence", id="scalar"),
+        ],
+    )
+    def test_rejects_weights_that_are_not_integers(self, weights, named):
+        # a float is not truncated, a string is not parsed, and None or a
+        # bare number is an input error naming it, not a TypeError
+        with pytest.raises(GraphInputError, match=named):
+            Graph(3, [(0, 1)], weights)
+
+    def test_integer_like_weights_kept_exactly(self):
+        g = Graph(3, [], [True, 10**30, -2])
+        assert g.weights == (1, 10**30, -2)
+        assert all(type(w) is int for w in g.weights)
+
     def test_rejects_duplicate_in_same_orientation(self):
         with pytest.raises(GraphInputError, match=r"duplicate edge \(0, 1\)"):
             Graph(3, [(0, 1), (0, 1)])

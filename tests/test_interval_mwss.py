@@ -3,7 +3,6 @@ import pytest
 from mwss import (
     GenSpec,
     Graph,
-    StructuralError,
     consistent_order,
     gen_strip_instance,
     mwss_on_order,
@@ -12,6 +11,7 @@ from mwss import (
 )
 from mwss.checks import strip_partition_violation, transformed_graph, verify_consistent
 from mwss.graph import closed_neighborhood, induced_subgraph
+from mwss.patterns import find_square_in
 
 from helpers import complete_graph, path_graph, strip_rows
 
@@ -41,13 +41,16 @@ class TestConsistentOrder:
         assert co.order == (0, 1, 2)
 
     def test_nesting_violation_reports_square(self):
-        # 0 reaches {2}, 1 reaches {3}: incomparable, a square survives
+        # 0 reaches {2}, 1 reaches {3}: incomparable, a square survives.
+        # Nested reaches are consistent_order's precondition (square
+        # elimination proves it), so the off-path checks catch this input:
+        # the square across the pair, and the order it makes inconsistent
         g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
-        with pytest.raises(StructuralError) as err:
-            order_of(g, [(0, 1), (2, 3)])
-        assert err.value.kind == "nesting"
-        a, b1, b2, c = err.value.witness
+        square = find_square_in(g, (0, 1), (2, 3))
+        assert square.kind == "square"
+        a, b1, b2, c = square.nodes
         assert {a, c} == {0, 1} and {b1, b2} == {2, 3}
+        assert verify_consistent(g, order_of(g, [(0, 1), (2, 3)])) == (0, 1, 2)
 
     @pytest.mark.parametrize(
         "cliques, witness",

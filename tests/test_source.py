@@ -1,9 +1,13 @@
 """Rules on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import mwss
+from mwss import Graph
+
+from helpers import flipped_strip, perturbed_strip
 
 SOURCES = sorted(Path(mwss.__file__).parent.glob("*.py"))
 
@@ -136,15 +140,19 @@ def test_solver_modules_keep_no_module_state():
     assert found == []
 
 
-OFF_PATH_KINDS = {"strip_cover", "strip_adjacent", "removal_size", "wing_missing"}
+OFF_PATH_KINDS = {
+    "strip_cover", "strip_adjacent", "removal_size", "wing_missing",
+    "strip_overlap", "stage", "nesting",
+}
 
 
 def test_solver_modules_raise_no_off_path_kind():
     # these hold by construction (the proofs are in the docstrings of
-    # build_strips, classify_q and select_q), so the solve path never tests
-    # them; mwss.checks.strip_partition_violation checks the strips off it.
-    # consistent_order states the same partition as its precondition, so
-    # interval_mwss raises no GraphInputError for it
+    # build_strips, classify_q, select_q and EliminationState.run), so the
+    # solve path never tests them; mwss.checks.strip_partition_violation
+    # checks the strips off it, and find_square_in and verify_consistent
+    # the nesting.  consistent_order states the partition and the nesting
+    # as its preconditions, so interval_mwss raises no GraphInputError
     root = Path(mwss.__file__).parent
     kinds = {}
     input_errors = []
@@ -164,3 +172,81 @@ def test_solver_modules_raise_no_off_path_kind():
     assert {kind: kinds[kind] for kind in OFF_PATH_KINDS & kinds.keys()} == {}
     assert any(site.startswith("graph:") for site in input_errors)
     assert [site for site in input_errors if site.startswith("interval_mwss:")] == []
+    for name in ("square_elimination", "interval_mwss"):  # they raise nothing
+        assert "StructuralError" not in (root / f"{name}.py").read_text()
+
+
+def _structural_raises():
+    """(module, line span) of every ``raise StructuralError(...)`` in the
+    solver modules."""
+    root = Path(mwss.__file__).parent
+    return {
+        (name, range(node.lineno, node.end_lineno + 1))
+        for name in SOLVER_MODULES
+        for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "StructuralError"
+    }
+
+
+def _reaching_inputs():
+    """One input per raise site: seeded flips that a search found to reach
+    it, or a hand-made graph."""
+    path7 = (3, 0, 4, 1, 5, 2, 6)
+    return [
+        perturbed_strip(0),  # canonical claw, and solve's id mapping
+        perturbed_strip(80),  # canonical: three independent free neighbors
+        perturbed_strip(14),  # irregular stable node
+        perturbed_strip(1545),  # wings: net
+        perturbed_strip(25),  # wings: claw
+        perturbed_strip(10),  # wing_degree
+        perturbed_strip(231),  # wing_disconnected
+        flipped_strip(16277, nodes=(12, 60), clique_max=4),  # select_q non_clique
+        perturbed_strip(42),  # partition
+        perturbed_strip(123),  # non_clique side of N(Q)
+        perturbed_strip(4),  # non_clique_layer
+        perturbed_strip(126),  # dominating V - N[Q] not a clique
+        # find_stable4: a node seeing three members, a bound node seeing a
+        # node free at the third member, a stable triple in a neighbourhood
+        Graph(7, [(0, 3), (1, 4), (2, 5), (0, 6), (1, 6), (2, 6)]),
+        Graph(7, [(path7[i], path7[i + 1]) for i in range(6)] + [(4, 6)]),
+        perturbed_strip(101),
+    ]
+
+
+def test_every_structural_raise_is_reached():
+    # a raise site that no input reaches is dead code or an untested
+    # contract: each one in the solver modules must run on a pinned input
+    sites = _structural_raises()
+    files = {str(Path(mwss.__file__).parent / f"{name}.py"): name for name in SOLVER_MODULES}
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((files[frame.f_code.co_filename], frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    inputs = _reaching_inputs()
+    rejected = 0
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for g in inputs:
+            try:
+                mwss.solve(g)
+            except mwss.StructuralError:
+                rejected += 1
+    finally:
+        sys.settrace(previous)
+    assert rejected == len(inputs)
+    missed = sorted(
+        f"{name}:{span.start}"
+        for name, span in sites
+        if not any((name, line) in ran for line in span)
+    )
+    assert len(sites) >= 15
+    assert missed == []

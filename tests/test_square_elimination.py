@@ -108,7 +108,48 @@ class TestStage:
                 for (ki, _kj), c in zip(
                     zip(strip, strip[1:]), counts
                 ):
-                    assert c <= 3 * len(ki) + 8
+                    assert c <= 3 * len(ki)
+
+
+def random_pair(rng):
+    """Two cliques K_i = 0..p-1 and K_j = p..p+q-1 with random edges
+    between them, claws allowed, and random weights."""
+    p, q = rng.randint(1, 9), rng.randint(1, 9)
+    ki, kj = tuple(range(p)), tuple(range(p, p + q))
+    density = rng.random()
+    edges = [(u, v) for k in (ki, kj) for i, u in enumerate(k) for v in k[i + 1:]]
+    edges += [(u, v) for u in ki for v in kj if rng.random() < density]
+    hi = rng.choice((3, 100))  # few weights make ties
+    return Graph(p + q, edges, [rng.randint(1, hi) for _ in range(p + q)]), ki, kj
+
+
+def potential(st):
+    """The sum over live A nodes of 1 + min(|B| - d, 2), which every stage
+    lowers (``EliminationState.run``)."""
+    return sum(1 + min(len(st.b) - st.d[u], 2) for u in st.a)
+
+
+class TestRunProofs:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_pair_drains_within_3a_stages_and_nests(self, seed):
+        rng = random.Random(4100 + seed)
+        for _ in range(150):
+            g, ki, kj = random_pair(rng)
+            stepped = pair_state(g, ki, kj)
+            phi = potential(stepped)
+            assert phi <= 3 * len(stepped.a)
+            while stepped.a:
+                stepped.stage()
+                phi, last = potential(stepped), phi
+                assert phi < last
+            before, after = strip_rows(g, [ki, kj])
+            st = EliminationState(before, after, g.weights, ki, kj)
+            a_size = len(st.a)
+            assert st.run() <= 3 * a_size
+            assert st.added == stepped.added
+            # K_i's after rows, the reaches consistent_order ranks, form a chain
+            reaches = sorted((set(after[u]) for u in ki), key=len)
+            assert all(lo <= hi for lo, hi in zip(reaches, reaches[1:]))
 
 
 class TestTransform:
