@@ -29,14 +29,15 @@ class ConsistentOrder:
     prefix: tuple[int, ...]
 
 
-def consistent_order(before, after, cliques) -> ConsistentOrder:
+def consistent_order(before_len, after_len, cliques) -> ConsistentOrder:
     """Order the nodes of ``cliques`` by clique, then by reach into the next clique.
 
-    ``before`` and ``after`` hold each node's neighbors in the clique
-    before and after its own, as sorted tuples indexed by node id, as
+    ``before_len`` and ``after_len`` hold how many neighbors each node has
+    in the clique before and after its own, indexed by node id, as
     ``interval_transform`` keeps them (``IntervalResult``).  Precondition,
-    not checked: ``cliques``, a sequence of node sequences, holds each
-    node with a non-empty row exactly once and no other id.
+    not checked: ``cliques``, a sequence of node sequences, each one
+    ascending (``build_strips`` sorts every clique), holds each node with
+    a non-zero length exactly once and no other id.
     ``interval_transform``'s output meets it whenever that function's own
     precondition holds (``mwss.checks.strip_partition_violation`` checks
     the latter off the solve path).  Cliques of several strips may follow
@@ -46,18 +47,19 @@ def consistent_order(before, after, cliques) -> ConsistentOrder:
     ``EliminationState.run`` proves (``mwss.patterns.find_square_in`` and
     ``mwss.checks.verify_consistent`` catch a violation off the solve path).
 
-    A node's reach is its ``after`` row.  Nested reaches make its
-    ``before`` row a suffix of the previous clique's order, so its
-    earliest earlier neighbor sits ``len(before[v])`` places before its
-    own clique starts.  No row is intersected with a clique, and each
-    ranked clique is dropped once it is read into the order tuple.
+    A node's reach is its ``after`` row, so nested reaches are ranked by
+    length alone: a stable sort of the ascending clique keeps equal
+    lengths in id order.  Nested reaches make its ``before`` row a suffix
+    of the previous clique's order, so its earliest earlier neighbor sits
+    ``before_len[v]`` places before its own clique starts.  Each ranked
+    clique is dropped once it is read into the order tuple.
     """
-    ranked = (sorted(clique, key=lambda v: (len(after[v]), v)) for clique in cliques)
+    ranked = (sorted(clique, key=after_len.__getitem__) for clique in cliques)
     order = tuple(chain.from_iterable(ranked))
     sizes = [len(clique) for clique in cliques]
-    # prefix[k] = (start of its clique - 1) - len(before[order[k]])
+    # prefix[k] = (start of its clique - 1) - before_len[order[k]]
     ends = chain.from_iterable(map(repeat, accumulate(sizes, initial=-1), sizes))
-    prefix = tuple(map(sub, ends, map(len, map(before.__getitem__, order))))
+    prefix = tuple(map(sub, ends, map(before_len.__getitem__, order)))
     return ConsistentOrder(order, prefix)
 
 

@@ -384,9 +384,10 @@ def solve_component(
     """Solve one connected component (positive-weight, no adjacent twins).
 
     On the strip route the DP passes read only the consistent order, the
-    weights and N(v) for v in X, so without ``collect`` the
-    ``IntervalResult`` is dropped once the order is built; with it, the
-    result is kept for ``PipelineDetail.interval``.
+    weights and N(v) for v in X.  So once the order is built, only X is
+    kept of the ``Decomposition`` and nothing of the ``IntervalResult``
+    (two reach lengths per node, no rows), unless ``collect`` keeps both
+    for ``PipelineDetail``.
     """
     bits = None
 
@@ -402,11 +403,11 @@ def solve_component(
         return value, nodes, ROUTE_ALPHA3, None
     stable, stats = canonicalize(g, greedy_members(g, seed4))
     dec = decompose(g, stable)
-    removal = dec.removal
     interval = interval_transform(g, dec.strips)
-    co = consistent_order(interval.before, interval.after, interval.cliques)
+    co = consistent_order(interval.before_len, interval.after_len, interval.cliques)
+    removal = dec.removal
     if not collect:
-        interval = None  # its rows are the largest block the DP passes need not hold
+        dec = interval = None  # the DP passes read only X and the order
     base_value, base_nodes = mwss_on_order(co, g.weights)
     best_value, best_nodes = base_value, base_nodes
     per_vertex = []

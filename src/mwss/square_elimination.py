@@ -13,7 +13,7 @@ deleting a removal-clique neighborhood, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import pairwise
 
 from .graph import Graph
 
@@ -21,9 +21,10 @@ from .graph import Graph
 class EliminationState:
     """Stage machine for one consecutive clique pair K_i, K_j of a strip.
 
-    ``before`` and ``after`` are the overlay rows of ``interval_transform``
-    (a node's neighbors in the previous and in the next clique of its
-    strip, as sorted tuples), indexable by node id.  A node of K_i meets
+    ``after`` maps each node of K_i to its neighbors in K_j and ``before``
+    each node of K_j to its neighbors in K_i, as sorted tuples;
+    ``interval_transform`` passes dicts of this pair's rows only, and any
+    container indexable by node id will do.  A node of K_i meets
     K_j only through ``after`` and a node of K_j meets K_i only through
     ``before``, so ``d`` starts from the row lengths.  It counts each
     live node's live neighbors on the other side: a retired A node sees
@@ -37,7 +38,8 @@ class EliminationState:
     added diagonals extend those sets.  ``run`` writes the rows of nodes
     that gained diagonals back as sorted tuples.  A diagonal joins an
     ``after`` row of K_i to a ``before`` row of K_j, which no other pair
-    reads.
+    reads, so ``interval_transform`` builds and drops the rows pair by
+    pair.
     """
 
     __slots__ = ("before", "after", "weights", "a", "b", "d", "a_sets", "b_sets", "added")
@@ -168,18 +170,19 @@ class EliminationState:
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """The strips after elimination, as two rows per node of V - X.
+    """The strips after elimination, as two reach lengths per node of V - X.
 
-    ``before[v]`` holds v's neighbors in the clique before its own, and
-    ``after[v]`` those in the clique after it, in its strip; both are
-    sorted tuples with the added diagonals included.  Edges inside a
-    clique are implied by the clique, and edges into X are not stored.
-    Both rows are lists indexed by node id; a node of X, or at a strip's
-    end, has ``()``.
+    ``before_len[v]`` counts v's neighbors in the clique before its own,
+    and ``after_len[v]`` those in the clique after it, in its strip, the
+    added diagonals included: all that ``consistent_order`` reads of the
+    rows.  Both are lists indexed by node id; a node of X, or at a
+    strip's end, has 0.  The rows themselves are ``g``'s rows cut to the
+    neighbouring cliques plus ``added_edges``, which is how
+    ``mwss.checks.transformed_graph`` rebuilds them.
     """
 
-    before: list  # node -> sorted neighbors in the previous clique of its strip
-    after: list  # node -> sorted neighbors in the next clique of its strip
+    before_len: list  # node -> neighbors in the previous clique of its strip
+    after_len: list  # node -> neighbors in the next clique of its strip
     cliques: tuple[tuple[int, ...], ...]  # every strip's cliques, strip after strip
     added_edges: tuple[tuple[int, int], ...]
     stage_counts: tuple[tuple[int, ...], ...]  # per strip, per pair
@@ -193,36 +196,37 @@ def interval_transform(g: Graph, strips) -> IntervalResult:
     precondition (``build_strips`` proves it for ``decompose``'s strips,
     ``mwss.checks.strip_partition_violation`` checks it): the cliques are
     cliques, partition V - X, and touch only between consecutive cliques
-    of one strip.  So the parts of v's row in K_t-1 and K_t+1, filtered
-    in row order, are its ``before`` and ``after`` rows.  A clique's
-    membership set is built when the walk reaches the clique before it and
-    dropped once the clique after it is done, so at most three are alive
-    at once.  Each strip's consecutive pairs then add their diagonals.
+    of one strip.  So the part of a K_i node's row in K_i+1, filtered in
+    row order, is its ``after`` row, and the part of a K_i+1 node's row in
+    K_i is its ``before`` row.
+
+    The consecutive clique pair is the unit of work.  For each pair the
+    ``after`` rows of K_i and the ``before`` rows of K_i+1 are split from
+    ``g``'s rows, ``EliminationState`` adds the pair's diagonals to them,
+    and only their lengths are kept.  No other pair reads those rows, so
+    one pair's rows and at most three clique membership sets are alive at
+    a time.
     """
-    families = [tuple(map(tuple, s)) for s in strips]
-    cliques = tuple(k for family in families for k in family)
     nbrs = g._nbrs
-    before: list = [()] * g.n
-    after: list = [()] * g.n
-    for family in families:
-        # the cliques' membership tests, each built one clique ahead of the walk
-        has = chain((None,), (set(k).__contains__ for k in family), (None,))
-        prev_has, here_has = next(has), next(has)
-        for k, next_has in zip(family, has):
-            for v in k:
-                row = nbrs[v]
-                if prev_has:
-                    before[v] = tuple(filter(prev_has, row))
-                if next_has:
-                    after[v] = tuple(filter(next_has, row))
-            prev_has, here_has = here_has, next_has
+    before_len = [0] * g.n
+    after_len = [0] * g.n
+    cliques: list[tuple[int, ...]] = []
     added: list[tuple[int, int]] = []
     stage_counts = []
-    for family in families:
+    for strip in strips:
+        family = tuple(map(tuple, strip))
+        cliques.extend(family)
         counts = []
-        for ki, kj in zip(family, family[1:]):
+        members = ((k, set(k).__contains__) for k in family)
+        for (ki, in_ki), (kj, in_kj) in pairwise(members):
+            after = {u: tuple(filter(in_kj, nbrs[u])) for u in ki}
+            before = {v: tuple(filter(in_ki, nbrs[v])) for v in kj}
             state = EliminationState(before, after, g.weights, ki, kj)
             counts.append(state.run())
             added.extend(state.added)
+            for u, row in after.items():
+                after_len[u] = len(row)
+            for v, row in before.items():
+                before_len[v] = len(row)
         stage_counts.append(tuple(counts))
-    return IntervalResult(before, after, cliques, tuple(added), tuple(stage_counts))
+    return IntervalResult(before_len, after_len, tuple(cliques), tuple(added), tuple(stage_counts))

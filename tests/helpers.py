@@ -62,8 +62,7 @@ def overlay(g, nodes=None):
 def strip_rows(g, cliques):
     """(before, after): each node's sorted neighbors in the clique before
     and after its own along ``cliques``, as lists indexed by node id (``()``
-    off the cliques); the rows ``consistent_order`` and
-    ``EliminationState`` read."""
+    off the cliques); the rows ``EliminationState`` reads."""
     before, after = [()] * g.n, [()] * g.n
     for lo, hi in zip(cliques, cliques[1:]):
         lo_set, hi_set = set(lo), set(hi)
@@ -72,6 +71,14 @@ def strip_rows(g, cliques):
         for v in lo:
             after[v] = tuple(sorted(adj(g, v) & hi_set))
     return before, after
+
+
+def strip_lengths(g, cliques):
+    """(before_len, after_len): the lengths of ``strip_rows``, the reaches
+    ``consistent_order`` reads.  ``cliques`` may run over several strips
+    one after the other, as strips do not touch."""
+    before, after = strip_rows(g, cliques)
+    return list(map(len, before)), list(map(len, after))
 
 
 def random_graph(n, p, rng, weights=None):
@@ -834,8 +841,8 @@ class ReferenceEliminationState:
 def reference_interval_transform(g, strips):
     """Elimination over a full neighbor-set overlay of V - X; the reference
     for ``mwss.interval_transform``.  Returns the overlay and the result,
-    whose rows are the overlay restricted to the clique before and after
-    each node's own."""
+    whose lengths count the overlay restricted to the clique before and
+    after each node's own."""
     families = [tuple(map(tuple, s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
     adj = {v: set(g.neighbors(v)) for k in cliques for v in k}
@@ -853,14 +860,14 @@ def reference_interval_transform(g, strips):
             counts.append(state.run())
             added.extend(state.added)
         stage_counts.append(tuple(counts))
-    before, after = [()] * g.n, [()] * g.n
+    before_len, after_len = [0] * g.n, [0] * g.n
     for family in families:
         for lo, hi in zip(family, family[1:]):
             for v in hi:
-                before[v] = tuple(sorted(adj[v] & set(lo)))
+                before_len[v] = len(adj[v] & set(lo))
             for v in lo:
-                after[v] = tuple(sorted(adj[v] & set(hi)))
-    return adj, IntervalResult(before, after, cliques, tuple(added), tuple(stage_counts))
+                after_len[v] = len(adj[v] & set(hi))
+    return adj, IntervalResult(before_len, after_len, cliques, tuple(added), tuple(stage_counts))
 
 
 def reference_consistent_order(adj, cliques):
@@ -892,10 +899,9 @@ def reference_consistent_order(adj, cliques):
 def strip_pipeline_outcome(g, reference=False):
     """Everything the strip pipeline builds for ``g`` after its canonical
     set, through the solver's code or the references: (wing table,
-    decomposition, before and after rows, added edges, stage counts,
-    order, prefix), or the kind
-    and witness of the first ``StructuralError``.  None when the stability
-    number is below four."""
+    decomposition, before and after lengths, added edges, stage counts,
+    order, prefix), or the kind and witness of the first
+    ``StructuralError``.  None when the stability number is below four."""
     try:
         seed = find_stable4(g)
         if seed is None:
@@ -909,14 +915,14 @@ def strip_pipeline_outcome(g, reference=False):
             wings = build_wing_table(g, stable)
             dec = decompose(g, stable)
             interval = interval_transform(g, dec.strips)
-            co = consistent_order(interval.before, interval.after, interval.cliques)
+            co = consistent_order(interval.before_len, interval.after_len, interval.cliques)
     except StructuralError as err:
         return ("error", err.kind, err.witness)
     return (
         wings,
         dec,
-        interval.before,
-        interval.after,
+        interval.before_len,
+        interval.after_len,
         interval.added_edges,
         interval.stage_counts,
         co.order,

@@ -13,12 +13,12 @@ from mwss.checks import strip_partition_violation, transformed_graph, verify_con
 from mwss.graph import closed_neighborhood, induced_subgraph
 from mwss.patterns import find_square_in
 
-from helpers import complete_graph, path_graph, strip_rows
+from helpers import complete_graph, path_graph, strip_lengths
 
 
 def order_of(g, cliques):
-    """``consistent_order`` on ``g``'s rows along ``cliques``."""
-    return consistent_order(*strip_rows(g, cliques), cliques)
+    """``consistent_order`` on ``g``'s reaches along ``cliques``."""
+    return consistent_order(*strip_lengths(g, cliques), cliques)
 
 
 class TestConsistentOrder:

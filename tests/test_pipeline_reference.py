@@ -5,9 +5,10 @@ elimination and consistent order once through the solver and once
 through the references in ``helpers``; both must build the same wing
 table, decomposition, added edges, stage counts, order and prefix
 pointers, or raise the same ``StructuralError`` kind with the same
-witness.  Every node's ``before`` and ``after`` rows must equal the
-reference's full neighbor-set overlay, diagonals included, restricted to
-the clique before and after its own.
+witness.  Every node's ``before_len`` and ``after_len`` must equal the
+size of the reference's full neighbor-set overlay, diagonals included,
+restricted to the clique before and after its own, and the length of its
+rows into those cliques in ``mwss.checks.transformed_graph``.
 """
 
 import random
@@ -15,11 +16,13 @@ from collections import Counter
 
 import pytest
 
-from mwss import GenSpec, gen_strip_instance, induced_subgraph, remove_twins
+from mwss import GenSpec, IntervalResult, gen_strip_instance, induced_subgraph, remove_twins
+from mwss.checks import transformed_graph
 
 from helpers import (
     perturbed_strip,
     reference_positive_twins,
+    strip_lengths,
     strip_pipeline_outcome,
     twin_augmented,
 )
@@ -53,7 +56,14 @@ def outcome_kind(outcome):
 def matches_reference(g):
     got = strip_pipeline_outcome(g)
     assert got == strip_pipeline_outcome(g, reference=True)
-    return outcome_kind(got)
+    kind = outcome_kind(got)
+    if kind == "ok":
+        _, dec, before_len, after_len, added, stage_counts, _, _ = got
+        cliques = tuple(k for strip in dec.strips for k in strip)
+        interval = IntervalResult(before_len, after_len, cliques, added, stage_counts)
+        gbar = transformed_graph(g, interval)
+        assert (before_len, after_len) == strip_lengths(gbar, cliques)
+    return kind
 
 
 @pytest.mark.parametrize("block", range(BLOCKS))

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import mwss.solver
+import mwss.square_elimination
 from mwss import (
     GenSpec,
     Graph,
@@ -568,37 +569,69 @@ class TestPipelineContracts:
         assert strip_counts == {1, 2}
 
     @pytest.mark.parametrize("collect", [False, True])
+    def test_each_elimination_state_gets_its_own_pair_rows_only(self, monkeypatch, collect):
+        # interval_transform's working set is one clique pair, with or
+        # without a trace: the after rows of K_i and the before rows of
+        # K_i+1, not a row per node
+        g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
+        (detail,) = solve(g, collect_trace=True).certificates["details"]
+        strips = detail.decomposition.strips
+        pairs = []
+        real = mwss.square_elimination.EliminationState
+
+        def recording(before, after, weights, ki, kj):
+            pairs.append((len(before), set(before), len(after), set(after), ki, kj))
+            return real(before, after, weights, ki, kj)
+
+        monkeypatch.setattr(mwss.square_elimination, "EliminationState", recording)
+        assert solve(g, collect_trace=collect).route == "strip_pipeline"
+        assert [(ki, kj) for *_, ki, kj in pairs] == [
+            pair for strip in strips for pair in zip(strip, strip[1:])
+        ]
+        assert len(pairs) > 20
+        for n_before, before, n_after, after, ki, kj in pairs:
+            assert (n_before, before) == (len(kj), set(kj))
+            assert (n_after, after) == (len(ki), set(ki))
+
+    @pytest.mark.parametrize("collect", [False, True])
     def test_interval_result_alive_in_dp_passes_only_when_collected(
         self, monkeypatch, collect
     ):
-        # the DP passes read the order, the weights and N(v); the strip rows
-        # stay alive through them only for the collected detail
+        # the DP passes read the order, the weights and N(v); the interval
+        # result and the decomposition stay alive through them only for the
+        # collected detail
         results = []
         transform = mwss.solver.interval_transform
+        decompose = mwss.solver.decompose
         dp = mwss.solver.mwss_on_order
         alive = []
 
-        def keeping_a_weakref(*args):
-            result = transform(*args)
-            results.append(weakref.ref(result))
-            return result
+        def keeping_a_weakref(real):
+            def call(*args):
+                result = real(*args)
+                results.append(weakref.ref(result))
+                return result
+
+            return call
 
         def checking(*args):
-            alive.append(results[-1]() is not None)
+            alive.append(tuple(ref() is not None for ref in results))
             return dp(*args)
 
-        monkeypatch.setattr(mwss.solver, "interval_transform", keeping_a_weakref)
+        monkeypatch.setattr(mwss.solver, "decompose", keeping_a_weakref(decompose))
+        monkeypatch.setattr(mwss.solver, "interval_transform", keeping_a_weakref(transform))
         monkeypatch.setattr(mwss.solver, "mwss_on_order", checking)
         g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
         s = solve(g, collect_trace=collect)
-        assert s.route == "strip_pipeline" and len(results) == 1
-        assert len(alive) > 1 and set(alive) == {collect}
+        assert s.route == "strip_pipeline" and len(results) == 2
+        assert len(alive) > 1 and set(alive) == {(collect, collect)}
         if collect:
             (detail,) = s.certificates["details"]
-            assert results[0]() is detail.interval
+            assert results[0]() is detail.decomposition
+            assert results[1]() is detail.interval
             assert detail.interval == transform(detail.graph, detail.decomposition.strips)
         else:
-            assert results[0]() is None
+            assert results[0]() is None and results[1]() is None
 
     def test_p7_post_transform_order(self):
         _, _, _, detail = mwss.solver.solve_component(path_graph(7), collect=True)

@@ -33,6 +33,7 @@ from helpers import (
     perturbed_strip,
     reference_check_cover,
     reference_validate_cover,
+    strip_lengths,
     strip_rows,
 )
 
@@ -91,8 +92,12 @@ class TestStage:
         assert oracle_mwss(transformed_graph(g, res))[0] == before
         assert res.added_edges == ((0, 3), (0, 4), (1, 5))
         assert res.cliques == ((0, 1), (2, 3, 4, 5))
-        for u, v in res.added_edges:  # 0, 1 lie in the first clique
-            assert v in res.after[u] and u in res.before[v]
+        # 0 gains 3 and 4 beside 5, 1 gains 5 beside 2, 3 and 4
+        assert res.after_len == [3, 4, 0, 0, 0, 0]
+        assert res.before_len == [0, 0, 1, 2, 2, 2]
+        assert (res.before_len, res.after_len) == strip_lengths(
+            transformed_graph(g, res), res.cliques
+        )
 
     def test_stage_count_bounded(self):
         for seed in range(25):
@@ -200,11 +205,10 @@ class TestRowShape:
         remove_only = other = 0
         for detail in details:
             comp, interval = detail.graph, detail.interval
-            for rows in (interval.before, interval.after):
-                assert len(rows) == comp.n
-                for row in rows:
-                    assert type(row) is tuple and list(row) == sorted(set(row))
-            # replay every pair on fresh rows: same diagonals, same rows
+            assert len(interval.before_len) == len(interval.after_len) == comp.n
+            # replay every pair on fresh rows: same diagonals, and lengths
+            # that count the replayed rows and the transformed graph's rows
+            # into the neighbouring cliques
             before, after = [()] * comp.n, [()] * comp.n
             cross = 0
             added = []
@@ -226,9 +230,13 @@ class TestRowShape:
                     else:
                         assert st.a_sets and st.b_sets
                         other += 1
+            for row in before + after:
+                assert type(row) is tuple and list(row) == sorted(set(row))
             assert tuple(added) == interval.added_edges
-            assert (before, after) == (interval.before, interval.after)
-            total = sum(map(len, interval.before)) + sum(map(len, interval.after))
+            lengths = (interval.before_len, interval.after_len)
+            assert lengths == (list(map(len, before)), list(map(len, after)))
+            assert lengths == strip_lengths(transformed_graph(comp, interval), interval.cliques)
+            total = sum(interval.before_len) + sum(interval.after_len)
             assert total == 2 * (cross + len(interval.added_edges))
         assert remove_only >= 100 and other >= 100, (remove_only, other)
 
@@ -271,7 +279,7 @@ class TestCoverCheck:
         g = Graph(4, [(0, 2), (1, 3)], [5, 5, 1, 1])
         strips = [((0, 1),), ((2, 3),)]
         res = interval_transform(g, strips)
-        co = consistent_order(res.before, res.after, res.cliques)
+        co = consistent_order(res.before_len, res.after_len, res.cliques)
         assert mwss_on_order(co, g.weights)[0] == 6 and oracle_mwss(g)[0] == 10
         # non_clique comes first; with the clique edges in, the edges
         # between the strips are named
@@ -284,8 +292,8 @@ class TestCoverCheck:
         strips = [[(0,), (1,)], [(3,), (4,)]]
         assert strip_partition_violation(g, strips, (2,)) is None
         res = interval_transform(g, strips)
-        assert res.before == [(), (0,), (), (), (3,)]
-        assert res.after == [(1,), (), (), (4,), ()]
+        assert res.before_len == [0, 1, 0, 0, 1]
+        assert res.after_len == [1, 0, 0, 1, 0]
 
     @pytest.mark.parametrize(
         "n, cliques, removal",
