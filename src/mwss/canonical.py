@@ -14,17 +14,20 @@ classification built on them (``CanonicalState``) is in ``mwss.checks``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import GraphInputError, StructuralError
-from .graph import Graph
+from .graph import Graph, live_nodes
 
 
-def stable_counts(g: Graph, members) -> list[int]:
+def stable_counts(g: Graph, members, live=None) -> list[int]:
     """Per node, its number of neighbors in the set ``members``.
 
-    Checks that ``members`` is a maximal stable set of ``g`` in which no
+    Checks that ``members`` is a maximal stable set of ``g`` (of the
+    component that ``live`` marks, see ``graph.live_nodes``) in which no
     node has three or more members as neighbors: such a node forms a claw
-    with three of them, so that raises ``StructuralError``.
+    with three of them, so that raises ``StructuralError``.  An unmarked
+    node's count is kept but not checked.
     """
     for v in members:
         if not (0 <= v < g.n):
@@ -35,7 +38,7 @@ def stable_counts(g: Graph, members) -> list[int]:
             if u in members:
                 raise GraphInputError(f"set is not stable: edge ({s}, {u})")
             count[u] += 1
-    for u in range(g.n):
+    for u in live_nodes(g, live):
         if u in members:
             continue
         if count[u] >= 3:
@@ -57,9 +60,10 @@ class CanonicalizeStats:
     alternations: int = 0
 
 
-def greedy_members(g: Graph, seed: tuple[int, ...] = ()) -> list[int]:
+def greedy_members(g: Graph, seed: tuple[int, ...] = (), live=None) -> list[int]:
     """Ascending greedy maximal stable set extending the stable set
-    ``seed``: after the seed, take each node no member sees."""
+    ``seed``: after the seed, take each node no member sees, among the
+    nodes that ``live`` marks (see ``graph.live_nodes``)."""
     nbrs = g._nbrs
     blocked = bytearray(g.n)
     members = list(seed)
@@ -67,7 +71,7 @@ def greedy_members(g: Graph, seed: tuple[int, ...] = ()) -> list[int]:
         blocked[s] = 1
         for u in nbrs[s]:
             blocked[u] = 1
-    for v in range(g.n):
+    for v in live_nodes(g, live):
         if not blocked[v]:
             members.append(v)
             for u in nbrs[v]:
@@ -75,7 +79,7 @@ def greedy_members(g: Graph, seed: tuple[int, ...] = ()) -> list[int]:
     return members
 
 
-def canonicalize(g: Graph, seed) -> tuple[tuple[int, ...], CanonicalizeStats]:
+def canonicalize(g: Graph, seed, live=None) -> tuple[tuple[int, ...], CanonicalizeStats]:
     """Grow the maximal stable set ``seed`` (any iterable of its members)
     into a canonical one, returned as an ascending tuple.
 
@@ -87,21 +91,34 @@ def canonicalize(g: Graph, seed) -> tuple[tuple[int, ...], CanonicalizeStats]:
     edge count (tracked by ``stats.steps``).  The seed is checked as
     ``stable_counts`` checks it; so is the result when an augmentation
     left a node with three members as neighbors (a claw) or none.
+
+    With ``live`` (see ``graph.live_nodes``) it works on the marked
+    component: each row it walks or counts is filtered by the mask first,
+    so the set and ``stats.steps`` are those of the component's graph.
     """
     members = set(seed)
-    count = stable_counts(g, members)
+    count = stable_counts(g, members, live)
     stats = CanonicalizeStats()
     nbrs = g._nbrs
+    if live is None:
+        row = nbrs.__getitem__
+    else:
+        is_live = live.__getitem__
+
+        def row(v: int) -> tuple[int, ...]:
+            return tuple(filter(is_live, nbrs[v]))
 
     def shift(v: int, delta: int):
-        for u in nbrs[v]:
+        r = row(v)
+        for u in r:
             count[u] += delta
-        stats.steps += len(nbrs[v])
+        stats.steps += len(r)
 
     # Phase one: augmentations at the original stable nodes.
     for s in sorted(members):
-        free = [u for u in nbrs[s] if u not in members and count[u] == 1]
-        stats.steps += len(nbrs[s])
+        r = row(s)
+        free = [u for u in r if u not in members and count[u] == 1]
+        stats.steps += len(r)
         pair = None
         for i, x in enumerate(free):
             ax = set(nbrs[x])
@@ -132,22 +149,25 @@ def canonicalize(g: Graph, seed) -> tuple[tuple[int, ...], CanonicalizeStats]:
 
     # Phase two: alternations at the surviving phase-one nodes.
     for s in sorted(members):
-        deg_s = len(nbrs[s])
+        r = row(s)
+        deg_s = len(r)
         best = None
         best_deg = -1
-        for x in nbrs[s]:
+        for x in r:
             if x in members or count[x] != 1:
                 continue
             ax = set(nbrs[x])
             dominated = True
-            for t in nbrs[s]:
+            for t in r:
                 stats.steps += 1
                 if t != x and t not in ax:
                     dominated = False
                     break
-            if dominated and len(nbrs[x]) > deg_s and len(nbrs[x]) > best_deg:
-                best = x
-                best_deg = len(nbrs[x])
+            if dominated:
+                deg_x = len(row(x))
+                if deg_x > deg_s and deg_x > best_deg:
+                    best = x
+                    best_deg = deg_x
         stats.steps += deg_s
         if best is None:
             continue
@@ -157,6 +177,8 @@ def canonicalize(g: Graph, seed) -> tuple[tuple[int, ...], CanonicalizeStats]:
         shift(best, +1)
         stats.alternations += 1
 
+    if live is not None:
+        count = list(compress(count, live))  # unmarked nodes' counts are moot
     if max(count, default=0) >= 3 or count.count(0) != len(members):
-        stable_counts(g, members)  # raises the claw or the uncovered node
+        stable_counts(g, members, live)  # raises the claw or the uncovered node
     return tuple(sorted(members)), stats

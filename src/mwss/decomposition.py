@@ -10,7 +10,9 @@ away from X and Y in G - Q, or as (Q, Y, V - N[Q]) in the dominating
 case.  The strips partition V - X and touch only between consecutive
 cliques by construction (see ``build_strips``), which is the precondition
 of ``interval_transform``; ``mwss.checks.strip_partition_violation``
-checks it off the solve path.
+checks it off the solve path.  Every stage here that reads ``g`` takes
+an optional ``live`` mask and then works on the marked component of
+``g``, in ``g``'s ids (see ``graph.live_nodes``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, StructuralError
-from .graph import Graph, _extend_clique, closed_neighborhood, is_regular_node, neighborhood
+from .graph import (
+    Graph,
+    _extend_clique,
+    closed_neighborhood,
+    is_regular_node,
+    live_nodes,
+    neighborhood,
+)
 from .wings import build_wing_graph, build_wing_table
 
 
@@ -43,7 +52,9 @@ class Decomposition:
     wing_order: tuple[int, ...]
 
 
-def select_q(g: Graph, order: tuple[int, ...], wings: dict) -> tuple[tuple[int, ...], Anchor]:
+def select_q(
+    g: Graph, order: tuple[int, ...], wings: dict, live=None
+) -> tuple[tuple[int, ...], Anchor]:
     """Pick the bisimplicial clique and the anchor case it certifies.
 
     ``wings`` is the ``build_wing_table`` dict and ``order`` the wing-graph
@@ -58,8 +69,8 @@ def select_q(g: Graph, order: tuple[int, ...], wings: dict) -> tuple[tuple[int, 
     wings read here exist.
     """
     s1, s2, s3, s4 = order[0], order[1], order[2], order[3]
-    cov2 = is_regular_node(g, s2)
-    cov3 = is_regular_node(g, s3)
+    cov2 = is_regular_node(g, s2, live)
+    cov3 = is_regular_node(g, s3, live)
     m12 = set(wings[(s1, s2) if s1 < s2 else (s2, s1)])
     m34 = set(wings[(s3, s4) if s3 < s4 else (s4, s3)])
     if m12.isdisjoint(cov2[0]):
@@ -77,11 +88,14 @@ def select_q(g: Graph, order: tuple[int, ...], wings: dict) -> tuple[tuple[int, 
         raise StructuralError(
             "non_clique", bad, "wing restriction to N(s2) is not a clique"
         )
-    return _extend_clique(g, core, g.neighbors(s2)), Anchor("b", 1)
+    candidates = g.neighbors(s2)
+    if live is not None:
+        candidates = filter(live.__getitem__, candidates)
+    return _extend_clique(g, core, candidates), Anchor("b", 1)
 
 
 def classify_q(
-    g: Graph, q, order: tuple[int, ...], anchor: Anchor
+    g: Graph, q, order: tuple[int, ...], anchor: Anchor, live=None
 ) -> tuple[tuple[int, ...], tuple[int, ...], str]:
     """Split N(Q) into the cliques X and Y prescribed by the anchor case.
     X is checked to be a clique, so (|X| - 1)^2 <= |X|(|X| - 1) <= 2m and
@@ -93,6 +107,8 @@ def classify_q(
     s_here = order[i]
     s_next = order[(i + 1) % t]
     nq = neighborhood(g, q)
+    if live is not None:
+        nq = tuple(filter(live.__getitem__, nq))
     close_prev = {s_prev, *g.neighbors(s_prev)}
     close_here = {s_here, *g.neighbors(s_here)}
     close_next = {s_next, *g.neighbors(s_next)}
@@ -116,12 +132,13 @@ def classify_q(
     return x, y, "dominating" if dominating else "strongly_bisimplicial"
 
 
-def _clique_layers(g: Graph, sources, removed, label: str) -> list[tuple[int, ...]]:
+def _clique_layers(g: Graph, sources, removed, label: str, live=None) -> list[tuple[int, ...]]:
     """Layers of a breadth-first search from ``sources`` that never enters
-    ``removed`` (sources excepted), each sorted, and each required to be a
-    clique: every node of a layer sees the rest of it."""
+    ``removed`` (sources excepted) or a node ``live`` leaves unmarked, each
+    sorted, and each required to be a clique: every node of a layer sees
+    the rest of it."""
     nbrs = g._nbrs
-    dist = [-1] * g.n
+    dist = [-1] * g.n if live is None else [-1 if x else -2 for x in live]
     for v in removed:
         dist[v] = -2
     frontier = list(dict.fromkeys(sources))
@@ -158,6 +175,7 @@ def build_strips(
     kind: str,
     anchor: Anchor,
     wing_order: tuple[int, ...],
+    live=None,
 ) -> Decomposition:
     """Fill in the clique-strips covering G - X and package them with the
     wing-graph walk ``wing_order``.
@@ -198,7 +216,7 @@ def build_strips(
     x = tuple(sorted(x))
     y = tuple(sorted(y))
     if kind == "dominating":
-        outside = set(range(g.n)) - set(closed_neighborhood(g, q))
+        outside = set(live_nodes(g, live)).difference(closed_neighborhood(g, q))
         p = tuple(sorted(outside))
         bad = g.non_edge(p)
         if bad is not None:
@@ -207,9 +225,9 @@ def build_strips(
             )
         strips = [(q, y, p) if p else (q, y)]
     else:
-        x_layers = _clique_layers(g, x, q, "X")
+        x_layers = _clique_layers(g, x, q, "X", live)
         x_nodes = set().union(*x_layers)
-        y_layers = _clique_layers(g, y, q, "Y")
+        y_layers = _clique_layers(g, y, q, "Y", live)
         if y and y[0] in x_nodes:
             # One shared component: X sits at the end of the Y layers.
             xs = set(x)
@@ -222,13 +240,13 @@ def build_strips(
     return Decomposition(q, x, y, kind, anchor, tuple(strips), wing_order)
 
 
-def decompose(g: Graph, stable: tuple[int, ...]) -> Decomposition:
+def decompose(g: Graph, stable: tuple[int, ...], live=None) -> Decomposition:
     """Full pipeline from a canonical stable set, an ascending tuple, to
-    the strip decomposition."""
+    the strip decomposition (of the component ``live`` marks, if given)."""
     if len(stable) < 4:
         raise GraphInputError("decomposition needs a canonical set of size >= 4")
-    wings = build_wing_table(g, stable)
+    wings = build_wing_table(g, stable, live)
     order = build_wing_graph(wings, stable)
-    q, anchor = select_q(g, order, wings)
-    x, y, kind = classify_q(g, q, order, anchor)
-    return build_strips(g, q, x, y, kind, anchor, order)
+    q, anchor = select_q(g, order, wings, live)
+    x, y, kind = classify_q(g, q, order, anchor, live)
+    return build_strips(g, q, x, y, kind, anchor, order, live)

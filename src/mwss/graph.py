@@ -67,7 +67,9 @@ class Graph:
                     raise GraphInputError(f"self-loop at node {u}")
                 lists[u].append(v)
                 lists[v].append(u)
-            except TypeError:
+            except GraphInputError:  # a ValueError too, raised just above
+                raise
+            except (TypeError, ValueError):  # ValueError: not two items to unpack
                 raise GraphInputError(f"edge {edge!r} is not a pair of integer node ids") from None
         duplicate = sort_rows(lists)
         if duplicate is not None:
@@ -177,6 +179,19 @@ def sort_rows(lists: list[list[int]]) -> tuple[int, int] | None:
         if len(set(row)) != len(row):
             return u, next(a for a, b in zip(row, row[1:]) if a == b)
     return None
+
+
+def live_nodes(g: Graph, live=None) -> Iterable[int]:
+    """The nodes the mask ``live`` marks, ascending, or all of ``g``'s
+    when ``live`` is None.
+
+    A pipeline stage that takes ``live`` runs on one connected component
+    of ``g`` in ``g``'s own ids and rows: ``live[v]`` is true exactly for
+    the component's nodes, and a stage skips the unmarked (dead) ids that
+    its rows hold.  No live node has a live neighbour outside the
+    component, so a row filtered by the mask is the component's row.
+    """
+    return range(g.n) if live is None else compress(range(g.n), live)
 
 
 def neighborhood(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -325,8 +340,9 @@ def _twin_classes(g: Graph, alive, live, keys) -> list[list[int]]:
     return classes
 
 
-def is_regular_node(g: Graph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two maximal cliques, both containing ``v``, that cover N[v].
+def is_regular_node(g: Graph, v: int, live=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two maximal cliques, both containing ``v``, that cover N[v]
+    (within the component that ``live`` marks, see ``live_nodes``).
 
     Works on the complement of G[N(v)]: the node is regular iff that
     complement is bipartite.  The 2-coloring is deterministic (BFS per
@@ -336,6 +352,8 @@ def is_regular_node(g: Graph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     with ``cycle`` an odd cycle of that complement.
     """
     nb = g.neighbors(v)
+    if live is not None:
+        nb = tuple(filter(live.__getitem__, nb))
     color = {}
     side_one: list[int] = []
     side_two: list[int] = []

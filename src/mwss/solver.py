@@ -2,18 +2,20 @@
 
 ``solve`` keeps the nodes of positive weight less the dropped adjacent
 twins, and handles each connected component of those live nodes on its
-own, induced straight from the input: components without a stable set of
-size four go to exact bounded enumeration, the rest through the strip
-pipeline, where the answer is the best of the strip optimum and, for
-every node v of the removal clique, v's weight plus the strip optimum
-avoiding N[v].  A component's ids map back through its node array, so
-the chosen set is already one of the input.
+own: one holding more than half of the input's nodes on the input's own
+rows, in its ids, each other one induced straight from the input.
+Components without a stable set of size four go to exact bounded
+enumeration, the rest through the strip pipeline, where the answer is
+the best of the strip optimum and, for every node v of the removal
+clique, v's weight plus the strip optimum avoiding N[v].  A copied
+component's ids map back through its node array, so the chosen set is
+already one of the input.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 
 from .canonical import canonicalize, greedy_members
@@ -38,7 +40,8 @@ class Solution:
 
 @dataclass
 class PipelineDetail:
-    """Intermediate artifacts of one component's pipeline run (trace/tests)."""
+    """Intermediate artifacts of one component's pipeline run (trace/tests),
+    in the component's ids, with ``graph`` the component's induced graph."""
 
     graph: Graph
     stable_set: tuple[int, ...]  # the canonical stable set, ascending
@@ -381,13 +384,12 @@ def alpha3_fallback(g: Graph, ranked_bits=None) -> tuple[int, tuple[int, ...]]:
 def solve_component(
     g: Graph, collect: bool = False
 ) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
-    """Solve one connected component (positive-weight, no adjacent twins).
-
-    On the strip route the DP passes read only the consistent order, the
-    weights and N(v) for v in X.  So once the order is built, only X is
-    kept of the ``Decomposition`` and nothing of the ``IntervalResult``
-    (two reach lengths per node, no rows), unless ``collect`` keeps both
-    for ``PipelineDetail``.
+    """Solve one connected component (positive-weight, no adjacent twins)
+    that is all of ``g``.  ``solve`` calls it on ``g`` itself when the
+    component is all of the input, and on an induced copy when the
+    component holds at most half of the input's nodes or has a greedy
+    stable set below four nodes; a larger component goes through the
+    strip route on the input's own rows (see ``solve``).
     """
     bits = None
 
@@ -401,8 +403,24 @@ def solve_component(
     if seed4 is None:
         value, nodes = alpha3_fallback(g, ranked_bits)
         return value, nodes, ROUTE_ALPHA3, None
-    stable, stats = canonicalize(g, greedy_members(g, seed4))
-    dec = decompose(g, stable)
+    return _strip_route(g, greedy_members(g, seed4), collect)
+
+
+def _strip_route(
+    g: Graph, seed, collect: bool, live=None
+) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
+    """The strip pipeline from the maximal stable set ``seed`` (four or
+    more nodes), on all of ``g`` or on the component that ``live`` marks
+    (see ``graph.live_nodes``), in ``g``'s ids either way.
+
+    The DP passes read only the consistent order, the weights and N(v)
+    for v in X.  So once the order is built, only X is kept of the
+    ``Decomposition`` and nothing of the ``IntervalResult`` (two reach
+    lengths per node, no rows), unless ``collect`` keeps both for
+    ``PipelineDetail``.
+    """
+    stable, stats = canonicalize(g, seed, live)
+    dec = decompose(g, stable, live)
     interval = interval_transform(g, dec.strips)
     co = consistent_order(interval.before_len, interval.after_len, interval.cliques)
     removal = dec.removal
@@ -436,23 +454,94 @@ def solve_component(
     return best_value, best_nodes, ROUTE_PIPELINE, detail
 
 
+def _in_component_ids(detail: PipelineDetail, comp) -> PipelineDetail:
+    """``detail`` of a strip route run on the input's rows (in its ids),
+    restated in the ids of the component ``comp`` (ascending): node i is
+    ``comp[i]``, as in ``induced_subgraph(g, comp)``, which becomes the
+    detail's graph.  The pipeline is not run again."""
+    new_id = dict(zip(comp, range(len(comp))))
+    ids = new_id.__getitem__
+
+    def nodes(seq):
+        return tuple(map(ids, seq))
+
+    dec, interval = detail.decomposition, detail.interval
+    decomposition = replace(
+        dec,
+        core=nodes(dec.core),
+        removal=nodes(dec.removal),
+        companion=nodes(dec.companion),
+        strips=tuple(tuple(map(nodes, strip)) for strip in dec.strips),
+        wing_order=nodes(dec.wing_order),
+    )
+    interval = replace(
+        interval,
+        before_len=[interval.before_len[v] for v in comp],
+        after_len=[interval.after_len[v] for v in comp],
+        cliques=tuple(map(nodes, interval.cliques)),
+        added_edges=tuple(map(nodes, interval.added_edges)),
+    )
+    return replace(
+        detail,
+        graph=induced_subgraph(detail.graph, comp),
+        stable_set=nodes(detail.stable_set),
+        decomposition=decomposition,
+        interval=interval,
+        order=replace(detail.order, order=nodes(detail.order.order)),
+        per_vertex=tuple((ids(v), value, nodes(s)) for v, value, s in detail.per_vertex),
+    )
+
+
+def _solve_on_rows(g: Graph, comp, collect: bool):
+    """``solve_component``'s answer for the component ``comp`` (ascending,
+    more than half of ``g``'s nodes), found on ``g``'s own rows and in its
+    ids, or None when the component needs a copy.
+
+    A component that is all of ``g`` is solved as it is.  Another one is
+    marked by a mask (see ``graph.live_nodes``) and goes through the strip
+    route when its ascending greedy stable set has four nodes or more;
+    otherwise its stability number may be at most three, and that route's
+    bitsets need dense ids.  Iterating ``comp`` ascending equals iterating
+    the copy's ``range(n)``, as ``induced_subgraph`` renumbers in that
+    order, so the answer, and a witness once mapped, are the copy's.  A
+    detail is restated in the component's ids (``_in_component_ids``).
+    """
+    if len(comp) == g.n:
+        return solve_component(g, collect)
+    live = bytearray(g.n)
+    for v in comp:
+        live[v] = 1
+    seed = greedy_members(g, live=live)
+    if len(seed) < 4:
+        return None
+    value, nodes, route, detail = _strip_route(g, seed, collect, live)
+    if collect:
+        detail = _in_component_ids(detail, comp)
+    return value, nodes, route, detail
+
+
 def solve(g: Graph, collect_trace: bool = False) -> Solution:
     """Exact maximum weight stable set of a {claw, net}-free graph.
 
     ``remove_twins`` leaves the live nodes in ``g``'s ids: those of
     positive weight, less all but a heaviest node of each adjacent-twin
-    class.  Each connected component of the live nodes is induced from
-    ``g`` (one that is all of ``g`` is ``g`` itself), so its nodes are its
-    one id map, held as an ``array("q")``: the ids of ``remove_twins`` are
-    fresh ints, which would otherwise live to the end of the solve, and
-    the live tuple is let go once the components are split.  The input is
-    trusted to be {claw, net}-free; structural contract violations surface
-    as ``StructuralError`` with a witness mapped through that map, so a
-    claw or net witness names one in ``g``.
+    class.  Each connected component of the live nodes is solved on its
+    own.  A component holding more than half of ``g``'s nodes (at most
+    one does) is solved on ``g``'s own rows, with no copy, unless it
+    needs dense ids (see ``_solve_on_rows``).  Any other component is
+    induced from ``g``, so its nodes are its one id map, held as an
+    ``array("q")``: the ids of ``remove_twins`` are fresh ints, which would
+    otherwise live to the end of the solve, and the live tuple is let go
+    once the components are split.  The input is trusted to be
+    {claw, net}-free; structural contract violations surface as
+    ``StructuralError`` with a witness in ``g``'s ids, mapped through
+    that map for a copy, so a claw or net witness names one in ``g``.
     A component whose ascending greedy stable set has fewer than four
     nodes raises ``StructuralError("claw")`` when a greedy or augmented
     member sees a stable triple or a node sees three members, even if its
     stability number is at most three (see ``find_stable4``).
+    ``certificates["details"]`` holds each component's ``PipelineDetail``
+    in the component's ids, as if it had been copied.
     """
     live = remove_twins(g)
     comps = [array("q", comp) for comp in connected_components(g, live)]
@@ -463,17 +552,20 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     routes = []
     details = [] if collect_trace else None
     for comp in comps:
-        if len(comp) == g.n:
-            sub = g  # all positive, no adjacent twins, connected
-        else:
+        result = None
+        if 2 * len(comp) > g.n:
+            result = _solve_on_rows(g, comp, collect_trace)
+        if result is None:
             sub = induced_subgraph(g, comp)
-        try:
-            value, nodes, route, detail = solve_component(sub, collect=collect_trace)
-        except StructuralError as exc:
-            witness = tuple(comp[v] for v in exc.witness)
-            raise StructuralError(exc.kind, witness, exc.detail) from exc
+            try:
+                value, nodes, route, detail = solve_component(sub, collect=collect_trace)
+            except StructuralError as exc:
+                witness = tuple(comp[v] for v in exc.witness)
+                raise StructuralError(exc.kind, witness, exc.detail) from exc
+            result = value, tuple(comp[v] for v in nodes), route, detail
+        value, nodes, route, detail = result
         total += value
-        chosen.extend(comp[v] for v in nodes)
+        chosen.extend(nodes)
         routes.append(route)
         if collect_trace:
             details.append(detail)

@@ -10,10 +10,12 @@ free node reaching two different wings certifies a claw or a net.
 from __future__ import annotations
 
 from .errors import GraphInputError, StructuralError
+from itertools import compress
+
 from .graph import Graph
 
 
-def build_wing_table(g: Graph, stable: tuple[int, ...]) -> dict:
+def build_wing_table(g: Graph, stable: tuple[int, ...], live=None) -> dict:
     """W(s, t) for every non-empty wing of the canonical stable set
     ``stable`` (ascending): a dict from ``(s, t)``, s < t, to the
     ascending tuple of its bound nodes and free nodes with a partner.
@@ -22,7 +24,8 @@ def build_wing_table(g: Graph, stable: tuple[int, ...]) -> dict:
     other node its one or two stable neighbors, lower id first.  A free
     node's partners are the anchors of its free neighbors other than its
     own; two or more of them raise a claw or net, found by a scan of its
-    row in order.
+    row in order.  With ``live`` (see ``graph.live_nodes``) only the
+    marked nodes are walked, and an unmarked node gets no anchor.
     """
     nbrs = g._nbrs
     first = [-1] * g.n  # lowest stable neighbor of each non-stable node
@@ -34,8 +37,12 @@ def build_wing_table(g: Graph, stable: tuple[int, ...]) -> dict:
             else:
                 second[u] = s
     anchor = [a if b < 0 else -1 for a, b in zip(first, second)]  # free nodes only
+    walk = zip(range(g.n), first, second)
+    if live is not None:
+        anchor = [a if x else -1 for a, x in zip(anchor, live)]
+        walk = compress(walk, live)
     wings: dict[tuple[int, int], list[int]] = {}
-    for u, (s, t) in enumerate(zip(first, second)):
+    for u, s, t in walk:
         if s < 0:
             continue  # a stable node
         if t < 0:

@@ -283,18 +283,20 @@ def reference_solve(g):
     return Solution(total, tuple(sorted(chosen)), route, certificates)
 
 
-def twin_augmented(g, rng, clones):
+def twin_augmented(g, rng, clones, adjacent_only=False):
     """``g`` plus ``clones`` new nodes under shuffled ids, weights -2..4.
 
     Each new node copies the open neighbourhood of a random node v (a
     non-adjacent twin), its closed one (an adjacent twin), or sees N[v]
     together with N[u] for a neighbour u of v, which makes it a twin of
-    v only once other twins are gone.  Clones of clones occur.
+    v only once other twins are gone.  Clones of clones occur.  With
+    ``adjacent_only`` every new node is an adjacent twin, so a claw-free
+    and net-free ``g`` stays so.
     """
     adj = [set(g.neighbors(v)) for v in range(g.n)]
     for _ in range(clones):
         v = rng.randrange(len(adj))
-        op = rng.random()
+        op = 0.5 if adjacent_only else rng.random()
         if op < 0.4:
             nb = set(adj[v])
         elif op < 0.7:

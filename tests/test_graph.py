@@ -73,10 +73,13 @@ class TestConstruction:
             ((3, [(0, 1.5)]), r"edge \(0, 1\.5\)"),
             ((2.5,), r"node count 2\.5"),
             (("3", [(0, 1)]), r"node count '3'"),
+            ((3, [(0, 1, 2)]), r"edge \(0, 1, 2\) is not a pair"),
+            ((3, [(0,)]), r"edge \(0,\) is not a pair"),
         ],
     )
     def test_rejects_ids_that_are_not_integers(self, args, named):
-        # ids from outside get an input error naming them, not a TypeError
+        # ids from outside, and edges that are not pairs, get an input error
+        # naming them, not a TypeError or a bare ValueError
         with pytest.raises(GraphInputError, match=named):
             Graph(*args)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -33,6 +34,7 @@ from helpers import (
     clique_chain_value,
     complete_graph,
     cycle_graph,
+    flipped_strip,
     nested_cliques,
     path_graph,
     perturbed_strip,
@@ -575,7 +577,12 @@ class TestPipelineContracts:
         # K_i+1, not a row per node
         g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
         (detail,) = solve(g, collect_trace=True).certificates["details"]
-        strips = detail.decomposition.strips
+        # g drops adjacent twins: its one component is solved on g's rows, in
+        # g's ids, and the detail restates it in the component's ids
+        comp = remove_twins(g)
+        strips = [
+            [tuple(comp[v] for v in k) for k in strip] for strip in detail.decomposition.strips
+        ]
         pairs = []
         real = mwss.square_elimination.EliminationState
 
@@ -622,16 +629,23 @@ class TestPipelineContracts:
         monkeypatch.setattr(mwss.solver, "interval_transform", keeping_a_weakref(transform))
         monkeypatch.setattr(mwss.solver, "mwss_on_order", checking)
         g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
-        s = solve(g, collect_trace=collect)
-        assert s.route == "strip_pipeline" and len(results) == 2
-        assert len(alive) > 1 and set(alive) == {(collect, collect)}
-        if collect:
-            (detail,) = s.certificates["details"]
-            assert results[0]() is detail.decomposition
-            assert results[1]() is detail.interval
-            assert detail.interval == transform(detail.graph, detail.decomposition.strips)
-        else:
-            assert results[0]() is None and results[1]() is None
+        # g's one component drops adjacent twins, so it is solved on g's rows
+        # and its detail restated in its own ids; its induced copy is solved
+        # as it is, and its detail holds the pipeline's own objects
+        for h in (g, induced_subgraph(g, remove_twins(g))):
+            results.clear()
+            alive.clear()
+            s = solve(h, collect_trace=collect)
+            assert s.route == "strip_pipeline" and len(results) == 2
+            assert len(alive) > 1 and set(alive) == {(collect, collect)}
+            if collect:
+                (detail,) = s.certificates["details"]
+                if h is not g:
+                    assert results[0]() is detail.decomposition
+                    assert results[1]() is detail.interval
+                assert detail.interval == transform(detail.graph, detail.decomposition.strips)
+            else:
+                assert results[0]() is None and results[1]() is None
 
     def test_p7_post_transform_order(self):
         _, _, _, detail = mwss.solver.solve_component(path_graph(7), collect=True)
@@ -717,9 +731,16 @@ class TestReferenceSolve:
             assert s.certificates["twin_steps"] == 0
             assert s.certificates["components"] == 1
         assert induced_calls == []
-        # a dead node makes the rest a component of its own, which is copied
+        # a dead node makes the rest a component of its own, more than half of
+        # the input: solved on the input's rows when its greedy set has four
+        # nodes (P8), copied when it has fewer (P6), as are halves (two P4s)
         solve(path_graph(9, [0] + [1] * 8))
-        assert induced_calls == [tuple(range(1, 9))]
+        assert induced_calls == []
+        solve(path_graph(7, [0] + [1] * 6))
+        assert induced_calls == [tuple(range(1, 7))]
+        induced_calls.clear()
+        solve(path_graph(9, [1] * 4 + [0] + [1] * 4))
+        assert induced_calls == [(0, 1, 2, 3), (5, 6, 7, 8)]
 
 
 def joined_twins(k, k_edges, weights):
@@ -785,6 +806,116 @@ class TestNonAdjacentTwins:
                 isolated += not row
                 joined += bool(row)
         assert isolated >= 50 and joined >= 50, (isolated, joined)
+
+
+def copied_outcome(g):
+    """``solve``'s outcome, traced, with every live component solved on its
+    induced copy and mapped back: (value, nodes, routes, details) or
+    ("error", kind, witness, message).  Also the component that raised."""
+    total, chosen, routes, details = 0, [], [], []
+    for comp in connected_components(g, remove_twins(g)):
+        sub = induced_subgraph(g, comp)
+        try:
+            value, nodes, route, detail = mwss.solver.solve_component(sub, collect=True)
+        except StructuralError as err:
+            witness = tuple(comp[v] for v in err.witness)
+            return ("error", err.kind, witness, err.detail), comp
+        total += value
+        chosen.extend(comp[v] for v in nodes)
+        routes.append(route)
+        details.append(detail)
+    return (total, tuple(sorted(chosen)), tuple(routes), details), None
+
+
+def traced_outcome(g):
+    """``solve``'s traced outcome in the shape of ``copied_outcome``."""
+    try:
+        s = solve(g, collect_trace=True)
+    except StructuralError as err:
+        return "error", err.kind, err.witness, err.detail
+    return s.value, s.nodes, s.certificates["routes"], s.certificates["details"]
+
+
+def some_non_positive(g, rng, share):
+    """``g`` with weights 1..100, each node non-positive with chance ``share``."""
+    weights = [
+        rng.randint(-5, 0) if rng.random() < share else rng.randint(1, 100) for _ in range(g.n)
+    ]
+    return Graph(g.n, g.edges(), weights)
+
+
+class TestDominantComponentOnRows:
+    """A live component holding more than half of the input's nodes is
+    solved on the input's own rows, in its ids, under the live mask; it
+    answers, routes, raises and traces as its induced copy does."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(26)
+        for i in range(120):
+            base = gen_strip_instance(
+                GenSpec(seed=2600 + i, nodes=rng.randint(20, 300), clique_min=1,
+                        clique_max=rng.randint(3, 8), density=rng.choice((0.3, 0.6, 0.9)))
+            )
+            twins = twin_augmented(base, rng, rng.randint(2, 30), adjacent_only=i % 4 > 0)
+            yield some_non_positive(twins, rng, rng.choice((0, 0.05, 0.15)))
+        for seed in range(300):
+            base = perturbed_strip(seed)
+            twins = twin_augmented(base, rng, rng.randint(1, 8), adjacent_only=True)
+            yield some_non_positive(twins, rng, 0.05)
+        for i in range(30):
+            base = flipped_strip(10_000 + i)
+            twins = twin_augmented(base, rng, rng.randint(1, 20), adjacent_only=True)
+            yield some_non_positive(twins, rng, 0.05)
+
+    def test_same_outcome_as_the_induced_copy(self, induced_calls):
+        seen = Counter()
+        for g in self.inputs():
+            got = traced_outcome(g)
+            want, raised_in = copied_outcome(g)
+            assert got == want, g
+            induced_calls.clear()
+            try:
+                solve(g)
+            except StructuralError:
+                pass
+            on_rows = [
+                c for c in connected_components(g, remove_twins(g))
+                if g.n > len(c) and tuple(c) not in induced_calls
+            ]
+            if raised_in is None:
+                seen["solved"] += 1
+                seen["solved_on_rows"] += bool(on_rows)
+            elif tuple(raised_in) in on_rows:
+                seen[want[1]] += 1
+        # the input's rows carry solved components and raises of several kinds
+        assert seen["solved"] >= 100 and seen["solved_on_rows"] >= 60, seen
+        assert seen["claw"] >= 100 and len(seen) >= 8, seen
+
+    def test_strip_4k_is_not_copied_and_peaks_in_the_twin_pass(self, induced_calls):
+        g = gen_strip_instance(GenSpec(seed=3, nodes=4000))
+        live = remove_twins(g)
+        assert len(live) == 3255 and len(connected_components(g, live)) == 1
+        solve(g)  # warms the interpreter's caches before memory is traced
+        assert induced_calls == []
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # nothing the pipeline holds outgrows remove_twins' own transients
+        assert peak(lambda: solve(g)) <= 1.15 * peak(lambda: remove_twins(g))
+        # 70% of the nodes non-positive: every component is at most half of
+        # the input and is copied, once
+        h = Graph(g.n, g.edges(), pricing_weights(g.n, random.Random(3)))
+        induced_calls.clear()
+        assert solve(h).route == "component_merge"
+        comps = connected_components(h, remove_twins(h))
+        assert induced_calls == list(map(tuple, comps)) and len(comps) > 100
 
 
 class TestWitnessIds:

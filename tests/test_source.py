@@ -195,7 +195,8 @@ def _reaching_inputs():
     it, or a hand-made graph."""
     path7 = (3, 0, 4, 1, 5, 2, 6)
     return [
-        perturbed_strip(0),  # canonical claw, and solve's id mapping
+        perturbed_strip(0),  # canonical claw, on the input's rows
+        Graph(8, [(4, 5), (4, 6), (4, 7)]),  # a claw copied at half the input: solve's id mapping
         perturbed_strip(80),  # canonical: three independent free neighbors
         perturbed_strip(14),  # irregular stable node
         perturbed_strip(1545),  # wings: net

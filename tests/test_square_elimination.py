@@ -322,25 +322,22 @@ class TestCoverCheck:
         g = clique_graph(3, [(0, 1)])
         assert strip_partition_violation(g, [[(0, 1)]], (5,)) == ("strip_cover", (2,))
 
-    def test_sweep_matches_reference(self, monkeypatch):
+    def test_sweep_matches_reference(self):
         # the decompositions the pipeline builds on the acceptance pools, on
         # perturbed strips and on a 2,000-node strip instance all pass; each
         # of their covers, broken in the hand-made ways, gets the verdict of
-        # the reference
+        # the reference.  The traced details hold them in component ids,
+        # with the component's graph, also where solve ran on the input's rows.
         decs = []
-        decompose = mwss.solver.decompose
-        monkeypatch.setattr(
-            mwss.solver, "decompose",
-            lambda g, stable: decs.append((g, decompose(g, stable))) or decs[-1][1],
-        )
         graphs = acceptance_pool() + acceptance_extras()
         graphs += [perturbed_strip(seed) for seed in range(2000)]
         graphs.append(gen_strip_instance(GenSpec(seed=3, mode="strip", nodes=2000)))
         for g in graphs:
             try:
-                solve(g)
+                details = solve(g, collect_trace=True).certificates["details"]
             except StructuralError:
-                pass
+                continue
+            decs.extend((d.graph, d.decomposition) for d in details if d is not None)
         assert len(decs) > 2000 and max(g.n for g, _ in decs) > 1000, len(decs)
         rng = random.Random(17)
         outcomes = {}
