@@ -115,10 +115,6 @@ def canonical_violation(st: CanonicalState, steps: int | None = None) -> tuple |
     return None
 
 
-def is_canonical(st: CanonicalState) -> bool:
-    return canonical_violation(st) is None
-
-
 def strip_violation(g: Graph, dec) -> tuple | None:
     """The first consecutive clique pair of a decomposition's strips that
     is not square-semi-homogeneous in ``g``: its square and the node

@@ -216,6 +216,7 @@ def gen_strip_instance(spec: GenSpec) -> Graph:
 
 
 REJECTION_LIMIT = 24
+REJECTION_ATTEMPTS = 200_000
 
 
 def _rejection_schedule(n: int) -> tuple[float, ...]:
@@ -226,12 +227,12 @@ def _rejection_schedule(n: int) -> tuple[float, ...]:
     return (0.05, 0.09, 0.85, 0.9, 0.94)
 
 
-def gen_rejection(spec: GenSpec, max_attempts: int = 200_000) -> Graph:
+def gen_rejection(spec: GenSpec) -> Graph:
     """Random graphs filtered by the claw and net detectors (n <= 24)."""
     if spec.nodes > REJECTION_LIMIT:
         raise GraphInputError(f"rejection mode supports n <= {REJECTION_LIMIT}")
     schedule = _rejection_schedule(spec.nodes)
-    for attempt in range(max_attempts):
+    for attempt in range(REJECTION_ATTEMPTS):
         rng = random.Random(spec.seed * 1_000_003 + attempt)
         p = schedule[attempt % len(schedule)]
         edges = [

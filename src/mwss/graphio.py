@@ -98,7 +98,7 @@ def serialize_graph(g: Graph, comments=()) -> str:
     for v in range(g.n):
         if g.weights[v] != 1:
             lines.append(f"n {v + 1} {g.weights[v]}")
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
 

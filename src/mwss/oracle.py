@@ -1,8 +1,9 @@
-"""Exact brute-force MWSS oracles for ground truth at desk scale.
+"""Exact brute-force MWSS oracle for ground truth at desk scale.
 
-Two independent routes: a branch-and-bound with greedy clique-cover
-bounds (fast up to n around 64) and a plain subset-enumeration dynamic
-program (the trust anchor, n <= 20).  Tests require the two to agree.
+A branch-and-bound with greedy clique-cover bounds, fast up to n around
+64.  Its trust anchor, a plain subset-enumeration dynamic program
+(n <= 20), lives in ``tests/helpers.py`` as ``mwss_enumerate``; tests
+require the two to agree.
 """
 
 from __future__ import annotations
@@ -72,33 +73,3 @@ def oracle_mwss(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, tuple
     explore(live, 0, ())
     return best_value, best_set
 
-
-def mwss_enumerate(g: Graph, limit: int = 20) -> tuple[int, tuple[int, ...]]:
-    """Trust-anchor oracle: dynamic program over all 2^n node subsets."""
-    n = g.n
-    if n > limit:
-        raise OracleSizeError(f"enumeration guard: n={n} exceeds limit {limit}")
-    weights = g.weights
-    nbr_mask = [0] * n
-    for u in range(n):
-        for v in g.neighbors(u):
-            nbr_mask[u] |= 1 << v
-    size = 1 << n
-    independent = bytearray(size)
-    independent[0] = 1
-    total = [0] * size
-    best_value = 0
-    best_mask = 0
-    for mask in range(1, size):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        if independent[rest] and not (nbr_mask[v] & rest):
-            independent[mask] = 1
-            t = total[rest] + weights[v]
-            total[mask] = t
-            if t > best_value:
-                best_value = t
-                best_mask = mask
-    chosen = tuple(v for v in range(n) if best_mask >> v & 1)
-    return best_value, chosen

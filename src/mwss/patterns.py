@@ -1,4 +1,4 @@
-"""Certified detectors for claws, nets, squares and the S3-minus graph.
+"""Certified detectors for claws, nets and squares.
 
 These run on the generator, test and check paths (``mwss.checks``, the
 ``check`` and ``selftest`` subcommands), never on the solve path.  All
@@ -15,13 +15,11 @@ from typing import Iterable, Iterator
 from .errors import GraphInputError
 from .graph import Graph
 
-S3MINUS_EDGES = ((0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5))
 # Edges of each pattern over the positions of its witness tuple, i < j.
 PATTERN_EDGES = {
     "claw": frozenset({(0, 1), (0, 2), (0, 3)}),
     "net": frozenset({(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)}),
     "square": frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}),
-    "s3minus": frozenset(S3MINUS_EDGES),
 }
 
 
@@ -32,7 +30,7 @@ class PatternWitness:
     Tuple layouts: claw ``(center, leaf, leaf, leaf)``; net
     ``(x, y, z, x', y', z')`` with the triangle first and the pendant of
     each triangle node in matching position; square ``(v1, v2, v3, v4)``
-    in cycle order; s3minus ``(a, b, c, d, e, f)``.
+    in cycle order.
     """
 
     kind: str
@@ -207,15 +205,3 @@ def square_semi_homogeneous_check(
             return sq, v
     return None
 
-
-def brandstadt_check(g: Graph, h: PatternWitness) -> int | None:
-    """Check every node outside an induced S3-minus sees >= 2 of its nodes."""
-    if h.kind != "s3minus" or not validate_witness(g, h):
-        raise GraphInputError("witness does not induce an S3-minus in this graph")
-    members = set(h.nodes)
-    for u in range(g.n):
-        if u in members:
-            continue
-        if len(members.intersection(g.neighbors(u))) < 2:
-            return u
-    return None

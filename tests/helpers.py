@@ -8,11 +8,9 @@ from mwss import (
     GenSpec,
     Graph,
     GraphInputError,
-    IntervalResult,
     OracleSizeError,
     PatternWitness,
     StructuralError,
-    build_wing_table,
     canonicalize,
     classify_q,
     consistent_order,
@@ -25,6 +23,8 @@ from mwss import (
 from mwss.canonical import greedy_members
 from mwss.graph import closed_neighborhood, connected_components
 from mwss.interval_mwss import ConsistentOrder
+from mwss.square_elimination import IntervalResult
+from mwss.wings import build_wing_table
 from mwss.solver import (
     ROUTE_ALPHA3,
     ROUTE_MERGE,
@@ -193,7 +193,7 @@ def reference_alpha3(g):
 
 def reference_find_net(g):
     """Net search over every triangle, ascending, with banned-set unions
-    for the pendants; the reference for ``mwss.find_net``'s witness."""
+    for the pendants; the reference for ``mwss.patterns.find_net``'s witness."""
     adj = [frozenset(g.neighbors(v)) for v in range(g.n)]
     for x in range(g.n):
         for y in g.neighbors(x):
@@ -227,7 +227,7 @@ def reference_remove_twins(g):
     round re-hashes each closed neighborhood and keeps a heaviest node of
     each class (the lowest id on ties), until a round drops nothing.
     Returns the reduced graph as a copy and the input ids of its nodes;
-    ``reference_positive_twins`` runs it the way ``mwss.remove_twins``
+    ``reference_positive_twins`` runs it the way ``mwss.graph.remove_twins``
     reduces, on the positive nodes only."""
     adj = {v: set(g.neighbors(v)) for v in range(g.n)}
     w = g.weights
@@ -250,7 +250,7 @@ def reference_remove_twins(g):
 def reference_positive_twins(g):
     """``reference_remove_twins`` on the subgraph induced by ``g``'s
     positive nodes, with the ids mapped back to ``g``'s: the graph
-    ``mwss.remove_twins(g)`` must leave, and its live nodes."""
+    ``mwss.graph.remove_twins(g)`` must leave, and its live nodes."""
     positive, ids = reference_induced_subgraph(g, [v for v in range(g.n) if g.weights[v] > 0])
     reduced, live = reference_remove_twins(positive)
     return reduced, [ids[v] for v in live]
@@ -318,7 +318,7 @@ def twin_augmented(g, rng, clones, adjacent_only=False):
 def reference_components(g, nodes=None):
     """Components of the subgraph induced by ``nodes`` (all of V by
     default) by a plain BFS that visits every edge; the reference for
-    ``mwss.connected_components``."""
+    ``mwss.graph.connected_components``."""
     inside = set(range(g.n) if nodes is None else nodes)
     seen = set()
     comps = []
@@ -341,7 +341,7 @@ def reference_components(g, nodes=None):
 
 def reference_induced_subgraph(g, keep):
     """Induced subgraph built from a relabelled edge list through the
-    checked constructor; the reference for ``mwss.induced_subgraph``."""
+    checked constructor; the reference for ``mwss.graph.induced_subgraph``."""
     keep = sorted(set(keep))
     to_sub = {v: i for i, v in enumerate(keep)}
     edges = [(to_sub[u], to_sub[v]) for u, v in g.edges() if u in to_sub and v in to_sub]
@@ -460,6 +460,37 @@ def flipped_strip(seed, nodes=(100, 600), clique_max=8):
     return Graph(g.n, sorted(edges), g.weights)
 
 
+def mwss_enumerate(g: Graph, limit: int = 20) -> tuple[int, tuple[int, ...]]:
+    """Trust-anchor oracle: dynamic program over all 2^n node subsets."""
+    n = g.n
+    if n > limit:
+        raise OracleSizeError(f"enumeration guard: n={n} exceeds limit {limit}")
+    weights = g.weights
+    nbr_mask = [0] * n
+    for u in range(n):
+        for v in g.neighbors(u):
+            nbr_mask[u] |= 1 << v
+    size = 1 << n
+    independent = bytearray(size)
+    independent[0] = 1
+    total = [0] * size
+    best_value = 0
+    best_mask = 0
+    for mask in range(1, size):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        if independent[rest] and not (nbr_mask[v] & rest):
+            independent[mask] = 1
+            t = total[rest] + weights[v]
+            total[mask] = t
+            if t > best_value:
+                best_value = t
+                best_mask = mask
+    chosen = tuple(v for v in range(n) if best_mask >> v & 1)
+    return best_value, chosen
+
+
 def frontier_mwss(g, max_states):
     """Exact maximum weight stable set of any graph, as ``(value, nodes)``
     with ``nodes`` ascending, by a DP over the nodes in BFS order.
@@ -526,7 +557,7 @@ def frontier_mwss(g, max_states):
 def reference_build_wing_table(g, st):
     """Wing table through per-node ``CanonicalState`` predicates and a
     per-node scan of every free node's row; the reference for
-    ``mwss.build_wing_table``: a dict from (s, t), s < t, to the sorted
+    ``mwss.wings.build_wing_table``: a dict from (s, t), s < t, to the sorted
     members of W(s, t)."""
     anchor = {}
     for u in range(g.n):
@@ -578,7 +609,7 @@ def wing_shape(wings, order):
 def reference_build_wing_graph(wings, stable):
     """(order, shape) of the wing graph, through a BFS connectivity check
     and a guarded walk over sorted neighbor lists; the reference for
-    ``mwss.build_wing_graph`` and ``wing_shape``."""
+    ``mwss.wings.build_wing_graph`` and ``wing_shape``."""
     if len(stable) < 4:
         raise GraphInputError("wing graph needs a stable set of size at least 4")
     nbrs = {s: [] for s in stable}
@@ -661,8 +692,8 @@ def _reference_clique_layers(g, layers, label):
 
 
 def reference_build_strips(g, q, x, y, kind, anchor, wing_order):
-    """``mwss.build_strips`` over ``reference_bfs_layers``, followed by
-    ``reference_validate_cover``."""
+    """``mwss.decomposition.build_strips`` over ``reference_bfs_layers``,
+    followed by ``reference_validate_cover``."""
     q = tuple(sorted(q))
     x = tuple(sorted(x))
     y = tuple(sorted(y))
@@ -760,7 +791,7 @@ def reference_check_cover(n, cliques, removal):
 
 def reference_decompose(g, st):
     """(wing table, decomposition) through the reference wing table and
-    strip construction; the reference for ``mwss.decompose``."""
+    strip construction; the reference for ``mwss.decomposition.decompose``."""
     wings = reference_build_wing_table(g, st)
     order, _ = reference_build_wing_graph(wings, st.stable_set)
     q, anchor = select_q(g, order, wings)
@@ -769,8 +800,9 @@ def reference_decompose(g, st):
 
 
 class ReferenceEliminationState:
-    """``mwss.EliminationState`` with A, B and the degrees found by set
-    intersections and every stage re-testing adjacency in the overlay."""
+    """``mwss.square_elimination.EliminationState`` with A, B and the
+    degrees found by set intersections and every stage re-testing
+    adjacency in the overlay."""
 
     def __init__(self, adj, weights, ki, kj):
         self.adj = adj
@@ -842,9 +874,9 @@ class ReferenceEliminationState:
 
 def reference_interval_transform(g, strips):
     """Elimination over a full neighbor-set overlay of V - X; the reference
-    for ``mwss.interval_transform``.  Returns the overlay and the result,
-    whose lengths count the overlay restricted to the clique before and
-    after each node's own."""
+    for ``mwss.square_elimination.interval_transform``.  Returns the overlay
+    and the result, whose lengths count the overlay restricted to the
+    clique before and after each node's own."""
     families = [tuple(map(tuple, s)) for s in strips]
     cliques = tuple(k for family in families for k in family)
     adj = {v: set(g.neighbors(v)) for k in cliques for v in k}
@@ -875,7 +907,7 @@ def reference_interval_transform(g, strips):
 def reference_consistent_order(adj, cliques):
     """Order, dict positions and prefix pointers from the minimum position
     over each node's full neighbor set; the reference for
-    ``mwss.consistent_order``."""
+    ``mwss.interval_mwss.consistent_order``."""
     cliques = [tuple(k) for k in cliques]
     order = []
     for t, clique in enumerate(cliques):

@@ -14,19 +14,14 @@ import pytest
 from mwss import (
     GenSpec,
     build_wing_graph,
-    build_wing_table,
     canonicalize,
-    closed_neighborhood,
-    connected_components,
     gen_strip_instance,
-    greedy_members,
     induced_subgraph,
     is_regular_node,
-    mwss_on_order,
     oracle_mwss,
     solve,
-    solve_component,
 )
+from mwss.canonical import greedy_members
 from mwss.checks import (
     CanonicalState,
     canonical_violation,
@@ -37,6 +32,10 @@ from mwss.checks import (
     verify_consistent,
 )
 from mwss.cli import bench_ladder, run
+from mwss.graph import closed_neighborhood, connected_components
+from mwss.interval_mwss import mwss_on_order
+from mwss.solver import solve_component
+from mwss.wings import build_wing_table
 
 from helpers import DENSITIES, REGIMES, acceptance_extras, acceptance_pool
 

@@ -8,9 +8,9 @@ from mwss import (
     StructuralError,
     canonicalize,
     gen_rejection,
-    greedy_members,
 )
-from mwss.checks import find_augmenting_p3, find_dominating_free, is_canonical
+from mwss.canonical import greedy_members
+from mwss.checks import canonical_violation, find_augmenting_p3, find_dominating_free
 
 from helpers import complete_graph, path_graph
 
@@ -122,14 +122,14 @@ class TestCanonicalize:
         out, stats = canonicalize(g, {1, 4, 6})
         assert out == (0, 2, 4, 6)
         assert stats.augmentations == 1
-        assert is_canonical(CanonicalState(g, out))
+        assert canonical_violation(CanonicalState(g, out)) is None
 
     def test_p4_alternation_trace(self):
         g = path_graph(4)
         out, stats = canonicalize(g, [3, 0])
         assert out == (1, 3)
         assert stats.alternations == 1
-        assert is_canonical(CanonicalState(g, out))
+        assert canonical_violation(CanonicalState(g, out)) is None
 
     def test_fixpoint_unchanged(self):
         g = path_graph(7)
@@ -148,7 +148,7 @@ class TestCanonicalize:
         for seed_id in range(60):
             g = gen_rejection(GenSpec(seed=100 + seed_id, mode="rejection", nodes=5 + seed_id % 14))
             out, stats = canonicalize(g, greedy_members(g))
-            assert is_canonical(CanonicalState(g, out))
+            assert canonical_violation(CanonicalState(g, out)) is None
             assert stats.steps <= 50 * (g.n + g.m)
 
     def test_exit_check_reports_claw_made_by_augmentation(self):

@@ -4,25 +4,26 @@ from collections import Counter
 import pytest
 
 from mwss import (
-    Anchor,
     CanonicalState,
     GenSpec,
     Graph,
     StructuralError,
     build_strips,
     build_wing_graph,
-    build_wing_table,
     decompose,
     find_claw,
     find_net,
     gen_strip_instance,
     canonicalize,
-    greedy_members,
     is_regular_node,
     select_q,
     solve,
 )
+from mwss.canonical import greedy_members
 from mwss.checks import strip_violation
+from mwss.decomposition import Anchor
+from mwss.graph import closed_neighborhood
+from mwss.wings import build_wing_table
 
 from helpers import (
     adj,
@@ -149,8 +150,6 @@ class TestDominatingCase:
         # select_q never produces an empty companion on conforming inputs,
         # but build_strips must accept one: a maximal simplicial clique is
         # strongly bisimplicial with an empty second side.
-        from mwss import Anchor, build_strips
-
         g = path_graph(7)
         st = canonical_set(g)
         order = build_wing_graph(build_wing_table(g, st), st)
@@ -279,8 +278,6 @@ class TestStripInvariants:
 
     def test_claim_ii_neighbor_locality(self):
         # nodes of N[s_i] only reach N[s_{i-1}] | N[s_i] | N[s_{i+1}]
-        from mwss import closed_neighborhood
-
         g = gen_strip_instance(GenSpec(seed=77, mode="strip", nodes=30, clique_min=2, clique_max=4))
         st = canonical_set(g)
         order = build_wing_graph(build_wing_table(g, st), st)

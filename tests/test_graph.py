@@ -11,20 +11,18 @@ from mwss import (
     GraphInputError,
     StructuralError,
     gen_strip_instance,
-    closed_neighborhood,
-    connected_components,
     induced_subgraph,
     is_regular_node,
-    neighborhood,
     remove_twins,
     solve,
 )
-from mwss.oracle import mwss_enumerate
+from mwss.graph import closed_neighborhood, connected_components, neighborhood
 
 from helpers import (
     adj,
     complete_graph,
     cycle_graph,
+    mwss_enumerate,
     path_graph,
     random_graph,
     reference_components,

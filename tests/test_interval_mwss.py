@@ -5,13 +5,13 @@ from mwss import (
     Graph,
     consistent_order,
     gen_strip_instance,
-    mwss_on_order,
     oracle_mwss,
-    solve_component,
 )
 from mwss.checks import strip_partition_violation, transformed_graph, verify_consistent
 from mwss.graph import closed_neighborhood, induced_subgraph
+from mwss.interval_mwss import mwss_on_order
 from mwss.patterns import find_square_in
+from mwss.solver import solve_component
 
 from helpers import complete_graph, path_graph, strip_lengths
 

@@ -8,7 +8,6 @@ from mwss import (
     Graph,
     OracleSizeError,
     gen_strip_instance,
-    mwss_enumerate,
     oracle_mwss,
     solve,
 )
@@ -20,6 +19,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     frontier_mwss,
+    mwss_enumerate,
     path_graph,
     perturbed_strip,
 )

@@ -10,18 +10,18 @@ from mwss import (
     Graph,
     GraphInputError,
     PatternWitness,
-    brandstadt_check,
     find_claw,
     find_net,
     find_square_in,
     gen_strip_instance,
-    semi_homogeneous_violation,
-    square_semi_homogeneous_check,
     validate_witness,
 )
-from mwss.patterns import S3MINUS_EDGES
+from mwss.patterns import semi_homogeneous_violation, square_semi_homogeneous_check
 
 from helpers import complete_graph, path_graph, random_graph, reference_find_net
+
+
+S3MINUS_EDGES = ((0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5))
 
 
 def s3minus():
@@ -154,24 +154,6 @@ class TestSemiHomogeneous:
         square, violator = bad
         assert violator == 7
         assert validate_witness(g, square)
-
-
-class TestBrandstadt:
-    def test_bare_s3minus_vacuous(self):
-        g = s3minus()
-        assert brandstadt_check(g, PatternWitness("s3minus", tuple(range(6)))) is None
-
-    def test_node_with_two_anchors_ok(self):
-        g = Graph(7, list(S3MINUS_EDGES) + [(6, 3), (6, 4)])
-        assert brandstadt_check(g, PatternWitness("s3minus", tuple(range(6)))) is None
-
-    def test_pendant_violates(self):
-        g = Graph(7, list(S3MINUS_EDGES) + [(6, 0)])
-        assert brandstadt_check(g, PatternWitness("s3minus", tuple(range(6)))) == 6
-
-    def test_bad_witness_rejected(self):
-        with pytest.raises(GraphInputError):
-            brandstadt_check(path_graph(6), PatternWitness("s3minus", tuple(range(6))))
 
 
 @st.composite

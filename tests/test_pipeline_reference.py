@@ -16,8 +16,9 @@ from collections import Counter
 
 import pytest
 
-from mwss import GenSpec, IntervalResult, gen_strip_instance, induced_subgraph, remove_twins
+from mwss import GenSpec, gen_strip_instance, induced_subgraph, remove_twins
 from mwss.checks import transformed_graph
+from mwss.square_elimination import IntervalResult
 
 from helpers import (
     perturbed_strip,

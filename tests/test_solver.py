@@ -12,8 +12,6 @@ from mwss import (
     GenSpec,
     Graph,
     StructuralError,
-    alpha3_fallback,
-    connected_components,
     find_claw,
     find_net,
     find_stable4,
@@ -25,8 +23,9 @@ from mwss import (
     solve,
 )
 from mwss.canonical import greedy_members
+from mwss.graph import connected_components
 from mwss.patterns import PatternWitness, validate_witness
-from mwss.solver import ROUTE_ALPHA3
+from mwss.solver import ROUTE_ALPHA3, alpha3_fallback
 
 from helpers import (
     acceptance_pool,

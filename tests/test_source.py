@@ -1,8 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import mwss
 from mwss import Graph
@@ -22,6 +24,50 @@ def test_no_assert_statements():
     ]
     assert len(SOURCES) > 10
     assert found == []
+
+
+ROOT = Path(mwss.__file__).parents[2]
+
+
+def test_package_exports_exactly_its_documented_all():
+    # the package binds its submodules, __version__ and the names of
+    # __all__, nothing else public; each of those names is in the README
+    public = {
+        name
+        for name, value in vars(mwss).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert len(mwss.__all__) == len(set(mwss.__all__)) <= 40
+    assert public == set(mwss.__all__)
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in mwss.__all__ if not re.search(rf"\b{name}\b", readme)] == []
+
+
+def test_every_public_definition_is_used_or_documented():
+    # a public top-level def or class of src/mwss is referenced outside its
+    # own definition by another package line (not __init__.py), by
+    # perfbench or by the README; a test-only helper belongs in tests/
+    lines = {
+        path: path.read_text().splitlines() for path in SOURCES if path.name != "__init__.py"
+    }
+    outside = "\n".join(
+        path.read_text() for path in [ROOT / "README.md", *(ROOT / "perfbench").glob("*.py")]
+    )
+    unused = []
+    for path, text in lines.items():
+        for node in ast.parse("\n".join(text)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = range(node.lineno - len(node.decorator_list), node.end_lineno + 1)
+            if not word.search(outside) and not any(
+                word.search(line)
+                for other, rows in lines.items()
+                for number, line in enumerate(rows, 1)
+                if other != path or number not in own
+            ):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []
 
 
 SOLVER_MODULES = (

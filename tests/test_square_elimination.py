@@ -5,17 +5,14 @@ import pytest
 
 import mwss.solver
 from mwss import (
-    EliminationState,
     GenSpec,
     Graph,
     StructuralError,
     consistent_order,
     gen_strip_instance,
     interval_transform,
-    mwss_on_order,
     oracle_mwss,
     solve,
-    solve_component,
 )
 from mwss.checks import (
     interval_violation,
@@ -23,6 +20,10 @@ from mwss.checks import (
     strip_partition_violation,
     transformed_graph,
 )
+from mwss.interval_mwss import mwss_on_order
+from mwss.patterns import square_semi_homogeneous_check
+from mwss.solver import solve_component
+from mwss.square_elimination import EliminationState
 
 from helpers import (
     acceptance_extras,
@@ -486,8 +487,6 @@ class TestStageBoundaryInvariant:
     def test_pair_stays_square_semi_homogeneous_each_stage(self):
         # Theorem-level invariant: after every stage, the live (A, B) pair
         # is still square-semi-homogeneous in the overlay graph.
-        from mwss import square_semi_homogeneous_check
-
         for seed in range(12):
             g = gen_strip_instance(
                 GenSpec(seed=9100 + seed, mode="strip", nodes=10 + seed,

@@ -8,14 +8,14 @@ from mwss import (
     Graph,
     StructuralError,
     build_wing_graph,
-    build_wing_table,
     find_claw,
     gen_rejection,
     canonicalize,
-    greedy_members,
     validate_witness,
 )
+from mwss.canonical import greedy_members
 from mwss.patterns import PatternWitness
+from mwss.wings import build_wing_table
 
 from helpers import (
     adj,
