@@ -21,48 +21,45 @@ from .graph import Graph
 class EliminationState:
     """Stage machine for one consecutive clique pair K_i, K_j of a strip.
 
-    ``after`` maps each node of K_i to its neighbors in K_j and ``before``
-    each node of K_j to its neighbors in K_i, as sorted tuples;
-    ``interval_transform`` passes dicts of this pair's rows only, and any
-    container indexable by node id will do.  A node of K_i meets
-    K_j only through ``after`` and a node of K_j meets K_i only through
-    ``before``, so ``d`` starts from the row lengths.  It counts each
-    live node's live neighbors on the other side: a retired A node sees
-    all of B, a diagonal joins A to B, and B drops a node once its ``d``
-    is 0, when no live A node sees it.  ``a`` lists the live nodes of A
-    in stage order and ``b`` is the set of live nodes of B.
+    ``after`` maps each node of K_i to its neighbors in K_j as a tuple;
+    ``interval_transform`` passes a dict of this pair's rows only, and
+    any container indexable by node id will do.  These rows are the only
+    adjacency the pair holds: a node of K_j meets K_i only through them,
+    so B is the set of nodes they hold and ``b_len`` counts each B node's
+    neighbors in K_i, added diagonals included.  ``d`` counts each live
+    node's live neighbors on the other side: a retired A node sees all
+    of B, a diagonal joins A to B, and B drops a node once its ``d`` is
+    0, when no live A node sees it.  ``a`` lists the live nodes of A in
+    stage order and ``b`` is the set of live nodes of B.
 
-    A ``remove`` stage reads only ``d``.  The other stages read a node's
-    row as a set, built on first use and kept in ``a_sets`` (A node ->
-    its neighbors in K_j) or ``b_sets`` (B node -> its neighbors in K_i);
-    added diagonals extend those sets.  ``run`` writes the rows of nodes
-    that gained diagonals back as sorted tuples.  A diagonal joins an
-    ``after`` row of K_i to a ``before`` row of K_j, which no other pair
-    reads, so ``interval_transform`` builds and drops the rows pair by
-    pair.
+    A ``remove`` stage reads only ``d``.  The other stages read an A
+    node's row as a set, built on first use and kept in ``a_sets`` (the
+    search for a2, the lowest live A node seeing b1, builds those of all
+    live A nodes); added diagonals extend the sets, and the rows given
+    are never changed.  So a node's final row into K_j is its set if a
+    stage built one, else its ``after`` row.  A diagonal joins a K_i
+    node to a K_j node, which no other pair reads, so
+    ``interval_transform`` builds and drops the rows pair by pair.
     """
 
-    __slots__ = ("before", "after", "weights", "a", "b", "d", "a_sets", "b_sets", "added")
+    __slots__ = ("after", "weights", "a", "b", "d", "b_len", "a_sets", "added")
 
-    def __init__(self, before, after, weights, ki, kj):
-        self.before = before
+    def __init__(self, after, weights, ki):
         self.after = after
         self.weights = weights
         d = self.d = {}
+        b_len = self.b_len = {}
         for u in ki:
-            count = len(after[u])
-            if count:
-                d[u] = count
+            row = after[u]
+            if row:
+                d[u] = len(row)
+                for v in row:
+                    b_len[v] = b_len.get(v, 0) + 1
         self.a = list(d)
         self._rank_a()
-        b = self.b = set()
-        for v in kj:
-            count = len(before[v])
-            if count:
-                d[v] = count
-                b.add(v)
+        self.b = set(b_len)
+        d.update(b_len)
         self.a_sets: dict[int, set] = {}
-        self.b_sets: dict[int, set] = {}
         self.added: list[tuple[int, int]] = []
 
     def _rank_a(self):
@@ -78,20 +75,13 @@ class EliminationState:
             s = self.a_sets[u] = set(self.after[u])
         return s
 
-    def _b_set(self, v: int) -> set:
-        """The neighbors in K_i of the B node ``v``."""
-        s = self.b_sets.get(v)
-        if s is None:
-            s = self.b_sets[v] = set(self.before[v])
-        return s
-
     def _add_edge(self, u: int, v: int):
         """Join the A node ``u`` to the B node ``v``."""
         self._a_set(u).add(v)
-        self._b_set(v).add(u)
         self.added.append((u, v) if u < v else (v, u))
         self.d[u] += 1
         self.d[v] += 1
+        self.b_len[v] += 1
 
     def stage(self) -> str:
         """Run one stage; A must be non-empty.  Returns the action taken.
@@ -111,7 +101,7 @@ class EliminationState:
             return "remove"
         if d[a_max] == len(b) - 1:
             (b1,) = b - self._a_set(a_max)
-            a2 = min(self._b_set(b1).intersection(a))
+            a2 = min(u for u in a if b1 in self._a_set(u))
             if d[a2] == len(b) - 1:
                 (b2,) = b - self._a_set(a2)
                 w = self.weights
@@ -140,14 +130,14 @@ class EliminationState:
                 self._add_edge(abar, v)
 
     def run(self) -> int:
-        """Run stages until A drains, then write the grown rows back;
-        returns the number of stages, at most 3|A| <= 3|K_i|.
+        """Run stages until A drains; returns the number of stages, at most
+        3|A| <= 3|K_i|.
 
         Nesting: a live A node u sees only live B nodes, and ``remove``
-        retires u only when ``d[u]`` = |B|, so its final ``after`` row is
-        the live B of that moment.  B only shrinks, so the ``after`` rows
-        of K_i (empty off A) form the chain under inclusion that
-        ``consistent_order`` takes as its precondition.
+        retires u only when ``d[u]`` = |B|, so its final row is the live B
+        of that moment.  B only shrinks, so the final rows of K_i (empty
+        off A) form the chain under inclusion that ``consistent_order``
+        takes as its precondition.
         Stage bound: Φ, the sum over live A nodes of 1 + min(|B| - d, 2),
         starts at most 3|A| and is positive while A is non-empty.
         ``remove`` drops its node's term and shrinks |B| only by nodes no
@@ -160,11 +150,6 @@ class EliminationState:
         while self.a:
             self.stage()
             stages += 1
-        if self.added:
-            for rows, sets in ((self.after, self.a_sets), (self.before, self.b_sets)):
-                for v, s in sets.items():
-                    if len(s) != len(rows[v]):  # sets only grow
-                        rows[v] = tuple(sorted(s))
         return stages
 
 
@@ -197,15 +182,15 @@ def interval_transform(g: Graph, strips) -> IntervalResult:
     ``mwss.checks.strip_partition_violation`` checks it): the cliques are
     cliques, partition V - X, and touch only between consecutive cliques
     of one strip.  So the part of a K_i node's row in K_i+1, filtered in
-    row order, is its ``after`` row, and the part of a K_i+1 node's row in
-    K_i is its ``before`` row.
+    row order, is its sorted ``after`` row, and a K_i+1 node meets K_i
+    only through those rows.
 
     The consecutive clique pair is the unit of work.  For each pair the
-    ``after`` rows of K_i and the ``before`` rows of K_i+1 are split from
-    ``g``'s rows, ``EliminationState`` adds the pair's diagonals to them,
-    and only their lengths are kept.  No other pair reads those rows, so
-    one pair's rows and at most three clique membership sets are alive at
-    a time.
+    ``after`` rows of K_i are split from ``g``'s rows through one
+    membership set of K_i+1, ``EliminationState`` adds the pair's
+    diagonals, and only the final row lengths are kept.  No other pair
+    reads those rows, so one pair's rows and one clique membership set
+    are alive at a time.
     """
     nbrs = g._nbrs
     before_len = [0] * g.n
@@ -217,16 +202,15 @@ def interval_transform(g: Graph, strips) -> IntervalResult:
         family = tuple(map(tuple, strip))
         cliques.extend(family)
         counts = []
-        members = ((k, set(k).__contains__) for k in family)
-        for (ki, in_ki), (kj, in_kj) in pairwise(members):
+        for ki, kj in pairwise(family):
+            in_kj = set(kj).__contains__
             after = {u: tuple(filter(in_kj, nbrs[u])) for u in ki}
-            before = {v: tuple(filter(in_ki, nbrs[v])) for v in kj}
-            state = EliminationState(before, after, g.weights, ki, kj)
+            state = EliminationState(after, g.weights, ki)
             counts.append(state.run())
             added.extend(state.added)
             for u, row in after.items():
-                after_len[u] = len(row)
-            for v, row in before.items():
-                before_len[v] = len(row)
+                after_len[u] = len(state.a_sets.get(u) or row)
+            for v, count in state.b_len.items():
+                before_len[v] = count
         stage_counts.append(tuple(counts))
     return IntervalResult(before_len, after_len, tuple(cliques), tuple(added), tuple(stage_counts))

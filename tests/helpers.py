@@ -62,7 +62,7 @@ def overlay(g, nodes=None):
 def strip_rows(g, cliques):
     """(before, after): each node's sorted neighbors in the clique before
     and after its own along ``cliques``, as lists indexed by node id (``()``
-    off the cliques); the rows ``EliminationState`` reads."""
+    off the cliques); ``after`` holds the rows ``EliminationState`` reads."""
     before, after = [()] * g.n, [()] * g.n
     for lo, hi in zip(cliques, cliques[1:]):
         lo_set, hi_set = set(lo), set(hi)
@@ -424,6 +424,30 @@ def acceptance_extras():
     graphs = [cycle_graph(n) for n in range(8, 23)]
     graphs += [path_graph(n, [((7 * i) % 5) + 1 for i in range(n)]) for n in range(7, 23)]
     return graphs + dominating_family()
+
+
+# One malformed graph file per ``GraphParseError`` raise of ``parse_graph``:
+# (text, message, line number or None); the error reads "line N: message".
+MALFORMED_GRAPHS = (
+    ("c hi\n\np mwss 2 0\np mwss 2 0\n", "duplicate problem line", 4),
+    ("p edge 2 0\n", "expected 'p mwss <nodes> <edges>'", 1),
+    ("p mwss two 0\n", "non-integer problem line", 1),
+    ("p mwss -1 0\n", "negative counts in problem line", 1),
+    ("n 1 5\np mwss 2 0\n", "weight line before problem line", 1),
+    ("p mwss 2 0\nn 1\n", "expected 'n <id> <weight>'", 2),
+    ("p mwss 2 0\nn 1 heavy\n", "non-integer weight line", 2),
+    ("p mwss 2 0\nn 3 5\n", "node id 3 out of range 1..2", 2),
+    ("p mwss 2 0\nn 1 5\nn 1 6\n", "duplicate weight for node 1", 3),
+    ("e 1 2\np mwss 2 1\n", "edge line before problem line", 1),
+    ("p mwss 2 1\ne 1 2 3\n", "expected 'e <u> <v>'", 2),
+    ("p mwss 2 1\ne 1 b\n", "non-integer edge line", 2),
+    ("p mwss 2 1\ne 1 3\n", "edge (1, 3) out of range 1..2", 2),
+    ("p mwss 2 1\ne 1 1\n", "self-loop at node 1", 2),
+    ("p mwss 2 0\nx 1 2\n", "unknown line type 'x'", 2),
+    ("c no problem line\n", "missing problem line", None),
+    ("p mwss 2 2\ne 1 2\n", "problem line declares 2 edges, found 1", None),
+    ("p mwss 3 2\ne 1 2\ne 2 1\n", "duplicate edge (1, 2)", None),
+)
 
 
 def perturbed_strip(seed):

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate as schema_validate
 
+import mwss.cli
 from mwss import GenSpec, Graph, GraphParseError, parse_graph, serialize_graph
 from mwss.cli import build_parser, run
+
+from helpers import MALFORMED_GRAPHS
 
 DATA = Path(__file__).parent / "data"
 SCHEMAS = Path(__file__).parent.parent / "src" / "mwss" / "schemas"
@@ -57,6 +60,13 @@ class TestParse:
         with pytest.raises(GraphParseError):
             parse_graph("p mwss 2 2\ne 1 2\n")
 
+    @pytest.mark.parametrize("text, message, line_no", MALFORMED_GRAPHS)
+    def test_malformed_file_names_its_line(self, text, message, line_no):
+        with pytest.raises(GraphParseError) as err:
+            parse_graph(text)
+        assert err.value.line_no == line_no
+        assert str(err.value) == (message if line_no is None else f"line {line_no}: {message}")
+
     def test_comments_and_blanks_ignored(self):
         g = parse_graph("c hi\n\np mwss 2 1\nc mid\ne 1 2\n")
         assert g.m == 1
@@ -92,6 +102,34 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_checked"] and payload["oracle_value"] == payload["value"]
 
+    def test_oracle_check_text_mode_says_agreed(self, tmp_path, capsys):
+        assert run(["solve", write(tmp_path, P7_TEXT), "--oracle-check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "value 4\nset 1 3 5 7\noracle agreed\n"
+        assert captured.err == ""
+
+    def test_oracle_check_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a solver answer one below the optimum, whatever solve returns
+        real = mwss.cli.solve
+        monkeypatch.setattr(
+            mwss.cli, "solve", lambda g, **kw: dataclasses.replace(real(g, **kw), value=3)
+        )
+        assert run(["solve", write(tmp_path, P7_TEXT), "--oracle-check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "oracle mismatch: solver=3 oracle=4\n"
+
+    def test_oracle_check_skipped_above_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MWSS_ORACLE_LIMIT", "6")
+        path = write(tmp_path, P7_TEXT)
+        assert run(["solve", path, "--oracle-check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "value 4\nset 1 3 5 7\n"
+        assert captured.err == "oracle check skipped: n=7 exceeds limit 6\n"
+        assert run(["solve", path, "--oracle-check", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == 4 and "oracle_checked" not in payload
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -101,6 +139,14 @@ class TestSolveCommand:
     def test_parse_error_exit_2(self, tmp_path, capsys):
         code = run(["solve", write(tmp_path, "p mwss 2 1\ne 1 1\n")])
         assert code == 2
+
+    @pytest.mark.parametrize("text, message, line_no", MALFORMED_GRAPHS)
+    def test_malformed_file_exit_2_with_line(self, tmp_path, capsys, text, message, line_no):
+        code = run(["solve", write(tmp_path, text)])
+        captured = capsys.readouterr()
+        where = "" if line_no is None else f"line {line_no}: "
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"parse error: {where}{message}\n"
 
     def test_missing_file_exit_2(self, capsys):
         assert run(["solve", "/nonexistent/file.mwss"]) == 2

@@ -56,6 +56,14 @@ class TestConstruction:
         with pytest.raises(GraphInputError):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(GraphInputError, match="node count must be non-negative"):
+            Graph(-1)
+
+    def test_rejects_weight_count_mismatch(self):
+        with pytest.raises(GraphInputError, match="expected 3 weights, got 2"):
+            Graph(3, [(0, 1)], [1, 2])
+
     def test_rejects_negative_id(self):
         # a negative id must not wrap around to the last row
         with pytest.raises(GraphInputError):

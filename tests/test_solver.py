@@ -34,6 +34,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     flipped_strip,
+    frontier_mwss,
     nested_cliques,
     path_graph,
     perturbed_strip,
@@ -505,6 +506,20 @@ def test_perturbed_strip_raises_or_is_exact(seed):
     assert value == oracle_mwss(g)[0]
 
 
+# The same hole on larger graphs (126-418 nodes), checked against the
+# frontier DP: solve returns 3384, 5178, 2064, 2028 and 3523 against optima
+# of 3393, 5212, 2081, 2031 and 3581.
+@pytest.mark.xfail(strict=True, reason="pair not square-semi-homogeneous goes unchecked")
+@pytest.mark.parametrize("seed", [10294, 10361, 10373, 10405, 10535])
+def test_flipped_strip_raises_or_is_exact(seed):
+    g = flipped_strip(seed)
+    try:
+        value = solve(g).value
+    except StructuralError:
+        return
+    assert value == frontier_mwss(g, 10_000)[0]
+
+
 def _outcome(g):
     """"solved", or the kind, witness and message ``solve`` raises on ``g``."""
     try:
@@ -572,8 +587,8 @@ class TestPipelineContracts:
     @pytest.mark.parametrize("collect", [False, True])
     def test_each_elimination_state_gets_its_own_pair_rows_only(self, monkeypatch, collect):
         # interval_transform's working set is one clique pair, with or
-        # without a trace: the after rows of K_i and the before rows of
-        # K_i+1, not a row per node
+        # without a trace: the after rows of K_i, which reach into K_i+1
+        # only, not a row per node
         g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
         (detail,) = solve(g, collect_trace=True).certificates["details"]
         # g drops adjacent twins: its one component is solved on g's rows, in
@@ -585,19 +600,20 @@ class TestPipelineContracts:
         pairs = []
         real = mwss.square_elimination.EliminationState
 
-        def recording(before, after, weights, ki, kj):
-            pairs.append((len(before), set(before), len(after), set(after), ki, kj))
-            return real(before, after, weights, ki, kj)
+        def recording(after, weights, ki):
+            state = real(after, weights, ki)
+            reach = set().union(*map(after.__getitem__, ki))
+            pairs.append((len(after), set(after), reach, set(state.b_len), ki))
+            return state
 
         monkeypatch.setattr(mwss.square_elimination, "EliminationState", recording)
         assert solve(g, collect_trace=collect).route == "strip_pipeline"
-        assert [(ki, kj) for *_, ki, kj in pairs] == [
-            pair for strip in strips for pair in zip(strip, strip[1:])
-        ]
+        expected = [pair for strip in strips for pair in zip(strip, strip[1:])]
+        assert [ki for *_, ki in pairs] == [ki for ki, _ in expected]
         assert len(pairs) > 20
-        for n_before, before, n_after, after, ki, kj in pairs:
-            assert (n_before, before) == (len(kj), set(kj))
+        for (n_after, after, reach, counted, ki), (_, kj) in zip(pairs, expected):
             assert (n_after, after) == (len(ki), set(ki))
+            assert reach <= set(kj) and counted == reach
 
     @pytest.mark.parametrize("collect", [False, True])
     def test_interval_result_alive_in_dp_passes_only_when_collected(

@@ -9,7 +9,7 @@ from types import ModuleType
 import mwss
 from mwss import Graph
 
-from helpers import flipped_strip, perturbed_strip
+from helpers import MALFORMED_GRAPHS, flipped_strip, perturbed_strip
 
 SOURCES = sorted(Path(mwss.__file__).parent.glob("*.py"))
 
@@ -222,18 +222,45 @@ def test_solver_modules_raise_no_off_path_kind():
         assert "StructuralError" not in (root / f"{name}.py").read_text()
 
 
-def _structural_raises():
-    """(module, line span) of every ``raise StructuralError(...)`` in the
-    solver modules."""
+def _raise_sites(names, error):
+    """(module, line span) of every ``raise error(...)`` in the named
+    package modules."""
     root = Path(mwss.__file__).parent
     return {
         (name, range(node.lineno, node.end_lineno + 1))
-        for name in SOLVER_MODULES
+        for name in names
         for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
-        and getattr(node.exc.func, "id", None) == "StructuralError"
+        and getattr(node.exc.func, "id", None) == error
     }
+
+
+def _missed_sites(names, error, run_inputs):
+    """The ``raise error(...)`` sites of the named modules that no line of
+    ``run_inputs()`` reaches, as "module:line"."""
+    files = {str(Path(mwss.__file__).parent / f"{name}.py"): name for name in names}
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((files[frame.f_code.co_filename], frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run_inputs()
+    finally:
+        sys.settrace(previous)
+    return sorted(
+        f"{name}:{span.start}"
+        for name, span in _raise_sites(names, error)
+        if not any((name, line) in ran for line in span)
+    )
 
 
 def _reaching_inputs():
@@ -265,35 +292,32 @@ def _reaching_inputs():
 def test_every_structural_raise_is_reached():
     # a raise site that no input reaches is dead code or an untested
     # contract: each one in the solver modules must run on a pinned input
-    sites = _structural_raises()
-    files = {str(Path(mwss.__file__).parent / f"{name}.py"): name for name in SOLVER_MODULES}
-    ran = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add((files[frame.f_code.co_filename], frame.f_lineno))
-        return local
-
-    def calls(frame, event, arg):
-        return local if frame.f_code.co_filename in files else None
-
     inputs = _reaching_inputs()
-    rejected = 0
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
+    rejected = []
+
+    def solve_all():
         for g in inputs:
             try:
                 mwss.solve(g)
             except mwss.StructuralError:
-                rejected += 1
-    finally:
-        sys.settrace(previous)
-    assert rejected == len(inputs)
-    missed = sorted(
-        f"{name}:{span.start}"
-        for name, span in sites
-        if not any((name, line) in ran for line in span)
-    )
-    assert len(sites) >= 15
-    assert missed == []
+                rejected.append(g)
+
+    assert len(_raise_sites(SOLVER_MODULES, "StructuralError")) >= 15
+    assert _missed_sites(SOLVER_MODULES, "StructuralError", solve_all) == []
+    assert len(rejected) == len(inputs)
+
+
+def test_every_parse_error_raise_is_reached():
+    # the same rule for the graph file parser, on the pinned malformed files
+    rejected = []
+
+    def parse_all():
+        for text, _, _ in MALFORMED_GRAPHS:
+            try:
+                mwss.parse_graph(text)
+            except mwss.GraphParseError:
+                rejected.append(text)
+
+    assert len(_raise_sites(["graphio"], "GraphParseError")) >= 18
+    assert _missed_sites(["graphio"], "GraphParseError", parse_all) == []
+    assert len(rejected) == len(MALFORMED_GRAPHS)

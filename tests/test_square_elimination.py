@@ -41,7 +41,7 @@ from helpers import (
 
 def pair_state(g, ki, kj):
     """``EliminationState`` for the pair on ``g``'s own rows."""
-    return EliminationState(*strip_rows(g, [ki, kj]), g.weights, ki, kj)
+    return EliminationState(strip_rows(g, [ki, kj])[1], g.weights, ki)
 
 
 class TestStage:
@@ -148,13 +148,14 @@ class TestRunProofs:
                 stepped.stage()
                 phi, last = potential(stepped), phi
                 assert phi < last
-            before, after = strip_rows(g, [ki, kj])
-            st = EliminationState(before, after, g.weights, ki, kj)
+            _, after = strip_rows(g, [ki, kj])
+            st = EliminationState(after, g.weights, ki)
             a_size = len(st.a)
             assert st.run() <= 3 * a_size
             assert st.added == stepped.added
-            # K_i's after rows, the reaches consistent_order ranks, form a chain
-            reaches = sorted((set(after[u]) for u in ki), key=len)
+            # K_i's final rows, the reaches consistent_order ranks, form a
+            # chain; a row a stage grew is its set
+            reaches = sorted((set(st.a_sets.get(u) or after[u]) for u in ki), key=len)
             assert all(lo <= hi for lo, hi in zip(reaches, reaches[1:]))
 
 
@@ -207,10 +208,11 @@ class TestRowShape:
         for detail in details:
             comp, interval = detail.graph, detail.interval
             assert len(interval.before_len) == len(interval.after_len) == comp.n
-            # replay every pair on fresh rows: same diagonals, and lengths
-            # that count the replayed rows and the transformed graph's rows
-            # into the neighbouring cliques
+            # replay every pair on fresh rows: same diagonals, rows left as
+            # given, and lengths that count the replayed final rows and the
+            # transformed graph's rows into the neighbouring cliques
             before, after = [()] * comp.n, [()] * comp.n
+            before_len, after_len = [0] * comp.n, [0] * comp.n
             cross = 0
             added = []
             for strip in detail.decomposition.strips:
@@ -219,23 +221,34 @@ class TestRowShape:
                     before[v], after[v] = lo[v], hi[v]
                     cross += len(hi[v])
                 for ki, kj in zip(strip, strip[1:]):
-                    st = EliminationState(before, after, comp.weights, ki, kj)
+                    given = list(after)
+                    st = EliminationState(after, comp.weights, ki)
                     actions = []
                     while st.a:
                         actions.append(st.stage())
-                    st.run()  # A is drained: only writes the grown rows back
+                    assert st.run() == 0  # A is drained
+                    assert after == given
                     added.extend(st.added)
                     if set(actions) == {"remove"}:
-                        assert not st.a_sets and not st.b_sets
+                        assert not st.a_sets and not st.added
                         remove_only += 1
                     else:
-                        assert st.a_sets and st.b_sets
+                        assert st.a_sets and st.added
                         other += 1
+                    # K_j's counts are its before rows plus its diagonals
+                    gained = [v for edge in st.added for v in edge if v in kj]
+                    assert st.b_len == {
+                        v: len(before[v]) + gained.count(v) for v in kj if before[v]
+                    }
+                    for u in ki:
+                        after_len[u] = len(st.a_sets.get(u) or after[u])
+                    for v, count in st.b_len.items():
+                        before_len[v] = count
             for row in before + after:
                 assert type(row) is tuple and list(row) == sorted(set(row))
             assert tuple(added) == interval.added_edges
             lengths = (interval.before_len, interval.after_len)
-            assert lengths == (list(map(len, before)), list(map(len, after)))
+            assert lengths == (before_len, after_len)
             assert lengths == strip_lengths(transformed_graph(comp, interval), interval.cliques)
             total = sum(interval.before_len) + sum(interval.after_len)
             assert total == 2 * (cross + len(interval.added_edges))
@@ -456,9 +469,9 @@ class TestCertificate:
                     # the full overlay the certificate reads, kept in step
                     # with the added diagonals
                     adj = overlay(comp, {v for k in strip for v in k})
-                    rows = strip_rows(comp, strip)
+                    _, after = strip_rows(comp, strip)
                     for ki, kj in zip(strip, strip[1:]):
-                        st = EliminationState(*rows, comp.weights, ki, kj)
+                        st = EliminationState(after, comp.weights, ki)
                         for _ in range(3 * len(ki) + 8):
                             if not st.a:
                                 break
@@ -497,9 +510,9 @@ class TestStageBoundaryInvariant:
                 nodes = sorted(v for k in strip for v in k)
                 node_set = set(nodes)
                 adj = {v: set(g.neighbors(v)) & node_set for v in nodes}
-                rows = strip_rows(g, strip)
+                _, after = strip_rows(g, strip)
                 for ki, kj in zip(strip, strip[1:]):
-                    st = EliminationState(*rows, g.weights, ki, kj)
+                    st = EliminationState(after, g.weights, ki)
                     guard = 0
                     while st.a:
                         done = len(st.added)
