@@ -7,8 +7,9 @@ Format, line oriented, 1-based external ids:
     n <id> <weight>        # optional; omitted nodes default to weight 1
     e <u> <v>
 
-Edges are normalized to u < v on write, and weight lines are written only
-for weights other than 1, so parse(serialize(g)) round-trips exactly.
+A line is a comment when its first token is ``c``.  Edges are normalized
+to u < v on write, and weight lines are written only for weights other
+than 1, so parse(serialize(g)) round-trips exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .graph import Graph, sort_rows
 def parse_graph(text: str) -> Graph:
     n = None
     m_declared = None
+    p_line = None
     weights: list[int] = []
     weight_seen: set[int] = set()
     # Rows are filled as edges arrive and duplicates are found in the sorted
@@ -27,14 +29,14 @@ def parse_graph(text: str) -> Graph:
     rows: list[list[int]] = []
     m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         kind = parts[0]
         if kind == "p":
             if n is not None:
                 raise GraphParseError("duplicate problem line", line_no)
+            p_line = line_no
             if len(parts) != 4 or parts[1] != "mwss":
                 raise GraphParseError("expected 'p mwss <nodes> <edges>'", line_no)
             try:
@@ -84,12 +86,24 @@ def parse_graph(text: str) -> Graph:
     if n is None:
         raise GraphParseError("missing problem line")
     if m_declared != m:
-        raise GraphParseError(f"problem line declares {m_declared} edges, found {m}")
+        raise GraphParseError(f"problem line declares {m_declared} edges, found {m}", p_line)
     duplicate = sort_rows(rows)
     if duplicate is not None:
         u, v = duplicate
-        raise GraphParseError(f"duplicate edge ({u + 1}, {v + 1})")
+        raise GraphParseError(f"duplicate edge ({u + 1}, {v + 1})", _second_edge_line(text, u, v))
     return Graph._from_rows(map(tuple, rows), weights)
+
+
+def _second_edge_line(text: str, u: int, v: int) -> int:
+    """The number of the second ``e`` line joining the 0-based nodes ``u``
+    and ``v`` in ``text``, whose lines all parsed; read only on this error
+    path, so a clean parse keeps no line numbers of its edges."""
+    ends = {u + 1, v + 1}
+    return [
+        line_no
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if (parts := raw.split())[:1] == ["e"] and {int(parts[1]), int(parts[2])} == ends
+    ][1]
 
 
 def serialize_graph(g: Graph, comments=()) -> str:

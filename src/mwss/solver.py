@@ -48,8 +48,6 @@ class PipelineDetail:
     decomposition: Decomposition
     interval: IntervalResult
     order: ConsistentOrder  # over V - X, strip after strip
-    base_value: int
-    per_vertex: tuple[tuple[int, int, tuple[int, ...]], ...]
     canonical_steps: int
     dp_passes: int
 
@@ -78,20 +76,20 @@ def _weight_ranked_bits(g: Graph) -> tuple[list[int], list[int]]:
     return order, _non_neighbour_bits(g, order)
 
 
-def find_stable4(g: Graph, ranked_bits=None) -> tuple[int, ...] | None:
+def find_stable4(g: Graph, bits=None) -> tuple[int, ...] | None:
     """A stable set of size four, or None exactly when alpha(G) <= 3.
 
     Fast path: the first four nodes of an ascending greedy maximal stable
     set.  If that stays below four, grow it by augmenting paths (see
     ``_augment_to_four``), which either reaches four members, proves
     alpha(G) <= 3, or raises ``StructuralError("claw")`` with a witness.
-    The bitsets of that search come from ``ranked_bits()`` when given (see
-    ``alpha3_fallback``), else from ``_weight_ranked_bits(g)``.
+    The bitsets of that search are ``bits`` when given (see
+    ``alpha3_fallback``), else ``_weight_ranked_bits(g)``.
     """
     greedy = greedy_members(g)
     if len(greedy) >= 4:
         return tuple(greedy[:4])
-    order, nn = ranked_bits() if ranked_bits else _weight_ranked_bits(g)
+    order, nn = bits or _weight_ranked_bits(g)
     members = _augment_to_four(greedy, order, nn)
     if members is None:
         return None
@@ -306,7 +304,7 @@ def _free_bound_free(left, middle, right, order, nn) -> list[int] | None:
     return None
 
 
-def alpha3_fallback(g: Graph, ranked_bits=None) -> tuple[int, tuple[int, ...]]:
+def alpha3_fallback(g: Graph, bits=None) -> tuple[int, tuple[int, ...]]:
     """Exact optimum when alpha(G) <= 3: the best stable set of 0 to 3 nodes.
 
     Singles are read in id order.  Each non-edge {u, v} is scanned once,
@@ -329,12 +327,12 @@ def alpha3_fallback(g: Graph, ranked_bits=None) -> tuple[int, tuple[int, ...]]:
     scan would not, so the worst case, equal weights, stays one n-bit AND
     per non-edge.
 
-    ``ranked_bits``, when given, is a no-argument callable returning
-    ``_weight_ranked_bits(g)``; ``solve_component`` passes one memoizing
-    callable to ``find_stable4`` and here, so a component builds its
-    bits at most once, and not at all when its greedy set has four nodes.
+    ``bits``, when given, is ``_weight_ranked_bits(g)``: ``solve_component``
+    builds it once and passes it to ``find_stable4`` and here, so a
+    component builds its bits at most once, and not at all when its greedy
+    set has four nodes.
     """
-    order, nn = ranked_bits() if ranked_bits else _weight_ranked_bits(g)
+    order, nn = bits or _weight_ranked_bits(g)
     w = g.weights
     best = 0
     best_set: tuple[int, ...] = ()
@@ -382,28 +380,37 @@ def alpha3_fallback(g: Graph, ranked_bits=None) -> tuple[int, tuple[int, ...]]:
 
 
 def solve_component(
-    g: Graph, collect: bool = False
-) -> tuple[int, tuple[int, ...], str, PipelineDetail | None]:
-    """Solve one connected component (positive-weight, no adjacent twins)
-    that is all of ``g``.  ``solve`` calls it on ``g`` itself when the
-    component is all of the input, and on an induced copy when the
-    component holds at most half of the input's nodes or has a greedy
-    stable set below four nodes; a larger component goes through the
-    strip route on the input's own rows (see ``solve``).
+    g: Graph, collect: bool = False, live=None
+) -> tuple[int, tuple[int, ...], str, PipelineDetail | None] | None:
+    """Solve one connected component (positive-weight, no adjacent twins),
+    all of ``g`` or the one that the mask ``live`` marks (see
+    ``graph.live_nodes``), with the answer in ``g``'s ids.
+
+    The ascending greedy stable set is built once; with four nodes or more
+    it seeds the strip route.  Below four the stability number may be at
+    most three, and that route's bitsets need dense ids: a masked
+    component returns None, so ``solve`` copies it, and all of ``g`` builds
+    ``_weight_ranked_bits(g)`` once for ``find_stable4``, which augments the
+    set to four or proves alpha(G) <= 3, and for ``alpha3_fallback``.
+    Walking a masked component's nodes ascending is walking its copy's
+    ``range(n)``, as ``induced_subgraph`` renumbers in that order, so the
+    answer, and a witness once mapped, are the copy's.  A masked detail is
+    restated in the component's ids (``_in_component_ids``).
     """
-    bits = None
-
-    def ranked_bits():  # built on first use, then shared
-        nonlocal bits
-        if bits is None:
-            bits = _weight_ranked_bits(g)
-        return bits
-
-    seed4 = find_stable4(g, ranked_bits)
-    if seed4 is None:
-        value, nodes = alpha3_fallback(g, ranked_bits)
-        return value, nodes, ROUTE_ALPHA3, None
-    return _strip_route(g, greedy_members(g, seed4), collect)
+    seed = greedy_members(g, live=live)
+    if len(seed) < 4:
+        if live is not None:
+            return None
+        bits = _weight_ranked_bits(g)
+        seed4 = find_stable4(g, bits)
+        if seed4 is None:
+            value, nodes = alpha3_fallback(g, bits)
+            return value, nodes, ROUTE_ALPHA3, None
+        seed = greedy_members(g, seed4)
+    value, nodes, route, detail = _strip_route(g, seed, collect, live)
+    if collect and live is not None:
+        detail = _in_component_ids(detail, list(compress(range(g.n), live)))
+    return value, nodes, route, detail
 
 
 def _strip_route(
@@ -426,16 +433,12 @@ def _strip_route(
     removal = dec.removal
     if not collect:
         dec = interval = None  # the DP passes read only X and the order
-    base_value, base_nodes = mwss_on_order(co, g.weights)
-    best_value, best_nodes = base_value, base_nodes
-    per_vertex = []
+    best_value, best_nodes = mwss_on_order(co, g.weights)
     for v in removal:
         # v lies in X, outside the order, so excluding N(v) excludes N[v].
         value, nodes = mwss_on_order(co, g.weights, set(g.neighbors(v)))
         value += g.weights[v]
         nodes = tuple(sorted(nodes + (v,)))
-        if collect:
-            per_vertex.append((v, value, nodes))
         if value > best_value or (value == best_value and nodes < best_nodes):
             best_value, best_nodes = value, nodes
     detail = None
@@ -446,8 +449,6 @@ def _strip_route(
             decomposition=dec,
             interval=interval,
             order=co,
-            base_value=base_value,
-            per_vertex=tuple(per_vertex),
             canonical_steps=stats.steps,
             dp_passes=len(removal) + 1,
         )
@@ -488,36 +489,7 @@ def _in_component_ids(detail: PipelineDetail, comp) -> PipelineDetail:
         decomposition=decomposition,
         interval=interval,
         order=replace(detail.order, order=nodes(detail.order.order)),
-        per_vertex=tuple((ids(v), value, nodes(s)) for v, value, s in detail.per_vertex),
     )
-
-
-def _solve_on_rows(g: Graph, comp, collect: bool):
-    """``solve_component``'s answer for the component ``comp`` (ascending,
-    more than half of ``g``'s nodes), found on ``g``'s own rows and in its
-    ids, or None when the component needs a copy.
-
-    A component that is all of ``g`` is solved as it is.  Another one is
-    marked by a mask (see ``graph.live_nodes``) and goes through the strip
-    route when its ascending greedy stable set has four nodes or more;
-    otherwise its stability number may be at most three, and that route's
-    bitsets need dense ids.  Iterating ``comp`` ascending equals iterating
-    the copy's ``range(n)``, as ``induced_subgraph`` renumbers in that
-    order, so the answer, and a witness once mapped, are the copy's.  A
-    detail is restated in the component's ids (``_in_component_ids``).
-    """
-    if len(comp) == g.n:
-        return solve_component(g, collect)
-    live = bytearray(g.n)
-    for v in comp:
-        live[v] = 1
-    seed = greedy_members(g, live=live)
-    if len(seed) < 4:
-        return None
-    value, nodes, route, detail = _strip_route(g, seed, collect, live)
-    if collect:
-        detail = _in_component_ids(detail, comp)
-    return value, nodes, route, detail
 
 
 def solve(g: Graph, collect_trace: bool = False) -> Solution:
@@ -528,7 +500,7 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     class.  Each connected component of the live nodes is solved on its
     own.  A component holding more than half of ``g``'s nodes (at most
     one does) is solved on ``g``'s own rows, with no copy, unless it
-    needs dense ids (see ``_solve_on_rows``).  Any other component is
+    needs dense ids (see ``solve_component``).  Any other component is
     induced from ``g``, so its nodes are its one id map, held as an
     ``array("q")``: the ids of ``remove_twins`` are fresh ints, which would
     otherwise live to the end of the solve, and the live tuple is let go
@@ -553,8 +525,13 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     details = [] if collect_trace else None
     for comp in comps:
         result = None
-        if 2 * len(comp) > g.n:
-            result = _solve_on_rows(g, comp, collect_trace)
+        if len(comp) == g.n:
+            result = solve_component(g, collect_trace)
+        elif 2 * len(comp) > g.n:
+            mask = bytearray(g.n)
+            for v in comp:
+                mask[v] = 1
+            result = solve_component(g, collect_trace, mask)
         if result is None:
             sub = induced_subgraph(g, comp)
             try:

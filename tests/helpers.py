@@ -426,7 +426,7 @@ def acceptance_extras():
     return graphs + dominating_family()
 
 
-# One malformed graph file per ``GraphParseError`` raise of ``parse_graph``:
+# A malformed graph file for each ``GraphParseError`` raise of ``parse_graph``:
 # (text, message, line number or None); the error reads "line N: message".
 MALFORMED_GRAPHS = (
     ("c hi\n\np mwss 2 0\np mwss 2 0\n", "duplicate problem line", 4),
@@ -444,9 +444,10 @@ MALFORMED_GRAPHS = (
     ("p mwss 2 1\ne 1 3\n", "edge (1, 3) out of range 1..2", 2),
     ("p mwss 2 1\ne 1 1\n", "self-loop at node 1", 2),
     ("p mwss 2 0\nx 1 2\n", "unknown line type 'x'", 2),
+    ("p mwss 2 1\ncount 5\ne 1 2\n", "unknown line type 'count'", 2),
     ("c no problem line\n", "missing problem line", None),
-    ("p mwss 2 2\ne 1 2\n", "problem line declares 2 edges, found 1", None),
-    ("p mwss 3 2\ne 1 2\ne 2 1\n", "duplicate edge (1, 2)", None),
+    ("p mwss 2 2\ne 1 2\n", "problem line declares 2 edges, found 1", 1),
+    ("p mwss 3 2\ne 1 2\ne 2 1\n", "duplicate edge (1, 2)", 3),
 )
 
 

@@ -98,12 +98,13 @@ def test_criterion_2_weight_preservation():
         removal = set(detail.decomposition.removal)
         keep = [v for v in range(g.n) if v not in removal]
         rest = induced_subgraph(g, keep)
-        assert detail.base_value == oracle_mwss(rest)[0]
-        for v, value, _nodes in detail.per_vertex:
+        assert mwss_on_order(detail.order, g.weights)[0] == oracle_mwss(rest)[0]
+        for v in detail.decomposition.removal:
+            value, _nodes = mwss_on_order(detail.order, g.weights, set(g.neighbors(v)))
             closed = set(closed_neighborhood(g, (v,)))
             keep_v = [u for u in range(g.n) if u not in closed]
             sub = induced_subgraph(g, keep_v)
-            assert value - g.weights[v] == oracle_mwss(sub)[0]
+            assert value == oracle_mwss(sub)[0]
         checked += 1
     print(f"PASS criterion 2: weight preservation on {checked} instances")
 

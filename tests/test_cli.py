@@ -71,6 +71,11 @@ class TestParse:
         g = parse_graph("c hi\n\np mwss 2 1\nc mid\ne 1 2\n")
         assert g.m == 1
 
+    def test_comment_is_a_first_token_c(self):
+        g = parse_graph("c\np mwss 2 1\n  c\tindented\nc count 5\ne 1 2\n")
+        assert g.m == 1
+        assert parse_graph(serialize_graph(g, ["", "count 5"])) == g
+
     @given(st.integers(0, 8), st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, n, data):

@@ -422,6 +422,27 @@ class TestAlpha3Bound:
         assert solve(strip).route == "strip_pipeline"
         assert built == []
 
+    def test_greedy_set_built_once_per_strip_component(self, monkeypatch, induced_calls):
+        calls = []
+        greedy = mwss.solver.greedy_members
+        monkeypatch.setattr(
+            mwss.solver, "greedy_members", lambda g, *a, **k: calls.append(g) or greedy(g, *a, **k)
+        )
+
+        def greedy_calls(g):
+            calls.clear()
+            assert solve(g).route in ("strip_pipeline", "component_merge")
+            return len(calls)
+
+        p7 = path_graph(7)
+        assert greedy_calls(p7) == 1
+        shifted = [(u + 7, v + 7) for u, v in p7.edges()]
+        assert greedy_calls(Graph(14, [*p7.edges(), *shifted])) == 2
+        strip = gen_strip_instance(GenSpec(seed=3, nodes=200, weights="random"))
+        induced_calls.clear()
+        assert greedy_calls(strip) == 1
+        assert induced_calls == []  # on the input's rows
+
 
 class TestSolve:
     def test_p7_unit(self):
