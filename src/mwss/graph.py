@@ -7,10 +7,11 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections import Counter, deque
-from itertools import chain, compress
-from operator import index
+from collections import deque
+from itertools import chain, compress, islice
+from operator import eq, index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphInputError, StructuralError
@@ -289,46 +290,40 @@ def remove_twins(g: Graph) -> tuple[int, ...]:
     which is exact there.
 
     Each live node's key is the sum of the ids in its live closed
-    neighborhood: one C-level ``sum`` over its row, filtered only when
-    some node is dead.  Equal neighborhoods give equal keys; unequal ones
-    may collide, so each group of equal keys is split exactly on the
-    sorted live closed neighborhoods, and a collision never drops a
-    non-twin.  The pass costs O(n + m), builds no graph and reads ``g``'s
-    rows in place.
+    neighborhood: one C-level ``sum`` over its row.  When every node is
+    live the keys are held in an ``array("q")``, eight bytes each, with
+    no list of ids; otherwise each row is filtered and the live nodes and
+    their keys are listed.  Equal neighborhoods give equal keys; unequal
+    ones may collide.  One sort of the keys finds the repeated ones, and
+    only the nodes holding a repeated key are grouped by key.  Each group
+    is split exactly on its members' sorted live closed neighborhoods, so
+    a collision never drops a non-twin.  The pass costs O(n log n + m):
+    the sort, then one read of each row.  It builds no graph and reads
+    ``g``'s rows in place.  With every node live, the sorted keys are its
+    only n-long list of fresh ints, and they go before the candidates are
+    grouped.
     """
     n = g.n
     nbrs = g._nbrs
     weight = g.weights
-    alive = [w > 0 for w in weight]  # a list: its __getitem__ is a fast builtin
-    live = list(compress(range(n), alive))
-    if len(live) == n:
-        keys = [sum(nbrs[v], v) for v in live]
-    else:
-        is_alive = alive.__getitem__
-        keys = [sum(filter(is_alive, nbrs[v]), v) for v in live]
-    for members in _twin_classes(g, alive, live, keys):
-        kept = max(members, key=lambda u: (weight[u], -u))
-        for u in members:
-            if u != kept:
-                alive[u] = False
-    return tuple(compress(range(n), alive))
-
-
-def _twin_classes(g: Graph, alive, live, keys) -> list[list[int]]:
-    """Classes of adjacent twins, two or more nodes with equal live closed
-    neighborhoods, among the ``live`` nodes, whose neighborhood keys are
-    ``keys``."""
-    counts = Counter(keys)
-    if len(counts) == len(keys):
-        return []
-    groups: dict[int, list[int]] = {}
-    for v, k in zip(live, keys):
-        if counts[k] > 1:
-            groups.setdefault(k, []).append(v)
-    nbrs = g._nbrs
-    all_alive = len(live) == g.n
+    # a list, not bytes: its __getitem__ is the fast filter predicate
+    alive = [w > 0 for w in weight]
+    all_alive = all(alive)
     is_alive = alive.__getitem__
-    classes = []
+    if all_alive:
+        live = range(n)
+        keys = array("q", map(sum, nbrs, live))
+    else:
+        live = list(compress(range(n), alive))
+        keys = [sum(filter(is_alive, nbrs[v]), v) for v in live]
+    ordered = sorted(keys)
+    repeated = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
+    del ordered
+    groups: dict[int, list[int]] = {k: [] for k in repeated}
+    for v, k in compress(zip(live, keys), map(repeated.__contains__, keys)):
+        groups[k].append(v)  # ascending, as ``live`` is
+    del keys, live, repeated
+    dropped = []
     for members in groups.values():
         split: dict[tuple[int, ...], list[int]] = {}
         for v in members:
@@ -336,8 +331,15 @@ def _twin_classes(g: Graph, alive, live, keys) -> list[list[int]]:
             row = nbrs[v] if all_alive else tuple(filter(is_alive, nbrs[v]))
             i = bisect_left(row, v)
             split.setdefault(row[:i] + (v,) + row[i:], []).append(v)
-        classes.extend(c for c in split.values() if len(c) > 1)
-    return classes
+        for twins in split.values():
+            if len(twins) > 1:
+                # max keeps the first heaviest: the lowest id on ties
+                twins.remove(max(twins, key=weight.__getitem__))
+                dropped += twins
+    del groups
+    for u in dropped:
+        alive[u] = False
+    return tuple(compress(range(n), alive))
 
 
 def is_regular_node(g: Graph, v: int, live=None) -> tuple[tuple[int, ...], tuple[int, ...]]:

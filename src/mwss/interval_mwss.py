@@ -11,6 +11,7 @@ single left-to-right pass, with node exclusions handled for free.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
@@ -22,11 +23,13 @@ class ConsistentOrder:
 
     ``prefix[k]`` is the last position whose node may be combined with
     the node at position k: one less than the position of its earliest
-    earlier neighbor, or k-1 when it has none.
+    earlier neighbor, or k-1 when it has none.  The pointers are held in
+    an ``array("q")``, eight bytes each: most are distinct ints above
+    256, which a tuple would hold as one fresh object per position.
     """
 
     order: tuple[int, ...]
-    prefix: tuple[int, ...]
+    prefix: array
 
 
 def consistent_order(before_len, after_len, cliques) -> ConsistentOrder:
@@ -59,7 +62,7 @@ def consistent_order(before_len, after_len, cliques) -> ConsistentOrder:
     sizes = [len(clique) for clique in cliques]
     # prefix[k] = (start of its clique - 1) - before_len[order[k]]
     ends = chain.from_iterable(map(repeat, accumulate(sizes, initial=-1), sizes))
-    prefix = tuple(map(sub, ends, map(before_len.__getitem__, order)))
+    prefix = array("q", map(sub, ends, map(before_len.__getitem__, order)))
     return ConsistentOrder(order, prefix)
 
 
@@ -77,20 +80,18 @@ def mwss_on_order(
     order = co.order
     prefix = co.prefix
     n = len(order)
-    best = [0] * (n + 1)  # best[k+1] is the optimum over positions 0..k
+    # best[k] is the optimum over positions 0..k; best[-1], that is
+    # best[n], stays 0 for a node with no earlier position to combine with
+    best = [0] * (n + 1)
     take = bytearray(n)
-    for k in range(n):
-        v = order[k]
-        skip = best[k]
-        if v in excluded:
-            best[k + 1] = skip
-            continue
-        value = weights[v] + best[prefix[k] + 1]
-        if value > skip:
-            best[k + 1] = value
-            take[k] = 1
-        else:
-            best[k + 1] = skip
+    skip = 0  # best[k - 1]
+    for k, v, p in zip(range(n), order, prefix):
+        if v not in excluded:
+            value = weights[v] + best[p]
+            if value > skip:
+                skip = value
+                take[k] = 1
+        best[k] = skip
     chosen = []
     k = n - 1
     while k >= 0:
@@ -99,4 +100,4 @@ def mwss_on_order(
             k = prefix[k]
         else:
             k -= 1
-    return best[n], tuple(sorted(chosen))
+    return skip, tuple(sorted(chosen))

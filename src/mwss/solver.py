@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import compress
+from typing import Sequence
 
 from .canonical import canonicalize, greedy_members
 from .decomposition import Decomposition, decompose
@@ -38,18 +40,40 @@ class Solution:
     certificates: dict | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineDetail:
     """Intermediate artifacts of one component's pipeline run (trace/tests),
-    in the component's ids, with ``graph`` the component's induced graph."""
+    in the component's ids.
 
-    graph: Graph
+    ``graph`` is the component's induced graph: ``source``, the graph the
+    pipeline ran on, or, for a component solved on the input's rows,
+    ``induced_subgraph(source, comp)`` with ``comp`` its nodes ascending
+    in ``source``'s ids, copied on first read only.
+    """
+
+    source: Graph
     stable_set: tuple[int, ...]  # the canonical stable set, ascending
     decomposition: Decomposition
     interval: IntervalResult
     order: ConsistentOrder  # over V - X, strip after strip
     canonical_steps: int
     dp_passes: int
+    comp: Sequence[int] | None = None
+
+    @cached_property
+    def graph(self) -> Graph:
+        if self.comp is None:
+            return self.source
+        return induced_subgraph(self.source, self.comp)
+
+    def __eq__(self, other):
+        """Equal when both state the same run on equal graphs, whether the
+        graph is held or copied on first read."""
+        if not isinstance(other, PipelineDetail):
+            return NotImplemented
+        parts = ("stable_set", "decomposition", "interval", "order", "canonical_steps",
+                 "dp_passes", "graph")
+        return all(getattr(self, name) == getattr(other, name) for name in parts)
 
 
 def _non_neighbour_bits(g: Graph, order) -> list[int]:
@@ -444,7 +468,7 @@ def _strip_route(
     detail = None
     if collect:
         detail = PipelineDetail(
-            graph=g,
+            source=g,
             stable_set=stable,
             decomposition=dec,
             interval=interval,
@@ -458,8 +482,8 @@ def _strip_route(
 def _in_component_ids(detail: PipelineDetail, comp) -> PipelineDetail:
     """``detail`` of a strip route run on the input's rows (in its ids),
     restated in the ids of the component ``comp`` (ascending): node i is
-    ``comp[i]``, as in ``induced_subgraph(g, comp)``, which becomes the
-    detail's graph.  The pipeline is not run again."""
+    ``comp[i]``, as in ``induced_subgraph(g, comp)``, which the detail's
+    graph becomes when it is read.  The pipeline is not run again."""
     new_id = dict(zip(comp, range(len(comp))))
     ids = new_id.__getitem__
 
@@ -484,7 +508,7 @@ def _in_component_ids(detail: PipelineDetail, comp) -> PipelineDetail:
     )
     return replace(
         detail,
-        graph=induced_subgraph(detail.graph, comp),
+        comp=comp,
         stable_set=nodes(detail.stable_set),
         decomposition=decomposition,
         interval=interval,

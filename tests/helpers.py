@@ -283,6 +283,11 @@ def reference_solve(g):
     return Solution(total, tuple(sorted(chosen)), route, certificates)
 
 
+def pricing_weights(n, rng):
+    """A pricing oracle's weight vector: 70% of the nodes non-positive."""
+    return [rng.randint(-1000, 0) if rng.random() < 0.7 else rng.randint(1, 1000) for _ in range(n)]
+
+
 def twin_augmented(g, rng, clones, adjacent_only=False):
     """``g`` plus ``clones`` new nodes under shuffled ids, weights -2..4.
 
@@ -985,5 +990,5 @@ def strip_pipeline_outcome(g, reference=False):
         interval.added_edges,
         interval.stage_counts,
         co.order,
-        co.prefix,
+        tuple(co.prefix),
     )

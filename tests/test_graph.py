@@ -24,6 +24,7 @@ from helpers import (
     cycle_graph,
     mwss_enumerate,
     path_graph,
+    pricing_weights,
     random_graph,
     reference_components,
     reference_induced_subgraph,
@@ -481,6 +482,50 @@ class TestTwinsMatchReference:
             rows = Counter(frozenset(g.neighbors(v)).intersection(live) for v in live)
             open_twins += any(c > 1 for c in rows.values())
         assert drops > 0 and open_twins > 0
+
+    @staticmethod
+    def _split_keys(g):
+        """Keys (the id sum of a live closed neighborhood) that two or more
+        positive nodes share while their closed neighborhoods differ."""
+        positive = {v for v in range(g.n) if g.weights[v] > 0}
+        closed = {}
+        for v in positive:
+            hood = frozenset(positive.intersection(g.neighbors(v))) | {v}
+            closed.setdefault(sum(hood), set()).add(hood)
+        return sum(len(hoods) > 1 for hoods in closed.values())
+
+    @staticmethod
+    def _strips(seed):
+        rng = random.Random(seed)
+        for i in range(12):
+            yield gen_strip_instance(
+                GenSpec(seed=seed + i, nodes=rng.randint(200, 1000), clique_min=2,
+                        clique_max=rng.randint(5, 11), density=rng.choice((0.5, 0.8)),
+                        weights=("ties", "unit")[i % 2])
+            )
+
+    def test_positive_strips_many_classes(self):
+        # every node positive: keys are summed over the full rows
+        dropped = split = 0
+        for g in self._strips(3200):
+            assert min(g.weights) > 0
+            live = self._check(g)
+            dropped += g.n - len(live)
+            split += self._split_keys(g) > 0
+        assert dropped > 1000 and split >= 10, (dropped, split)
+
+    def test_strips_under_pricing_weights(self):
+        # 70% of the nodes non-positive: keys are summed over filtered rows
+        rng = random.Random(3201)
+        split = 0
+        graphs = list(self._strips(3300))
+        graphs += [twin_augmented(g, rng, rng.randint(20, 200), adjacent_only=True) for g in graphs]
+        for g in graphs:
+            h = Graph(g.n, g.edges(), pricing_weights(g.n, rng))
+            live = self._check(h)
+            assert len(live) < sum(w > 0 for w in h.weights)
+            split += self._split_keys(h) > 0
+        assert split >= 10, split
 
     def test_strip_4k_under_pricing_weights(self):
         base = gen_strip_instance(

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from mwss import (
@@ -72,8 +74,17 @@ class TestConsistentOrder:
         g = Graph(5, [(0, 1), (2, 3), (3, 4)])
         co = order_of(g, [(1,), (0,), (2,), (3,), (4,)])
         assert co.order == (1, 0, 2, 3, 4)
-        assert co.prefix == (-1, -1, 1, 1, 2)
+        assert tuple(co.prefix) == (-1, -1, 1, 1, 2)
         assert mwss_on_order(co, [4, 1, 2, 1, 2]) == (8, (0, 2, 4))
+
+    def test_prefix_pointers_are_an_int64_array(self):
+        # eight bytes a pointer, not one int object per position
+        g = gen_strip_instance(GenSpec(seed=9, mode="strip", nodes=18, clique_min=1, clique_max=4))
+        co = solve_component(g, collect=True)[3].order
+        assert isinstance(co.prefix, array) and co.prefix.typecode == "q"
+        assert len(co.prefix) == len(co.order)
+        co = order_of(path_graph(3), [(0,), (1,), (2,)])
+        assert isinstance(co.prefix, array) and co.prefix.typecode == "q"
 
     def test_prefix_pointers_cover_suffix(self):
         g = gen_strip_instance(GenSpec(seed=9, mode="strip", nodes=18, clique_min=1, clique_max=4))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -38,6 +39,7 @@ from helpers import (
     nested_cliques,
     path_graph,
     perturbed_strip,
+    pricing_weights,
     random_graph,
     reference_alpha3,
     reference_claw_at,
@@ -45,11 +47,6 @@ from helpers import (
     reference_stable4_exact,
     twin_augmented,
 )
-
-
-def pricing_weights(n, rng):
-    """A pricing oracle's weight vector: 70% of the nodes non-positive."""
-    return [rng.randint(-1000, 0) if rng.random() < 0.7 else rng.randint(1, 1000) for _ in range(n)]
 
 
 def outcome(solver, g):
@@ -928,7 +925,7 @@ class TestDominantComponentOnRows:
         assert seen["solved"] >= 100 and seen["solved_on_rows"] >= 60, seen
         assert seen["claw"] >= 100 and len(seen) >= 8, seen
 
-    def test_strip_4k_is_not_copied_and_peaks_in_the_twin_pass(self, induced_calls):
+    def test_strip_4k_is_not_copied_and_twin_pass_is_not_the_peak(self, induced_calls):
         g = gen_strip_instance(GenSpec(seed=3, nodes=4000))
         live = remove_twins(g)
         assert len(live) == 3255 and len(connected_components(g, live)) == 1
@@ -936,6 +933,9 @@ class TestDominantComponentOnRows:
         assert induced_calls == []
 
         def peak(fn):
+            # a full collection empties the interpreter's free lists, so the
+            # same allocations are traced whatever ran in this process before
+            gc.collect()
             tracemalloc.start()
             try:
                 fn()
@@ -943,8 +943,9 @@ class TestDominantComponentOnRows:
             finally:
                 tracemalloc.stop()
 
-        # nothing the pipeline holds outgrows remove_twins' own transients
-        assert peak(lambda: solve(g)) <= 1.15 * peak(lambda: remove_twins(g))
+        # the twin pass keys nodes in an array, with no Counter or dict over
+        # all of them: the strip route, not the preprocessing, sets the peak
+        assert peak(lambda: remove_twins(g)) <= 0.6 * peak(lambda: solve(g))
         # 70% of the nodes non-positive: every component is at most half of
         # the input and is copied, once
         h = Graph(g.n, g.edges(), pricing_weights(g.n, random.Random(3)))
@@ -952,6 +953,16 @@ class TestDominantComponentOnRows:
         assert solve(h).route == "component_merge"
         comps = connected_components(h, remove_twins(h))
         assert induced_calls == list(map(tuple, comps)) and len(comps) > 100
+
+    def test_traced_detail_copies_its_graph_on_read_only(self, induced_calls):
+        g = gen_strip_instance(GenSpec(seed=3, nodes=4000))
+        s = solve(g, collect_trace=True)
+        assert induced_calls == []  # the detail holds the input's rows, no copy
+        (comp,) = connected_components(g, remove_twins(g))
+        (detail,) = s.certificates["details"]
+        assert detail.graph == induced_subgraph(g, comp)
+        assert detail.graph is detail.graph
+        assert induced_calls == [comp]  # copied once, on the first read
 
 
 class TestWitnessIds:
