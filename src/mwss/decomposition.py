@@ -226,9 +226,8 @@ def build_strips(
         strips = [(q, y, p) if p else (q, y)]
     else:
         x_layers = _clique_layers(g, x, q, "X", live)
-        x_nodes = set().union(*x_layers)
         y_layers = _clique_layers(g, y, q, "Y", live)
-        if y and y[0] in x_nodes:
+        if y and any(y[0] in layer for layer in x_layers):
             # One shared component: X sits at the end of the Y layers.
             xs = set(x)
             family = [q] + [tuple(sorted(set(layer) - xs)) for layer in y_layers]

@@ -522,9 +522,11 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     ``remove_twins`` leaves the live nodes in ``g``'s ids: those of
     positive weight, less all but a heaviest node of each adjacent-twin
     class.  Each connected component of the live nodes is solved on its
-    own.  A component holding more than half of ``g``'s nodes (at most
-    one does) is solved on ``g``'s own rows, with no copy, unless it
-    needs dense ids (see ``solve_component``).  Any other component is
+    own.  A single live node is its own answer, on the α ≤ 3 route, as
+    its weight is positive.  A component holding more than half of
+    ``g``'s nodes (at most one does) is solved on ``g``'s own rows, with
+    no copy, unless it needs dense ids (see ``solve_component``).  Any
+    other component is
     induced from ``g``, so its nodes are its one id map, held as an
     ``array("q")``: the ids of ``remove_twins`` are fresh ints, which would
     otherwise live to the end of the solve, and the live tuple is let go
@@ -549,7 +551,10 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     details = [] if collect_trace else None
     for comp in comps:
         result = None
-        if len(comp) == g.n:
+        if len(comp) == 1:  # a positive node alone: its own answer, no copy
+            v = comp[0]
+            result = g.weights[v], (v,), ROUTE_ALPHA3, None
+        elif len(comp) == g.n:
             result = solve_component(g, collect_trace)
         elif 2 * len(comp) > g.n:
             mask = bytearray(g.n)

@@ -751,10 +751,14 @@ class TestReferenceSolve:
         rng = random.Random(9)
         for vector in range(3):
             induced_calls.clear()
-            got = self._same(Graph(base.n, edges, pricing_weights(base.n, rng)))
+            g = Graph(base.n, edges, pricing_weights(base.n, rng))
+            got = self._same(g)
             assert got[2] == "component_merge" and got[4] > 0
-            # one copy per component and none of the whole input
-            assert len(induced_calls) == got[5]
+            # one copy per component of two or more nodes, none of a single
+            # node (its answer is itself) and none of the whole input
+            comps = connected_components(g, remove_twins(g))
+            assert induced_calls == [c for c in comps if len(c) > 1]
+            assert len(comps) == got[5] > len(induced_calls)
 
     def test_connected_twin_free_input_is_not_copied(self, induced_calls):
         graphs = [nested_cliques(k, random.Random(k))[0] for k in (3, 6, 20)]
@@ -947,12 +951,13 @@ class TestDominantComponentOnRows:
         # all of them: the strip route, not the preprocessing, sets the peak
         assert peak(lambda: remove_twins(g)) <= 0.6 * peak(lambda: solve(g))
         # 70% of the nodes non-positive: every component is at most half of
-        # the input and is copied, once
+        # the input and is copied, once, unless it is a single node
         h = Graph(g.n, g.edges(), pricing_weights(g.n, random.Random(3)))
         induced_calls.clear()
         assert solve(h).route == "component_merge"
         comps = connected_components(h, remove_twins(h))
-        assert induced_calls == list(map(tuple, comps)) and len(comps) > 100
+        assert induced_calls == [c for c in comps if len(c) > 1]
+        assert len(comps) > 100 and len(induced_calls) < len(comps)
 
     def test_traced_detail_copies_its_graph_on_read_only(self, induced_calls):
         g = gen_strip_instance(GenSpec(seed=3, nodes=4000))
