@@ -4,17 +4,20 @@ Every check returns ``None`` when its invariant holds and otherwise a
 witness tuple that starts with the violation's name.  ``CanonicalState``
 classifies each node by its stable neighbors, for the canonical-set
 checks; the solver hands its stable set on as a plain tuple.
-``mwss selftest``, the acceptance suite and the unit tests call these;
-no solver module imports this one, so none of it runs on the solve path.
+``component_detail`` restates a traced ``PipelineDetail`` in its
+component's own ids.  ``mwss selftest``, the acceptance suite and the
+unit tests call these; no solver module imports this one, so none of it
+runs on the solve path.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import islice
 
 from .canonical import stable_counts
 from .errors import GraphInputError
-from .graph import Graph
+from .graph import Graph, induced_subgraph, live_nodes
 from .interval_mwss import ConsistentOrder
 from .patterns import find_claw, find_square_in, square_semi_homogeneous_check
 
@@ -113,6 +116,38 @@ def canonical_violation(st: CanonicalState, steps: int | None = None) -> tuple |
     if steps is not None and steps > 50 * (g.n + g.m):
         return ("steps", (steps,))
     return None
+
+
+def component_detail(detail):
+    """A ``PipelineDetail`` in its component's own ids: ``detail`` itself
+    when it has no mask, else restated as if the masked component had been
+    copied, with ``induced_subgraph`` of the input as its graph and node i
+    the i-th live node ascending.  The pipeline is not run again."""
+    if detail.live is None:
+        return detail
+    comp = list(live_nodes(detail.graph, detail.live))
+    ids = dict(zip(comp, range(len(comp)))).__getitem__
+
+    def nodes(seq):
+        return tuple(map(ids, seq))
+
+    dec, interval = detail.decomposition, detail.interval
+    dec = replace(
+        dec, core=nodes(dec.core), removal=nodes(dec.removal), companion=nodes(dec.companion),
+        strips=tuple(tuple(map(nodes, strip)) for strip in dec.strips),
+        wing_order=nodes(dec.wing_order),
+    )
+    interval = replace(
+        interval, cliques=tuple(map(nodes, interval.cliques)),
+        added_edges=tuple(map(nodes, interval.added_edges)),
+        before_len=[interval.before_len[v] for v in comp],
+        after_len=[interval.after_len[v] for v in comp],
+    )
+    return replace(
+        detail, graph=induced_subgraph(detail.graph, comp), live=None, decomposition=dec,
+        interval=interval, stable_set=nodes(detail.stable_set),
+        order=replace(detail.order, order=nodes(detail.order.order)),
+    )
 
 
 def strip_violation(g: Graph, dec) -> tuple | None:

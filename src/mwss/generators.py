@@ -43,6 +43,10 @@ class GenSpec:
     weight_lo: int = 1
     weight_hi: int = 100
 
+    def __post_init__(self):  # every mode draws random weights from this range
+        if self.weights == "random" and self.weight_lo > self.weight_hi:
+            raise GraphInputError("random weights need weight_lo <= weight_hi")
+
 
 def _draw_weights(rng: random.Random, n: int, spec: GenSpec) -> list[int]:
     if spec.weights == "unit":
@@ -178,6 +182,8 @@ def gen_strip_instance(spec: GenSpec) -> Graph:
         raise GraphInputError("strip mode needs at least 7 nodes for alpha >= 4")
     if not 0.0 < spec.density <= 1.0:
         raise GraphInputError("density must be in (0, 1]")
+    if not 1 <= spec.clique_min <= spec.clique_max:
+        raise GraphInputError("strip mode needs 1 <= clique_min <= clique_max")
     for attempt in range(RESEED_ATTEMPTS):
         rng = random.Random(spec.seed * 1_000_003 + attempt)
         adj, clique_of, cliques = _build_chain(rng, spec)

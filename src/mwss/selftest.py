@@ -15,6 +15,7 @@ import sys
 from .checks import (
     CanonicalState,
     canonical_violation,
+    component_detail,
     interval_violation,
     strip_partition_violation,
     strip_violation,
@@ -73,7 +74,7 @@ def run_selftest(instances: int = 60, seed: int = 0, out=sys.stdout) -> int:
         solution = solve(g, collect_trace=True)
         if solution.value != oracle_mwss(g)[0]:
             bad += 1
-        details.extend(d for d in solution.certificates["details"] if d is not None)
+        details.extend(component_detail(d) for d in solution.certificates["details"] if d)
     report("solve-equals-oracle", bad)
 
     bad = sum(

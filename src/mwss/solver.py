@@ -15,10 +15,8 @@ already one of the input.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
 
 from .canonical import canonicalize, greedy_members
 from .decomposition import Decomposition, decompose
@@ -40,40 +38,26 @@ class Solution:
     certificates: dict | None = None
 
 
-@dataclass(eq=False)
+@dataclass
 class PipelineDetail:
     """Intermediate artifacts of one component's pipeline run (trace/tests),
-    in the component's ids.
+    in the ids its pipeline ran in.
 
-    ``graph`` is the component's induced graph: ``source``, the graph the
-    pipeline ran on, or, for a component solved on the input's rows,
-    ``induced_subgraph(source, comp)`` with ``comp`` its nodes ascending
-    in ``source``'s ids, copied on first read only.
+    ``graph`` is the graph the pipeline ran on: the component's induced
+    copy, with ``live`` None, or, for a component solved on the input's
+    rows, the input itself, with ``live`` the mask of the component's
+    nodes (see ``graph.live_nodes``).  ``mwss.checks.component_detail``
+    restates a masked detail in the component's own ids.
     """
 
-    source: Graph
+    graph: Graph
     stable_set: tuple[int, ...]  # the canonical stable set, ascending
     decomposition: Decomposition
     interval: IntervalResult
     order: ConsistentOrder  # over V - X, strip after strip
     canonical_steps: int
     dp_passes: int
-    comp: Sequence[int] | None = None
-
-    @cached_property
-    def graph(self) -> Graph:
-        if self.comp is None:
-            return self.source
-        return induced_subgraph(self.source, self.comp)
-
-    def __eq__(self, other):
-        """Equal when both state the same run on equal graphs, whether the
-        graph is held or copied on first read."""
-        if not isinstance(other, PipelineDetail):
-            return NotImplemented
-        parts = ("stable_set", "decomposition", "interval", "order", "canonical_steps",
-                 "dp_passes", "graph")
-        return all(getattr(self, name) == getattr(other, name) for name in parts)
+    live: bytearray | None = None
 
 
 def _non_neighbour_bits(g: Graph, order) -> list[int]:
@@ -418,8 +402,7 @@ def solve_component(
     set to four or proves alpha(G) <= 3, and for ``alpha3_fallback``.
     Walking a masked component's nodes ascending is walking its copy's
     ``range(n)``, as ``induced_subgraph`` renumbers in that order, so the
-    answer, and a witness once mapped, are the copy's.  A masked detail is
-    restated in the component's ids (``_in_component_ids``).
+    answer, and a witness once mapped, are the copy's.
     """
     seed = greedy_members(g, live=live)
     if len(seed) < 4:
@@ -431,10 +414,7 @@ def solve_component(
             value, nodes = alpha3_fallback(g, bits)
             return value, nodes, ROUTE_ALPHA3, None
         seed = greedy_members(g, seed4)
-    value, nodes, route, detail = _strip_route(g, seed, collect, live)
-    if collect and live is not None:
-        detail = _in_component_ids(detail, list(compress(range(g.n), live)))
-    return value, nodes, route, detail
+    return _strip_route(g, seed, collect, live)
 
 
 def _strip_route(
@@ -468,52 +448,16 @@ def _strip_route(
     detail = None
     if collect:
         detail = PipelineDetail(
-            source=g,
+            graph=g,
             stable_set=stable,
             decomposition=dec,
             interval=interval,
             order=co,
             canonical_steps=stats.steps,
             dp_passes=len(removal) + 1,
+            live=live,
         )
     return best_value, best_nodes, ROUTE_PIPELINE, detail
-
-
-def _in_component_ids(detail: PipelineDetail, comp) -> PipelineDetail:
-    """``detail`` of a strip route run on the input's rows (in its ids),
-    restated in the ids of the component ``comp`` (ascending): node i is
-    ``comp[i]``, as in ``induced_subgraph(g, comp)``, which the detail's
-    graph becomes when it is read.  The pipeline is not run again."""
-    new_id = dict(zip(comp, range(len(comp))))
-    ids = new_id.__getitem__
-
-    def nodes(seq):
-        return tuple(map(ids, seq))
-
-    dec, interval = detail.decomposition, detail.interval
-    decomposition = replace(
-        dec,
-        core=nodes(dec.core),
-        removal=nodes(dec.removal),
-        companion=nodes(dec.companion),
-        strips=tuple(tuple(map(nodes, strip)) for strip in dec.strips),
-        wing_order=nodes(dec.wing_order),
-    )
-    interval = replace(
-        interval,
-        before_len=[interval.before_len[v] for v in comp],
-        after_len=[interval.after_len[v] for v in comp],
-        cliques=tuple(map(nodes, interval.cliques)),
-        added_edges=tuple(map(nodes, interval.added_edges)),
-    )
-    return replace(
-        detail,
-        comp=comp,
-        stable_set=nodes(detail.stable_set),
-        decomposition=decomposition,
-        interval=interval,
-        order=replace(detail.order, order=nodes(detail.order.order)),
-    )
 
 
 def solve(g: Graph, collect_trace: bool = False) -> Solution:
@@ -526,11 +470,10 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     its weight is positive.  A component holding more than half of
     ``g``'s nodes (at most one does) is solved on ``g``'s own rows, with
     no copy, unless it needs dense ids (see ``solve_component``).  Any
-    other component is
-    induced from ``g``, so its nodes are its one id map, held as an
-    ``array("q")``: the ids of ``remove_twins`` are fresh ints, which would
-    otherwise live to the end of the solve, and the live tuple is let go
-    once the components are split.  The input is trusted to be
+    other component is induced from ``g``, so its nodes are its one id
+    map, held as an ``array("q")``: the ids of ``remove_twins`` are fresh
+    ints, which would otherwise live to the end of the solve, and the live
+    tuple is let go once the components are split.  The input is trusted to be
     {claw, net}-free; structural contract violations surface as
     ``StructuralError`` with a witness in ``g``'s ids, mapped through
     that map for a copy, so a claw or net witness names one in ``g``.
@@ -539,7 +482,7 @@ def solve(g: Graph, collect_trace: bool = False) -> Solution:
     member sees a stable triple or a node sees three members, even if its
     stability number is at most three (see ``find_stable4``).
     ``certificates["details"]`` holds each component's ``PipelineDetail``
-    in the component's ids, as if it had been copied.
+    in the ids its pipeline ran in (see ``mwss.checks.component_detail``).
     """
     live = remove_twins(g)
     comps = [array("q", comp) for comp in connected_components(g, live)]

@@ -7,6 +7,7 @@ from mwss import Graph, consistent_order, interval_transform, solve
 from mwss.checks import (
     CanonicalState,
     canonical_violation,
+    component_detail,
     interval_violation,
     semi_homog_pair_certificate,
     strip_violation,
@@ -35,12 +36,23 @@ class TestCanonicalViolation:
         assert canonical_violation(st, budget + 1) == ("steps", (budget + 1,))
 
 
+def test_component_detail_returns_an_unmasked_detail_as_it_is():
+    # P7 is solved as all of g, and each path of two disjoint P7s on its copy
+    two_paths = Graph(14, [(v, v + 1) for v in range(13) if v != 6])
+    for g in (path_graph(7), two_paths):
+        details = solve(g, collect_trace=True).certificates["details"]
+        assert len(details) == g.n // 7
+        for detail in details:
+            assert detail.live is None and component_detail(detail) is detail
+
+
 def perturbed_1516_detail():
-    """The one pipeline detail of ``perturbed_strip(1516)``: a claw-containing
-    graph whose first strip pair is not square-semi-homogeneous."""
+    """The one pipeline detail of ``perturbed_strip(1516)``, in its
+    component's ids: a claw-containing graph whose first strip pair is not
+    square-semi-homogeneous."""
     details = solve(perturbed_strip(1516), collect_trace=True).certificates["details"]
     (detail,) = filter(None, details)
-    return detail
+    return component_detail(detail)
 
 
 def test_strip_violation_names_square_and_breaker():

@@ -234,6 +234,17 @@ class TestOtherCommands:
     def test_gen_requires_seed(self, capsys):
         assert run(["gen", "--nodes", "10"]) == 2
 
+    def test_gen_bad_spec_is_an_input_error(self, capsys):
+        bounds = ["--clique-min", "5", "--clique-max", "2"]
+        weights = ["--weights", "random", "--weight-lo", "50", "--weight-hi", "10"]
+        for spec, field in ((bounds, "clique_min"), (weights, "weight_lo")):
+            assert run(["gen", "--seed", "1", "--nodes", "20", *spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("input error:")
+            assert field in captured.err
+        # nested mode reads no clique bounds
+        assert run(["gen", "--seed", "1", "--mode", "nested", "--nodes", "9", *bounds]) == 0
+
     def test_oracle_command(self, tmp_path, capsys):
         code = run(["oracle", write(tmp_path, P7_TEXT)])
         out = capsys.readouterr().out

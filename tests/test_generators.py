@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import mwss.generators
 from mwss import (
     GenSpec,
     GraphInputError,
@@ -68,6 +69,17 @@ class TestStripMode:
         with pytest.raises(GraphInputError):
             gen_strip_instance(GenSpec(seed=0, mode="strip", nodes=5))
 
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (-3, 2), (5, 2)])
+    def test_clique_bounds_refused_before_any_draw(self, monkeypatch, lo, hi):
+        # 0..0 and -3..2 would draw clique sizes that never cover the nodes
+        def no_draws(*args):
+            raise AssertionError("a generator stream was seeded")
+
+        monkeypatch.setattr(mwss.generators.random, "Random", no_draws)
+        spec = GenSpec(seed=1, mode="strip", nodes=20, clique_min=lo, clique_max=hi)
+        with pytest.raises(GraphInputError, match="clique_min <= clique_max"):
+            generate(spec)
+
     def test_golden_seed1_frozen(self):
         spec = GenSpec(seed=1, mode="strip", nodes=24, clique_min=2, clique_max=4, density=0.5, weights="random")
         g = gen_strip_instance(spec)
@@ -129,6 +141,23 @@ class TestNestedMode:
     def test_nodes_must_be_a_positive_multiple_of_3(self, nodes):
         with pytest.raises(GraphInputError):
             generate(GenSpec(seed=0, mode="nested", nodes=nodes))
+
+
+class TestWeightRange:
+    @pytest.mark.parametrize("mode, nodes", [("strip", 20), ("rejection", 10), ("nested", 9)])
+    def test_random_weights_need_a_range_in_every_mode(self, mode, nodes):
+        with pytest.raises(GraphInputError, match="weight_lo <= weight_hi"):
+            GenSpec(seed=1, mode=mode, nodes=nodes, weights="random", weight_lo=50, weight_hi=10)
+        # other weight regimes ignore the range
+        for weights in ("unit", "ties"):
+            spec = GenSpec(seed=1, mode=mode, nodes=nodes, weights=weights, weight_lo=50, weight_hi=10)
+            assert generate(spec).n == nodes
+        spec = GenSpec(seed=1, mode=mode, nodes=nodes, weights="random", weight_lo=7, weight_hi=7)
+        assert list(generate(spec).weights) == [7] * nodes
+
+    def test_nested_mode_ignores_the_clique_bounds(self):
+        spec = GenSpec(seed=1, mode="nested", nodes=9, clique_min=5, clique_max=2)
+        assert generate(spec) == generate(GenSpec(seed=1, mode="nested", nodes=9))
 
 
 class TestChainClawFinder:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -24,6 +25,7 @@ from mwss import (
     solve,
 )
 from mwss.canonical import greedy_members
+from mwss.checks import component_detail
 from mwss.graph import connected_components
 from mwss.patterns import PatternWitness, validate_witness
 from mwss.solver import ROUTE_ALPHA3, alpha3_fallback
@@ -609,12 +611,10 @@ class TestPipelineContracts:
         # only, not a row per node
         g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
         (detail,) = solve(g, collect_trace=True).certificates["details"]
-        # g drops adjacent twins: its one component is solved on g's rows, in
-        # g's ids, and the detail restates it in the component's ids
-        comp = remove_twins(g)
-        strips = [
-            [tuple(comp[v] for v in k) for k in strip] for strip in detail.decomposition.strips
-        ]
+        # g drops adjacent twins: its one component is solved on g's rows,
+        # and the detail states it in g's ids
+        assert detail.graph is g and detail.live is not None
+        strips = detail.decomposition.strips
         pairs = []
         real = mwss.square_elimination.EliminationState
 
@@ -662,9 +662,9 @@ class TestPipelineContracts:
         monkeypatch.setattr(mwss.solver, "interval_transform", keeping_a_weakref(transform))
         monkeypatch.setattr(mwss.solver, "mwss_on_order", checking)
         g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
-        # g's one component drops adjacent twins, so it is solved on g's rows
-        # and its detail restated in its own ids; its induced copy is solved
-        # as it is, and its detail holds the pipeline's own objects
+        # g's one component drops adjacent twins, so it is solved on g's rows,
+        # and its induced copy as it is; either detail holds the pipeline's
+        # own objects
         for h in (g, induced_subgraph(g, remove_twins(g))):
             results.clear()
             alive.clear()
@@ -673,9 +673,8 @@ class TestPipelineContracts:
             assert len(alive) > 1 and set(alive) == {(collect, collect)}
             if collect:
                 (detail,) = s.certificates["details"]
-                if h is not g:
-                    assert results[0]() is detail.decomposition
-                    assert results[1]() is detail.interval
+                assert results[0]() is detail.decomposition
+                assert results[1]() is detail.interval
                 assert detail.interval == transform(detail.graph, detail.decomposition.strips)
             else:
                 assert results[0]() is None and results[1]() is None
@@ -865,12 +864,14 @@ def copied_outcome(g):
 
 
 def traced_outcome(g):
-    """``solve``'s traced outcome in the shape of ``copied_outcome``."""
+    """``solve``'s traced outcome in the shape of ``copied_outcome``, its
+    details in component ids."""
     try:
         s = solve(g, collect_trace=True)
     except StructuralError as err:
         return "error", err.kind, err.witness, err.detail
-    return s.value, s.nodes, s.certificates["routes"], s.certificates["details"]
+    details = [d and component_detail(d) for d in s.certificates["details"]]
+    return s.value, s.nodes, s.certificates["routes"], details
 
 
 def some_non_positive(g, rng, share):
@@ -959,15 +960,20 @@ class TestDominantComponentOnRows:
         assert induced_calls == [c for c in comps if len(c) > 1]
         assert len(comps) > 100 and len(induced_calls) < len(comps)
 
-    def test_traced_detail_copies_its_graph_on_read_only(self, induced_calls):
+    def test_traced_detail_holds_the_input_and_its_mask(self, induced_calls):
         g = gen_strip_instance(GenSpec(seed=3, nodes=4000))
         s = solve(g, collect_trace=True)
         assert induced_calls == []  # the detail holds the input's rows, no copy
         (comp,) = connected_components(g, remove_twins(g))
         (detail,) = s.certificates["details"]
-        assert detail.graph == induced_subgraph(g, comp)
-        assert detail.graph is detail.graph
-        assert induced_calls == [comp]  # copied once, on the first read
+        assert detail.graph is g
+        assert tuple(itertools.compress(range(g.n), detail.live)) == tuple(comp)
+        # restated in the component's ids, it is the detail of the copy
+        _, _, _, copied = mwss.solver.solve_component(induced_subgraph(g, comp), collect=True)
+        restated = component_detail(detail)
+        for field in dataclasses.fields(copied):
+            name = field.name
+            assert getattr(restated, name) == getattr(copied, name), name
 
 
 class TestWitnessIds:

@@ -15,6 +15,7 @@ from mwss import (
     solve,
 )
 from mwss.checks import (
+    component_detail,
     interval_violation,
     semi_homog_pair_certificate,
     strip_partition_violation,
@@ -340,7 +341,7 @@ class TestCoverCheck:
         # the decompositions the pipeline builds on the acceptance pools, on
         # perturbed strips and on a 2,000-node strip instance all pass; each
         # of their covers, broken in the hand-made ways, gets the verdict of
-        # the reference.  The traced details hold them in component ids,
+        # the reference.  ``component_detail`` states them in component ids,
         # with the component's graph, also where solve ran on the input's rows.
         decs = []
         graphs = acceptance_pool() + acceptance_extras()
@@ -351,7 +352,9 @@ class TestCoverCheck:
                 details = solve(g, collect_trace=True).certificates["details"]
             except StructuralError:
                 continue
-            decs.extend((d.graph, d.decomposition) for d in details if d is not None)
+            decs.extend(
+                (d.graph, d.decomposition) for d in map(component_detail, filter(None, details))
+            )
         assert len(decs) > 2000 and max(g.n for g, _ in decs) > 1000, len(decs)
         rng = random.Random(17)
         outcomes = {}
