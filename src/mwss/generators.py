@@ -7,11 +7,11 @@ a chain of cliques cannot contain a net at all (a net's three pendants
 would need three pairwise non-adjacent homes around one triangle, and
 only two exist).  The result is still verified: by the full detectors at
 small sizes, and at scale by the local containment condition that is
-equivalent to claw-freeness in a chain.  Any violation is repaired by
-adding a cross edge between consecutive cliques, then the seed is retired
-and redrawn if repairs run out.  Rejection mode filters dense or sparse
-random graphs through the detectors.  Nested mode builds three nested
-cliques of stability number 3, an input of the alpha <= 3 route.
+equivalent to claw-freeness in a chain.  A build that fails a check is
+dropped and the seed redrawn; nothing is repaired.  Rejection mode
+filters dense or sparse random graphs through the detectors.  Nested
+mode builds three nested cliques of stability number 3, an input of the
+alpha <= 3 route.
 """
 
 from __future__ import annotations
@@ -187,20 +187,7 @@ def gen_strip_instance(spec: GenSpec) -> Graph:
     for attempt in range(RESEED_ATTEMPTS):
         rng = random.Random(spec.seed * 1_000_003 + attempt)
         adj, clique_of, cliques = _build_chain(rng, spec)
-        claw = _find_chain_claw(adj, cliques)
-        repairs = 0
-        budget = 10 * spec.nodes
-        while claw is not None and repairs < budget:
-            center, a, co, b = claw
-            # join two independent leaves along a consecutive-clique boundary
-            e1 = tuple(sorted((a, co)))
-            e2 = tuple(sorted((co, b)))
-            u, v = min(e1, e2)
-            adj[u].add(v)
-            adj[v].add(u)
-            repairs += 1
-            claw = _find_chain_claw(adj, cliques)
-        if claw is not None:
+        if _find_chain_claw(adj, cliques) is not None:
             continue
         perm = list(range(spec.nodes))
         rng.shuffle(perm)

@@ -45,17 +45,18 @@ def consistent_order(before_len, after_len, cliques) -> ConsistentOrder:
     precondition holds (``mwss.checks.strip_partition_violation`` checks
     the latter off the solve path).  Cliques of several strips may follow
     each other: strips do not touch, so at a strip boundary every reach is
-    empty and no prefix pointer crosses it.  Also not checked: the
-    ``after`` rows of each clique form a chain under inclusion, as
+    empty and no prefix pointer crosses it.  Also not checked: the rows
+    of each clique into the next form a chain under inclusion, as
     ``EliminationState.run`` proves (``mwss.patterns.find_square_in`` and
     ``mwss.checks.verify_consistent`` catch a violation off the solve path).
 
-    A node's reach is its ``after`` row, so nested reaches are ranked by
-    length alone: a stable sort of the ascending clique keeps equal
-    lengths in id order.  Nested reaches make its ``before`` row a suffix
-    of the previous clique's order, so its earliest earlier neighbor sits
-    ``before_len[v]`` places before its own clique starts.  Each ranked
-    clique is dropped once it is read into the order tuple.
+    A node's reach is its row into the next clique, so nested reaches are
+    ranked by length alone: a stable sort of the ascending clique keeps
+    equal lengths in id order.  Nested reaches make its row into the
+    previous clique a suffix of that clique's order, so its earliest
+    earlier neighbor sits ``before_len[v]`` places before its own clique
+    starts.  Each ranked clique is dropped once it is read into the order
+    tuple.
     """
     ranked = (sorted(clique, key=after_len.__getitem__) for clique in cliques)
     order = tuple(chain.from_iterable(ranked))

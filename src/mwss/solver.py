@@ -321,19 +321,17 @@ def alpha3_fallback(g: Graph, bits=None) -> tuple[int, tuple[int, ...]]:
     the lowest set bit of the two non-neighbourhoods' intersection.  Any
     set a non-edge gives weighs at most w[u] + w[v] + top, with top =
     max(max weight, 0), so a non-edge whose bound is below L, the best
-    value known, is skipped.  L starts at the weight of a greedy set (the
-    heaviest node, its heaviest non-neighbour and their heaviest common
-    non-neighbour) and rises with each better set found.  The partners v
-    of u with w[v] >= L - w[u] - top are the low bits of u's
-    non-neighbourhood; as u runs down the ranks that threshold only
-    rises, so the scan ends at the first u left without a partner of
-    higher rank.  A skipped non-edge cannot reach the optimum, so the
-    value is exact, and so is the set: among sets of optimal value it is
-    the first in the order of a full scan (singles by id, then non-edges
-    {lo, hi} by (lo, hi), the pair before its triple), which ``best_at``
-    keeps as the scan order changes.  The scan visits no non-edge a full
-    scan would not, so the worst case, equal weights, stays one n-bit AND
-    per non-edge.
+    value known, is skipped.  L starts at the best single (or 0) and
+    rises with each better set found.  The partners v of u with
+    w[v] >= L - w[u] - top are the low bits of u's non-neighbourhood; as
+    u runs down the ranks that threshold only rises, so the scan ends at
+    the first u left without a partner of higher rank.  A skipped
+    non-edge cannot reach the optimum, so the value is exact, and so is
+    the set: among sets of optimal value it is the first in the order of
+    a full scan (singles by id, then non-edges {lo, hi} by (lo, hi), the
+    pair before its triple), which ``best_at`` keeps as the scan order
+    changes.  The scan visits no non-edge a full scan would not, so the
+    worst case, equal weights, stays one n-bit AND per non-edge.
 
     ``bits``, when given, is ``_weight_ranked_bits(g)``: ``solve_component``
     builds it once and passes it to ``find_stable4`` and here, so a
@@ -351,19 +349,10 @@ def alpha3_fallback(g: Graph, bits=None) -> tuple[int, tuple[int, ...]]:
     # for a triple found at the non-edge {lo, hi}, lo < hi; (-1,) before.
     best_at = (-1,)
     top = max(w[order[0]], 0) if order else 0
-    # L is max(best, greedy): greedy weighs the heaviest node h, its heaviest
-    # non-neighbour x and their heaviest common non-neighbour, if positive.
-    greedy = 0
-    if order and nn[order[0]]:
-        h = order[0]
-        x = order[_lowest(nn[h])]
-        common = nn[h] & nn[x]
-        third = max(w[order[_lowest(common)]], 0) if common else 0
-        greedy = w[h] + w[x] + third
     k = g.n  # partners of the current u lie among the first k ranks
     for i, u in enumerate(order):
         wu = w[u]
-        floor = max(best, greedy) - wu - top
+        floor = best - wu - top
         while k and w[order[k - 1]] < floor:
             k -= 1
         if k <= i + 1:

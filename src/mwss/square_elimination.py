@@ -13,7 +13,7 @@ deleting a removal-clique neighborhood, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, pairwise
 
 from .graph import Graph
 
@@ -21,89 +21,58 @@ from .graph import Graph
 class EliminationState:
     """Stage machine for one consecutive clique pair K_i, K_j of a strip.
 
-    ``after`` maps each node of K_i to its neighbors in K_j as a tuple;
-    ``interval_transform`` passes a dict of this pair's rows only, and
-    any container indexable by node id will do.  These rows are the only
-    adjacency the pair holds: a node of K_j meets K_i only through them,
-    so B is the set of nodes they hold and ``b_len`` counts each B node's
-    neighbors in K_i, added diagonals included.  ``d`` counts each live
-    node's live neighbors on the other side: a retired A node sees all
-    of B, a diagonal joins A to B, and B drops a node once its ``d`` is
-    0, when no live A node sees it.  ``a`` lists the live nodes of A in
-    stage order and ``b`` is the set of live nodes of B.
-
-    A ``remove`` stage reads only ``d``.  The other stages read an A
-    node's row as a set, built on first use and kept in ``a_sets`` (the
-    search for a2, the lowest live A node seeing b1, builds those of all
-    live A nodes); added diagonals extend the sets, and the rows given
-    are never changed.  So a node's final row into K_j is its set if a
-    stage built one, else its ``after`` row.  A diagonal joins a K_i
-    node to a K_j node, which no other pair reads, so
-    ``interval_transform`` builds and drops the rows pair by pair.
+    ``rows`` maps each node of K_i that sees K_j to the set of its
+    neighbours in K_j, the only adjacency the pair holds; stages add
+    their diagonals to these sets in place.  ``a`` lists the live A nodes
+    in stage order (longest row first, then lowest id), and ``b`` maps
+    each live B node to the number of live A rows holding it, dropping it
+    at 0.  So every live A row lies inside ``b``, and its length is its
+    node's degree into B.
     """
 
-    __slots__ = ("after", "weights", "a", "b", "d", "b_len", "a_sets", "added")
+    __slots__ = ("rows", "weights", "a", "b", "added")
 
-    def __init__(self, after, weights, ki):
-        self.after = after
+    def __init__(self, rows: dict, weights):
+        self.rows = rows
         self.weights = weights
-        d = self.d = {}
-        b_len = self.b_len = {}
-        for u in ki:
-            row = after[u]
-            if row:
-                d[u] = len(row)
-                for v in row:
-                    b_len[v] = b_len.get(v, 0) + 1
-        self.a = list(d)
+        self.a = list(rows)
         self._rank_a()
-        self.b = set(b_len)
-        d.update(b_len)
-        self.a_sets: dict[int, set] = {}
+        b = self.b = {}
+        for v in chain.from_iterable(rows.values()):
+            b[v] = b.get(v, 0) + 1
         self.added: list[tuple[int, int]] = []
 
     def _rank_a(self):
-        """Keep A in stage order: most neighbors in B first, then lowest id
-        (a stable sort by id, then by count, which keeps ties in id order)."""
+        rows = self.rows
         self.a.sort()
-        self.a.sort(key=self.d.__getitem__, reverse=True)
-
-    def _a_set(self, u: int) -> set:
-        """The neighbors in K_j of the A node ``u``."""
-        s = self.a_sets.get(u)
-        if s is None:
-            s = self.a_sets[u] = set(self.after[u])
-        return s
+        self.a.sort(key=lambda u: len(rows[u]), reverse=True)
 
     def _add_edge(self, u: int, v: int):
         """Join the A node ``u`` to the B node ``v``."""
-        self._a_set(u).add(v)
+        self.rows[u].add(v)
+        self.b[v] += 1
         self.added.append((u, v) if u < v else (v, u))
-        self.d[u] += 1
-        self.d[v] += 1
-        self.b_len[v] += 1
 
     def stage(self) -> str:
         """Run one stage; A must be non-empty.  Returns the action taken.
-        The b1 that ``a_max`` misses is live, so it has a live A neighbor."""
-        a, b, d = self.a, self.b, self.d
+        The b1 that ``a_max`` misses is live, so a live A row holds it."""
+        a, b, rows = self.a, self.b, self.rows
         a_max = a[0]
-        if d[a_max] == len(b):
-            # a_max sees all of B: retire it, and every node of B it leaves
-            # with no neighbor in A; no degree in A changes
+        row = rows[a_max]
+        if len(row) == len(b):
+            # a_max sees all of B: retire it, and every node of B that no
+            # other live A row holds; no row changes
             del a[0]
-            dead = []
-            for v in b:
-                d[v] -= 1
-                if not d[v]:
-                    dead.append(v)
-            b.difference_update(dead)
+            for v in row:
+                b[v] -= 1
+                if not b[v]:
+                    del b[v]
             return "remove"
-        if d[a_max] == len(b) - 1:
-            (b1,) = b - self._a_set(a_max)
-            a2 = min(u for u in a if b1 in self._a_set(u))
-            if d[a2] == len(b) - 1:
-                (b2,) = b - self._a_set(a2)
+        if len(row) == len(b) - 1:
+            (b1,) = b.keys() - row
+            a2 = min(u for u in a if b1 in rows[u])
+            if len(rows[a2]) == len(b) - 1:
+                (b2,) = b.keys() - rows[a2]
                 w = self.weights
                 if w[a2] + w[b2] >= w[a_max] + w[b1]:
                     self._add_edge(a_max, b1)
@@ -122,7 +91,7 @@ class EliminationState:
     def _kill_diags(self, abar: int):
         """Join abar to each node of B it misses except the heaviest; the
         kill-diags certificate in ``mwss.checks`` is why this is safe."""
-        missing = self.b - self._a_set(abar)
+        missing = self.b.keys() - self.rows[abar]
         w = self.weights
         spare = max(missing, key=lambda v: (w[v], -v))
         for v in sorted(missing):
@@ -133,18 +102,18 @@ class EliminationState:
         """Run stages until A drains; returns the number of stages, at most
         3|A| <= 3|K_i|.
 
-        Nesting: a live A node u sees only live B nodes, and ``remove``
-        retires u only when ``d[u]`` = |B|, so its final row is the live B
-        of that moment.  B only shrinks, so the final rows of K_i (empty
-        off A) form the chain under inclusion that ``consistent_order``
-        takes as its precondition.
-        Stage bound: Φ, the sum over live A nodes of 1 + min(|B| - d, 2),
-        starts at most 3|A| and is positive while A is non-empty.
-        ``remove`` drops its node's term and shrinks |B| only by nodes no
-        live A node sees.  ``kill_c4`` takes a node missing one B node to
-        none, and ``kill_diags`` one missing at least two to one (a_max
-        misses two in that branch, and a2 does, as ``d[a2]`` <
-        ``d[a_max]`` = |B| - 1).  So every stage lowers Φ by at least 1.
+        Nesting: a live A row lies inside B, and ``remove`` retires its
+        node only when len(row) = |B|, so its final row is the live B of
+        that moment.  B only shrinks (a diagonal joins a node already in
+        it), so the final rows of K_i (empty off A) form the chain under
+        inclusion that ``consistent_order`` takes as its precondition.
+        Stage bound: with R_u the row of u, Φ = Σ over live A nodes of
+        1 + min(|B| - |R_u|, 2) starts at most 3|A| and is positive while
+        A is non-empty.  ``remove`` drops its node's term and shrinks B
+        only by nodes no live row holds.  ``kill_c4`` takes a node missing
+        one B node to none, and ``kill_diags`` one missing at least two to
+        one (a_max misses two in that branch, and a2 does, as |R_a2| <
+        |R_a_max| = |B| - 1).  So every stage lowers Φ by at least 1.
         """
         stages = 0
         while self.a:
@@ -181,16 +150,16 @@ def interval_transform(g: Graph, strips) -> IntervalResult:
     precondition (``build_strips`` proves it for ``decompose``'s strips,
     ``mwss.checks.strip_partition_violation`` checks it): the cliques are
     cliques, partition V - X, and touch only between consecutive cliques
-    of one strip.  So the part of a K_i node's row in K_i+1, filtered in
-    row order, is its sorted ``after`` row, and a K_i+1 node meets K_i
-    only through those rows.
+    of one strip.  So a K_i+1 node meets K_i only through the rows of
+    K_i cut to K_i+1.
 
-    The consecutive clique pair is the unit of work.  For each pair the
-    ``after`` rows of K_i are split from ``g``'s rows through one
-    membership set of K_i+1, ``EliminationState`` adds the pair's
-    diagonals, and only the final row lengths are kept.  No other pair
-    reads those rows, so one pair's rows and one clique membership set
-    are alive at a time.
+    The consecutive clique pair is the unit of work.  For each pair those
+    rows are cut from ``g``'s rows through one membership set of K_i+1,
+    ``EliminationState`` adds the pair's diagonals to them, and only
+    their lengths are kept: a K_i node's ``after_len`` is its final
+    row's, and a K_i+1 node's ``before_len`` counts the final rows that
+    hold it.  No other pair reads those rows, so one pair's rows and one
+    clique membership set are alive at a time.
     """
     nbrs = g._nbrs
     before_len = [0] * g.n
@@ -203,14 +172,14 @@ def interval_transform(g: Graph, strips) -> IntervalResult:
         cliques.extend(family)
         counts = []
         for ki, kj in pairwise(family):
-            in_kj = set(kj).__contains__
-            after = {u: tuple(filter(in_kj, nbrs[u])) for u in ki}
-            state = EliminationState(after, g.weights, ki)
+            kj_set = set(kj)
+            rows = {u: row for u in ki if (row := kj_set.intersection(nbrs[u]))}
+            state = EliminationState(rows, g.weights)
             counts.append(state.run())
             added.extend(state.added)
-            for u, row in after.items():
-                after_len[u] = len(state.a_sets.get(u) or row)
-            for v, count in state.b_len.items():
-                before_len[v] = count
+            for u, row in rows.items():
+                after_len[u] = len(row)
+                for v in row:
+                    before_len[v] += 1
         stage_counts.append(tuple(counts))
     return IntervalResult(before_len, after_len, tuple(cliques), tuple(added), tuple(stage_counts))

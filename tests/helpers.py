@@ -62,7 +62,7 @@ def overlay(g, nodes=None):
 def strip_rows(g, cliques):
     """(before, after): each node's sorted neighbors in the clique before
     and after its own along ``cliques``, as lists indexed by node id (``()``
-    off the cliques); ``after`` holds the rows ``EliminationState`` reads."""
+    off the cliques)."""
     before, after = [()] * g.n, [()] * g.n
     for lo, hi in zip(cliques, cliques[1:]):
         lo_set, hi_set = set(lo), set(hi)

@@ -180,3 +180,18 @@ class TestChainClawFinder:
 
         adj = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
         assert _find_chain_claw(adj, [[0], [1, 2], [3]]) is None
+
+    def test_first_build_of_every_seed_is_claw_free(self):
+        # gen_strip_instance drops a build with a claw instead of repairing
+        # it, on the premise that the layered construction leaves none: the
+        # first build of each seed, over the ranges of nodes, clique sizes
+        # and densities, already passes the check
+        from mwss.generators import _build_chain, _find_chain_claw
+
+        rng = random.Random(36)
+        for seed in range(300):
+            lo = rng.randint(1, 8)
+            spec = GenSpec(seed=seed, mode="strip", nodes=rng.randint(7, 400), clique_min=lo,
+                           clique_max=rng.randint(lo, 12), density=rng.uniform(0.05, 1.0))
+            adj, _, cliques = _build_chain(random.Random(seed * 1_000_003), spec)
+            assert _find_chain_claw(adj, cliques) is None, spec

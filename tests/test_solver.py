@@ -526,11 +526,19 @@ def test_perturbed_strip_raises_or_is_exact(seed):
     assert value == oracle_mwss(g)[0]
 
 
-# The same hole on larger graphs (126-418 nodes), checked against the
-# frontier DP: solve returns 3384, 5178, 2064, 2028 and 3523 against optima
-# of 3393, 5212, 2081, 2031 and 3581.
+# The same hole on larger graphs, checked against the frontier DP.  On
+# seeds 10294, 10361, 10373, 10405 and 10535 (126-418 nodes) solve returns
+# 3384, 5178, 2064, 2028 and 3523 against optima of 3393, 5212, 2081, 2031
+# and 3581.  On seeds 20005, 20111, 20244, 20245, 20358, 20453, 20663, 20907
+# and 21262 (118-561 nodes), the wrong answers among seeds 20,000-21,499,
+# it returns 6919, 1496, 5491, 6372, 2259, 3698, 3446, 7291 and 6903
+# against optima of 6983, 1497, 5514, 6402, 2284, 3699, 3457, 7297 and 6918.
 @pytest.mark.xfail(strict=True, reason="pair not square-semi-homogeneous goes unchecked")
-@pytest.mark.parametrize("seed", [10294, 10361, 10373, 10405, 10535])
+@pytest.mark.parametrize(
+    "seed",
+    [10294, 10361, 10373, 10405, 10535,
+     20005, 20111, 20244, 20245, 20358, 20453, 20663, 20907, 21262],
+)
 def test_flipped_strip_raises_or_is_exact(seed):
     g = flipped_strip(seed)
     try:
@@ -607,8 +615,8 @@ class TestPipelineContracts:
     @pytest.mark.parametrize("collect", [False, True])
     def test_each_elimination_state_gets_its_own_pair_rows_only(self, monkeypatch, collect):
         # interval_transform's working set is one clique pair, with or
-        # without a trace: the after rows of K_i, which reach into K_i+1
-        # only, not a row per node
+        # without a trace: a row for each node of K_i that sees K_i+1, its
+        # neighbour set there, and not a row per node
         g = gen_strip_instance(GenSpec(seed=5, mode="strip", nodes=300))
         (detail,) = solve(g, collect_trace=True).certificates["details"]
         # g drops adjacent twins: its one component is solved on g's rows,
@@ -618,20 +626,19 @@ class TestPipelineContracts:
         pairs = []
         real = mwss.square_elimination.EliminationState
 
-        def recording(after, weights, ki):
-            state = real(after, weights, ki)
-            reach = set().union(*map(after.__getitem__, ki))
-            pairs.append((len(after), set(after), reach, set(state.b_len), ki))
+        def recording(rows, weights):
+            state = real(rows, weights)
+            pairs.append(({u: set(row) for u, row in rows.items()}, set(state.b)))
             return state
 
         monkeypatch.setattr(mwss.square_elimination, "EliminationState", recording)
         assert solve(g, collect_trace=collect).route == "strip_pipeline"
         expected = [pair for strip in strips for pair in zip(strip, strip[1:])]
-        assert [ki for *_, ki in pairs] == [ki for ki, _ in expected]
-        assert len(pairs) > 20
-        for (n_after, after, reach, counted, ki), (_, kj) in zip(pairs, expected):
-            assert (n_after, after) == (len(ki), set(ki))
-            assert reach <= set(kj) and counted == reach
+        assert len(pairs) == len(expected) > 20
+        for (rows, live_b), (ki, kj) in zip(pairs, expected):
+            kj_set = set(kj)
+            assert rows == {u: row for u in ki if (row := set(g.neighbors(u)) & kj_set)}
+            assert live_b == set().union(*rows.values())
 
     @pytest.mark.parametrize("collect", [False, True])
     def test_interval_result_alive_in_dp_passes_only_when_collected(

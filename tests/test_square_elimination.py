@@ -36,13 +36,26 @@ from helpers import (
     reference_check_cover,
     reference_validate_cover,
     strip_lengths,
-    strip_rows,
 )
+
+
+def pair_rows(g, ki, kj):
+    """The rows ``EliminationState`` takes: each node of ``ki`` that sees
+    ``kj``, to the set of its neighbours in ``kj``."""
+    kj_set = set(kj)
+    return {u: row for u in ki if (row := set(g.neighbors(u)) & kj_set)}
 
 
 def pair_state(g, ki, kj):
     """``EliminationState`` for the pair on ``g``'s own rows."""
-    return EliminationState(strip_rows(g, [ki, kj])[1], g.weights, ki)
+    return EliminationState(pair_rows(g, ki, kj), g.weights)
+
+
+def live_b_holds_the_live_rows(st):
+    """B is the union of the live A rows, each B node counted once per live
+    row holding it; so a row's length is its node's degree into B."""
+    held = [v for u in st.a for v in st.rows[u]]
+    return st.b == {v: held.count(v) for v in set(held)}
 
 
 class TestStage:
@@ -131,9 +144,9 @@ def random_pair(rng):
 
 
 def potential(st):
-    """The sum over live A nodes of 1 + min(|B| - d, 2), which every stage
-    lowers (``EliminationState.run``)."""
-    return sum(1 + min(len(st.b) - st.d[u], 2) for u in st.a)
+    """The sum over live A nodes u of 1 + min(|B| - |R_u|, 2), which every
+    stage lowers (``EliminationState.run``)."""
+    return sum(1 + min(len(st.b) - len(st.rows[u]), 2) for u in st.a)
 
 
 class TestRunProofs:
@@ -145,18 +158,19 @@ class TestRunProofs:
             stepped = pair_state(g, ki, kj)
             phi = potential(stepped)
             assert phi <= 3 * len(stepped.a)
+            assert live_b_holds_the_live_rows(stepped)
             while stepped.a:
                 stepped.stage()
                 phi, last = potential(stepped), phi
                 assert phi < last
-            _, after = strip_rows(g, [ki, kj])
-            st = EliminationState(after, g.weights, ki)
+                assert live_b_holds_the_live_rows(stepped)
+            st = pair_state(g, ki, kj)
             a_size = len(st.a)
             assert st.run() <= 3 * a_size
-            assert st.added == stepped.added
+            assert st.added == stepped.added and st.rows == stepped.rows
             # K_i's final rows, the reaches consistent_order ranks, form a
-            # chain; a row a stage grew is its set
-            reaches = sorted((set(st.a_sets.get(u) or after[u]) for u in ki), key=len)
+            # chain; a node of K_i that saw no K_j node has none
+            reaches = sorted((st.rows.get(u, set()) for u in ki), key=len)
             assert all(lo <= hi for lo, hi in zip(reaches, reaches[1:]))
 
 
@@ -198,7 +212,7 @@ class TestTransform:
 
 
 class TestRowShape:
-    def test_rows_sorted_counted_and_remove_pairs_build_no_set(self):
+    def test_rows_are_sets_inside_kj_and_lengths_count_them(self):
         g = gen_strip_instance(
             GenSpec(seed=4242, mode="strip", nodes=4000, clique_min=7, clique_max=11,
                     density=0.6, weights="random")
@@ -209,44 +223,35 @@ class TestRowShape:
         for detail in details:
             comp, interval = detail.graph, detail.interval
             assert len(interval.before_len) == len(interval.after_len) == comp.n
-            # replay every pair on fresh rows: same diagonals, rows left as
-            # given, and lengths that count the replayed final rows and the
-            # transformed graph's rows into the neighbouring cliques
-            before, after = [()] * comp.n, [()] * comp.n
+            # replay every pair on fresh rows: the rows stay sets inside K_j,
+            # the replay adds the transform's diagonals, and the lengths
+            # count the final rows and the transformed graph's rows into the
+            # neighbouring cliques
             before_len, after_len = [0] * comp.n, [0] * comp.n
             cross = 0
             added = []
             for strip in detail.decomposition.strips:
-                lo, hi = strip_rows(comp, strip)
-                for v in {v for k in strip for v in k}:
-                    before[v], after[v] = lo[v], hi[v]
-                    cross += len(hi[v])
                 for ki, kj in zip(strip, strip[1:]):
-                    given = list(after)
-                    st = EliminationState(after, comp.weights, ki)
+                    rows = pair_rows(comp, ki, kj)
+                    cross += sum(map(len, rows.values()))
+                    st = EliminationState(rows, comp.weights)
                     actions = []
                     while st.a:
                         actions.append(st.stage())
-                    assert st.run() == 0  # A is drained
-                    assert after == given
+                    assert st.run() == 0 and st.b == {}  # A and B are drained
                     added.extend(st.added)
                     if set(actions) == {"remove"}:
-                        assert not st.a_sets and not st.added
+                        assert not st.added
                         remove_only += 1
                     else:
-                        assert st.a_sets and st.added
+                        assert st.added
                         other += 1
-                    # K_j's counts are its before rows plus its diagonals
-                    gained = [v for edge in st.added for v in edge if v in kj]
-                    assert st.b_len == {
-                        v: len(before[v]) + gained.count(v) for v in kj if before[v]
-                    }
-                    for u in ki:
-                        after_len[u] = len(st.a_sets.get(u) or after[u])
-                    for v, count in st.b_len.items():
-                        before_len[v] = count
-            for row in before + after:
-                assert type(row) is tuple and list(row) == sorted(set(row))
+                    assert st.rows is rows and set(rows) <= set(ki)
+                    for u, row in rows.items():
+                        assert type(row) is set and row and row <= set(kj)
+                        after_len[u] = len(row)
+                        for v in row:
+                            before_len[v] += 1
             assert tuple(added) == interval.added_edges
             lengths = (interval.before_len, interval.after_len)
             assert lengths == (before_len, after_len)
@@ -472,9 +477,8 @@ class TestCertificate:
                     # the full overlay the certificate reads, kept in step
                     # with the added diagonals
                     adj = overlay(comp, {v for k in strip for v in k})
-                    _, after = strip_rows(comp, strip)
                     for ki, kj in zip(strip, strip[1:]):
-                        st = EliminationState(after, comp.weights, ki)
+                        st = pair_state(comp, ki, kj)
                         for _ in range(3 * len(ki) + 8):
                             if not st.a:
                                 break
@@ -513,9 +517,8 @@ class TestStageBoundaryInvariant:
                 nodes = sorted(v for k in strip for v in k)
                 node_set = set(nodes)
                 adj = {v: set(g.neighbors(v)) & node_set for v in nodes}
-                _, after = strip_rows(g, strip)
                 for ki, kj in zip(strip, strip[1:]):
-                    st = EliminationState(after, g.weights, ki)
+                    st = pair_state(g, ki, kj)
                     guard = 0
                     while st.a:
                         done = len(st.added)
@@ -550,6 +553,6 @@ class TestKillDiagsDirect:
             [1, 1, 1, 1, 3, 1],
         )
         st = pair_state(g, (0, 1), (2, 3, 4, 5))
-        assert st.d[0] == 2 and st.d[1] == 2
+        assert len(st.rows[0]) == len(st.rows[1]) == 2 == len(st.b) - 2
         assert st.stage() == "kill_diags"
         assert st.added == [(0, 5)]  # node 4 (weight 3) spared
